@@ -3,10 +3,8 @@
 from .bv import BVAlgebra, check_bv_axioms, derived_bracket, evaluate_product
 from .certify import (Footprint, certificate_cross_check, certify_formality,
                       is_hypersurface_footprint, op_bidegree)
-from .engine import (OperationSpec, OperationTable, TreeEvaluator,
-                     build_operation_table, check_formal_unit, evaluate_tree,
-                     higher_op_specs, naive_evaluate_tree, strict_hy_spec,
-                     top_degree_report, transferred_operation,
+from .engine import (OperationTable, TreeEvaluator, build_operation_table,
+                     check_formal_unit, naive_evaluate_tree, top_degree_report,
                      truncate_to_strict)
 from .graded import (Bidegree, BigradedSpace, Element, GradedMap,
                      apply_in_slot, koszul_sign)
@@ -17,7 +15,7 @@ from .hodge import (InnerProduct, TransferData, adjoint_differential,
 from .models import (ModelDescriptor, SearchExhausted, build_torus_model,
                      build_trivial_model, builtin_footprints, builtin_models,
                      search_nonformal)
-from .trees import (DecoratedTree, canonicalize, enumerate_trees, is_lie_type,
-                    parse_tree, tree_bidegree, unparse_tree)
+from .trees import (DecoratedTree, canonicalize, enumerate_trees, parse_tree,
+                    tree_bidegree, unparse_tree)
 
 __version__ = "0.1.0"

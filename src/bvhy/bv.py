@@ -174,23 +174,19 @@ def _triple_candidates(a: BVAlgebra):
 
 def _check_derivation(a: BVAlgebra):
     space = a.space
-    checked = set()
-    pairs = list(a.product.keys())
+    # insertion-ordered, so the first witness follows product and basis order
+    pairs = dict.fromkeys(a.product)
     # also pairs whose product is zero but whose d-images multiply nonzero
     d_support = {n: list(a.d.entries.get(n, {})) for n in space.names}
-    extra = set()
     first_index: Dict[str, List[str]] = {}
     for (u, v) in a.product:
         first_index.setdefault(u, []).append(v)
     for n in space.names:
         for s in d_support[n]:
             for v in first_index.get(s, []):
-                extra.add((n, v))
-                extra.add((v, n))
-    for (x, y) in set(pairs) | extra:
-        if (x, y) in checked:
-            continue
-        checked.add((x, y))
+                pairs[(n, v)] = None
+                pairs[(v, n)] = None
+    for (x, y) in pairs:
         ex, ey = space.basis_element(x), space.basis_element(y)
         lhs = a.d(a.multiply(ex, ey))
         rhs = a.multiply(a.d(ex), ey) + \
@@ -221,15 +217,16 @@ def _check_order_two(a: BVAlgebra):
     for (u, v) in product:
         first_index.setdefault(u, []).append(v)
 
-    candidates = set()
+    # insertion-ordered, so the first witness follows product and basis order
+    candidates: Dict[Tuple[str, str, str], None] = {}
     for (u, v) in product:
         for z in names:
-            candidates.add(tuple(sorted((u, v, z))))
+            candidates[tuple(sorted((u, v, z)))] = None
     for n in names:
         for s in delta_support[n]:
             for v in first_index.get(s, []):
                 for z in names:
-                    candidates.add(tuple(sorted((n, v, z))))
+                    candidates[tuple(sorted((n, v, z)))] = None
 
     zero: Dict[str, Fraction] = {}
 
@@ -292,7 +289,7 @@ def _check_order_two(a: BVAlgebra):
         return acc
 
     for triple in candidates:
-        for (x, y, z) in set(itertools.permutations(triple)):
+        for (x, y, z) in dict.fromkeys(itertools.permutations(triple)):
             yz = product.get((y, z), zero)
             lhs = bracket_with_vec(x, yz) if yz else {}
             rhs = mul_vec_basis(bracket_basis(x, y), z)

@@ -20,7 +20,7 @@ from .engine import build_operation_table, check_formal_unit, top_degree_report
 from .graded import Bidegree
 from .hodge import build_transfer_data, check_side_conditions, \
     check_strong_trivialization_composites
-from .models import SearchExhausted, search_nonformal
+from .models import MAX_SEARCH_DIM, SearchExhausted, search_nonformal
 from .serialize import SchemaError
 
 MAX_ARITY_GUARD = 7
@@ -83,6 +83,9 @@ def cmd_validate(args) -> int:
 
 def cmd_transfer(args) -> int:
     started = time.monotonic()
+    if args.max_arity < 2:
+        raise SchemaError(f"--max-arity {args.max_arity} is below 2, the "
+                          f"arity of the product", "max-arity")
     if args.max_arity > MAX_ARITY_GUARD and not args.force:
         raise SchemaError(
             f"--max-arity {args.max_arity} exceeds the combinatorial guard "
@@ -105,11 +108,15 @@ def cmd_transfer(args) -> int:
 
     table = build_operation_table(algebra, td, args.max_arity)
     table_doc = serialize.table_to_json(table)
-    table_doc["formal_unit"] = check_formal_unit(table).to_dict()
+    unit = check_formal_unit(table)
+    table_doc["formal_unit"] = unit.to_dict()
+    ok = unit.passed
 
     top = max(algebra.space.occupied_bidegrees(), key=lambda d: (d.total, d.p))
     if top.p == top.q:
-        table_doc["top_degree"] = top_degree_report(table, top.p).to_dict()
+        top_report = top_degree_report(table, top.p)
+        table_doc["top_degree"] = top_report.to_dict()
+        ok = ok and top_report.passed
     else:
         table_doc["top_degree"] = {
             "skipped": f"top bidegree ({top.p},{top.q}) is not of the form (n,n)"}
@@ -117,8 +124,8 @@ def cmd_transfer(args) -> int:
     _emit(table_doc, args.out)
     _emit(_report("transfer", inputs, started,
                   results=[axioms.to_dict(), side.to_dict()],
-                  passed=True, out=args.out))
-    return 0
+                  passed=ok, out=args.out))
+    return 0 if ok else 1
 
 
 def cmd_certify(args) -> int:
@@ -134,6 +141,10 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     started = time.monotonic()
+    if args.max_dim > MAX_SEARCH_DIM:
+        raise SchemaError(f"--max-dim {args.max_dim} exceeds the largest "
+                          f"supported search dimension ({MAX_SEARCH_DIM})",
+                          "max-dim")
     try:
         model = search_nonformal(max_dim=args.max_dim, seed=args.seed)
     except SearchExhausted as exc:

@@ -5,17 +5,19 @@ internal edges with ``h``, vertices with the algebra's product, bracket or
 delta, and the root with ``pi``.  Koszul signs arise when the odd operator
 ``h`` passes over the already-assembled value of a left sibling.
 
-``TreeEvaluator`` materializes, per subtree, the table of values on all
-harmonic basis tuples, cached under the leaf-relabelled canonical form so
-that trees sharing subtrees share work.  Zero values are never stored, so
-on strongly trivialized models the tables collapse early and evaluation of
-large tree sets stays cheap.  ``naive_evaluate_tree`` is the independent
-reference path: direct recursion, no canonical forms, no caching.
+``build_operation_table`` sums all trees with equal leaf and bracket
+counts at once, bottom-up over leaf subsets.  ``TreeEvaluator`` evaluates
+single trees, caching per subtree the values on all harmonic basis tuples
+under the leaf-relabelled canonical form.  Both graft child values with
+``_graft``, and neither stores zero values, so on strongly trivialized
+models the tables collapse early.  ``naive_evaluate_tree`` is the
+independent reference path: direct recursion, no canonical forms, no
+caching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -23,27 +25,10 @@ from .bv import BVAlgebra
 from .graded import Bidegree, Element, koszul_sign
 from .hodge import TransferData
 from .reporting import CheckReport
-from .trees import (DecoratedTree, enumerate_trees, leaf, tree_bidegree,
-                    unparse_tree)
+from .trees import BR, MUL, DecoratedTree, leaf, tree_bidegree, unparse_tree
 
 Constants = Dict[Tuple[str, ...], Dict[str, Fraction]]
-
-
-@dataclass
-class OperationSpec:
-    """Formal sum of same-arity tree classes with rational coefficients."""
-
-    arity: int
-    terms: List[Tuple[Fraction, DecoratedTree]]
-    bracket_count: Optional[int] = None
-
-    def __post_init__(self):
-        for _c, t in self.terms:
-            if t.arity != self.arity:
-                raise ValueError("tree arity differs from spec arity")
-            if self.bracket_count is not None \
-                    and t.bracket_count != self.bracket_count:
-                raise ValueError("spec flagged homogeneous but bracket counts differ")
+ValueTable = Dict[Tuple[str, ...], Element]
 
 
 def _normalize_leaves(t: DecoratedTree) -> DecoratedTree:
@@ -59,16 +44,57 @@ def _normalize_leaves(t: DecoratedTree) -> DecoratedTree:
     return rec(t)
 
 
+def _graft(a: BVAlgebra, td: TransferData, kind: str,
+           left: ValueTable, left_labels: List[int], left_vertex: bool,
+           right: ValueTable, right_labels: List[int], right_vertex: bool,
+           out: ValueTable) -> None:
+    """Add the binary vertex ``kind`` on every pair of child values to ``out``.
+
+    A child that is a vertex reaches its parent through the homotopy ``h``,
+    which picks up a Koszul sign when it passes over the left value.  Child
+    keys follow their sorted leaf labels; the parent key merges them into
+    increasing label order.
+    """
+    combine = a.multiply if kind == MUL else a.bracket
+    labels = left_labels + right_labels
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rights = [(kr, td.h(vr) if right_vertex else vr) for kr, vr in right.items()]
+    rights = [(kr, vr) for kr, vr in rights if not vr.is_zero]
+    for kl, vl in left.items():
+        if left_vertex:
+            vl = td.h(vl)
+        if vl.is_zero:
+            continue
+        sign = koszul_sign(1, vl.total_degree) if right_vertex else Fraction(1)
+        for kr, vr in rights:
+            w = combine(vl, vr.scale(sign))
+            if w.is_zero:
+                continue
+            merged = kl + kr
+            key = tuple(merged[i] for i in order)
+            out[key] = out[key] + w if key in out else w
+
+
+def _project(td: TransferData, values: ValueTable) -> Constants:
+    """Apply ``pi`` at the root and keep the nonzero structure constants."""
+    out: Constants = {}
+    for key, v in values.items():
+        w = td.pi(v)
+        if not w.is_zero:
+            out[key] = dict(w.coeffs)
+    return out
+
+
 class TreeEvaluator:
     """Memoized evaluation of decorated trees over the harmonic basis."""
 
     def __init__(self, algebra: BVAlgebra, td: TransferData):
         self.algebra = algebra
         self.td = td
-        self._tables: Dict[str, Dict[Tuple[str, ...], Element]] = {}
+        self._tables: Dict[str, ValueTable] = {}
         self._root_tables: Dict[str, Constants] = {}
 
-    def value_table(self, t: DecoratedTree) -> Dict[Tuple[str, ...], Element]:
+    def value_table(self, t: DecoratedTree) -> ValueTable:
         """Nonzero pre-projection values on harmonic basis tuples.
 
         Keys are tuples of harmonic basis names in increasing leaf-label
@@ -80,11 +106,7 @@ class TreeEvaluator:
             self._tables[key] = self._build(norm)
         return self._tables[key]
 
-    def _edge_value(self, child: DecoratedTree, v: Element) -> Element:
-        """Apply the internal-edge homotopy when the child is a vertex."""
-        return self.td.h(v) if not child.is_leaf else v
-
-    def _build(self, t: DecoratedTree) -> Dict[Tuple[str, ...], Element]:
+    def _build(self, t: DecoratedTree) -> ValueTable:
         a, td = self.algebra, self.td
         if t.is_leaf:
             return {(n,): td.iota(td.cohomology.basis_element(n))
@@ -93,38 +115,17 @@ class TreeEvaluator:
             child = t.children[0]
             table = {}
             for k, v in self.value_table(child).items():
-                w = a.delta(self._edge_value(child, v))
+                w = a.delta(v if child.is_leaf else td.h(v))
                 if not w.is_zero:
                     table[k] = w
             return table
 
         left, right = t.children
-        tl = self.value_table(left)
-        tr = self.value_table(right)
-        combine = a.multiply if t.kind == "mul" else a.bracket
-        nl, nr = len(left.leaves()), len(right.leaves())
-        # leaf labels of a normalized tree partition 1..k; parent keys are
-        # ordered by label, so merge child keys by label position
-        labels_l = sorted(left.leaves())
-        labels_r = sorted(right.leaves())
-        order = sorted(range(nl + nr),
-                       key=lambda i: (labels_l + labels_r)[i])
-        table: Dict[Tuple[str, ...], Element] = {}
-        right_internal = not right.is_leaf
-        for kl, vl0 in tl.items():
-            vl = self._edge_value(left, vl0)
-            if vl.is_zero:
-                continue
-            sign = koszul_sign(1, vl.total_degree) if right_internal else Fraction(1)
-            for kr, vr0 in tr.items():
-                vr = self._edge_value(right, vr0)
-                if vr.is_zero:
-                    continue
-                w = combine(vl, vr.scale(sign))
-                if w.is_zero:
-                    continue
-                merged = kl + kr
-                table[tuple(merged[i] for i in order)] = w
+        table: ValueTable = {}
+        _graft(a, td, t.kind,
+               self.value_table(left), sorted(left.leaves()), not left.is_leaf,
+               self.value_table(right), sorted(right.leaves()), not right.is_leaf,
+               table)
         return table
 
     def operation_constants(self, t: DecoratedTree) -> Constants:
@@ -132,12 +133,7 @@ class TreeEvaluator:
         norm = _normalize_leaves(t)
         key = unparse_tree(norm)
         if key not in self._root_tables:
-            out: Constants = {}
-            for k, v in self.value_table(norm).items():
-                w = self.td.pi(v)
-                if not w.is_zero:
-                    out[k] = dict(w.coeffs)
-            self._root_tables[key] = out
+            self._root_tables[key] = _project(self.td, self.value_table(norm))
         return self._root_tables[key]
 
     def evaluate(self, t: DecoratedTree, args: List[Element]) -> Element:
@@ -175,14 +171,6 @@ def _accumulate(constants: Constants, args: List[Element],
     rec(0, [], Fraction(1))
 
 
-def evaluate_tree(t: DecoratedTree, a: BVAlgebra, td: TransferData,
-                  args: List[Element],
-                  evaluator: Optional[TreeEvaluator] = None) -> Element:
-    if evaluator is None:
-        evaluator = TreeEvaluator(a, td)
-    return evaluator.evaluate(t, args)
-
-
 def naive_evaluate_tree(t: DecoratedTree, a: BVAlgebra, td: TransferData,
                         args: List[Element]) -> Element:
     """Reference evaluator: plain recursion, no tables, no normal forms."""
@@ -208,48 +196,6 @@ def naive_evaluate_tree(t: DecoratedTree, a: BVAlgebra, td: TransferData,
     return td.pi(rec(t))
 
 
-def strict_hy_spec(k: int) -> OperationSpec:
-    """Trees with exactly one product vertex (the strict operations)."""
-    if k < 2:
-        raise ValueError("strict operations need arity >= 2")
-    trees = enumerate_trees(k, constraints={"product_count": 1})
-    return OperationSpec(k, [(Fraction(1), t) for t in trees],
-                         bracket_count=k - 2)
-
-
-def higher_op_specs(k: int) -> List[OperationSpec]:
-    """One homogeneous spec per bracket count l in [0, k-3]."""
-    if k < 3:
-        raise ValueError("no higher operations below arity 3")
-    specs = []
-    for l in range(0, k - 2):
-        trees = enumerate_trees(
-            k, constraints={"bracket_count": l, "lie_type_excluded": True})
-        specs.append(OperationSpec(k, [(Fraction(1), t) for t in trees],
-                                   bracket_count=l))
-    return specs
-
-
-def transferred_operation(spec: OperationSpec, a: BVAlgebra, td: TransferData,
-                          evaluator: Optional[TreeEvaluator] = None) -> Constants:
-    """Coefficient-weighted sum of the spec's trees as structure constants."""
-    if evaluator is None:
-        evaluator = TreeEvaluator(a, td)
-    out: Constants = {}
-    for coeff, t in spec.terms:
-        if coeff == 0:
-            continue
-        for key, col in evaluator.operation_constants(t).items():
-            dst = out.setdefault(key, {})
-            for name, v in col.items():
-                dst[name] = dst.get(name, Fraction(0)) + coeff * v
-    for key in list(out):
-        out[key] = {n: v for n, v in out[key].items() if v != 0}
-        if not out[key]:
-            del out[key]
-    return out
-
-
 class OperationTable:
     """Transferred operations on cohomology, indexed by (arity, brackets)."""
 
@@ -257,9 +203,6 @@ class OperationTable:
         self.algebra = algebra
         self.td = td
         self.ops: Dict[Tuple[int, int], Constants] = {}
-
-    def set(self, k: int, l: int, constants: Constants) -> None:
-        self.ops[(k, l)] = constants
 
     def nonzero_keys(self) -> List[Tuple[int, int]]:
         return sorted(kl for kl, c in self.ops.items() if c)
@@ -287,18 +230,36 @@ class OperationTable:
         return bad
 
 
-def build_operation_table(a: BVAlgebra, td: TransferData, max_arity: int,
-                          evaluator: Optional[TreeEvaluator] = None) -> OperationTable:
-    if evaluator is None:
-        evaluator = TreeEvaluator(a, td)
+def build_operation_table(a: BVAlgebra, td: TransferData,
+                          max_arity: int) -> OperationTable:
+    """Operations (k, l) for 2 <= k <= max_arity and 0 <= l <= k - 2.
+
+    Each operation is the sum of all trivalent trees with k leaves and l
+    brackets.  ``sums[(m, l)]`` holds that sum before ``pi`` for trees on
+    leaves 1..m.  The root of such a tree splits the leaves into A, which
+    holds leaf 1, and B; the subtree sums on A and B are ``sums[(|A|, la)]``
+    and ``sums[(|B|, lb)]`` up to an order-preserving relabelling.
+    """
+    H = td.cohomology
+    sums: Dict[Tuple[int, int], ValueTable] = {
+        (1, 0): {(n,): td.iota(H.basis_element(n)) for n in H.names}}
     table = OperationTable(a, td)
-    for k in range(2, max_arity + 1):
-        strict = strict_hy_spec(k)
-        table.set(k, k - 2, transferred_operation(strict, a, td, evaluator))
-        if k >= 3:
-            for spec in higher_op_specs(k):
-                table.set(k, spec.bracket_count,
-                          transferred_operation(spec, a, td, evaluator))
+    for m in range(2, max_arity + 1):
+        level: Dict[int, ValueTable] = {l: {} for l in range(m)}
+        rest = range(2, m + 1)
+        for r in range(m - 1):
+            for others in itertools.combinations(rest, r):
+                A = [1, *others]
+                B = [x for x in rest if x not in others]
+                for la, lb, kind in itertools.product(
+                        range(len(A)), range(len(B)), (MUL, BR)):
+                    _graft(a, td, kind, sums[(len(A), la)], A, len(A) > 1,
+                           sums[(len(B), lb)], B, len(B) > 1,
+                           level[la + lb + (kind == BR)])
+        for l, values in level.items():
+            sums[(m, l)] = {k: v for k, v in values.items() if not v.is_zero}
+            if l <= m - 2:
+                table.ops[(m, l)] = _project(td, sums[(m, l)])
     return table
 
 
@@ -307,7 +268,7 @@ def truncate_to_strict(table: OperationTable) -> OperationTable:
     out = OperationTable(table.algebra, table.td)
     for (k, l), constants in table.ops.items():
         if l == k - 2:
-            out.set(k, l, {key: dict(col) for key, col in constants.items()})
+            out.ops[(k, l)] = {key: dict(col) for key, col in constants.items()}
     return out
 
 

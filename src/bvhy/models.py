@@ -20,12 +20,14 @@ from typing import Dict, List, Optional, Tuple
 
 from .bv import BVAlgebra, check_bv_axioms
 from .certify import Footprint, is_hypersurface_footprint
-from .engine import TreeEvaluator, higher_op_specs, naive_evaluate_tree, \
-    transferred_operation
+from .engine import build_operation_table, naive_evaluate_tree
 from .graded import Bidegree, BigradedSpace, Element, GradedMap
 from .hodge import InnerProduct, TransferData, build_transfer_data, \
     check_side_conditions, check_strong_trivialization_composites
 from .reporting import CheckReport
+from .trees import enumerate_trees
+
+MAX_SEARCH_DIM = 24
 
 
 class SearchExhausted(RuntimeError):
@@ -250,8 +252,8 @@ def search_nonformal(max_dim: int = 24, seed: int = 0,
     """Randomized search for a model whose arity-3 higher operation is
     nonzero; the witness constant is re-verified by the naive evaluator.
     Deterministic for a fixed seed."""
-    if max_dim > 24:
-        raise ValueError("max_dim above 24 is not supported")
+    if max_dim > MAX_SEARCH_DIM:
+        raise ValueError(f"max_dim above {MAX_SEARCH_DIM} is not supported")
     if max_dim < 7:
         raise SearchExhausted(
             f"no candidate family fits in dimension {max_dim}; smallest "
@@ -265,9 +267,7 @@ def search_nonformal(max_dim: int = 24, seed: int = 0,
         td = build_transfer_data(algebra)
         if not check_side_conditions(td, algebra).passed:
             continue
-        evaluator = TreeEvaluator(algebra, td)
-        spec = higher_op_specs(3)[0]
-        constants = transferred_operation(spec, algebra, td, evaluator)
+        constants = build_operation_table(algebra, td, 3).ops[(3, 0)]
         hit = None
         for key, col in sorted(constants.items()):
             if col:
@@ -280,8 +280,8 @@ def search_nonformal(max_dim: int = 24, seed: int = 0,
         H = td.cohomology
         args = [H.basis_element(nm) for nm in key]
         total = H.zero()
-        for coeff, t in spec.terms:
-            total = total + naive_evaluate_tree(t, algebra, td, args).scale(coeff)
+        for t in enumerate_trees(3, constraints={"bracket_count": 0}):
+            total = total + naive_evaluate_tree(t, algebra, td, args)
         if total.is_zero or total.coeffs != col:
             raise SearchExhausted(
                 f"witness at seed {seed} failed independent re-verification")

@@ -123,11 +123,6 @@ def tree_bidegree(t: DecoratedTree) -> Bidegree:
     return Bidegree(-t.bracket_count - t.delta_count, -t.internal_edge_count())
 
 
-def is_lie_type(t: DecoratedTree) -> bool:
-    """True iff the tree has vertices and every one is a bracket."""
-    return t.vertex_count > 0 and t.bracket_count == t.vertex_count
-
-
 def canonicalize(t: DecoratedTree) -> Tuple[DecoratedTree, Fraction]:
     """Canonical planar form plus the parity sign of child swaps performed.
 
@@ -233,8 +228,7 @@ def enumerate_trees(k: int, allow_delta: bool = False,
     Default enumeration is trivalent (no delta vertices); with
     ``allow_delta`` trees with 1..max_delta delta vertices are included,
     inserted on any edge (stacked deltas allowed).  Constraints may fix
-    ``bracket_count``, ``product_count`` or ``delta_count`` and may set
-    ``lie_type_excluded``.
+    ``bracket_count``, ``product_count`` or ``delta_count``.
     """
     if k < 1:
         raise ValueError("arity must be >= 1")
@@ -242,7 +236,6 @@ def enumerate_trees(k: int, allow_delta: bool = False,
     want_br = constraints.pop("bracket_count", None)
     want_mul = constraints.pop("product_count", None)
     want_del = constraints.pop("delta_count", None)
-    no_lie = constraints.pop("lie_type_excluded", False)
     if constraints:
         raise ValueError(f"unknown constraints {sorted(constraints)}")
     if not allow_delta:
@@ -265,8 +258,6 @@ def enumerate_trees(k: int, allow_delta: bool = False,
         if want_mul is not None and t.product_count != want_mul:
             return
         if want_del is not None and t.delta_count != want_del:
-            return
-        if no_lie and is_lie_type(t):
             return
         key = unparse_tree(t)
         if key not in seen:

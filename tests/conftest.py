@@ -44,10 +44,9 @@ def evaluators(models):
 
 
 @pytest.fixture(scope="session")
-def tables(models, evaluators):
+def tables(models):
     return {m.name: build_operation_table(m.algebra, m.transfer_data(),
-                                          MAX_TABLE_ARITY,
-                                          evaluators[m.name])
+                                          MAX_TABLE_ARITY)
             for m in models}
 
 

@@ -155,12 +155,9 @@ def test_criterion_7_nonformality_witness():
     td = m.transfer_data()
     H = td.cohomology
     args = [H.basis_element(n) for n in w["inputs"]]
-    from bvhy.engine import higher_op_specs
-    spec = higher_op_specs(3)[0]
     total = H.zero()
-    for coeff, t in spec.terms:
-        total = total + naive_evaluate_tree(t, m.algebra, td,
-                                            args).scale(coeff)
+    for t in enumerate_trees(3, constraints={"bracket_count": 0}):
+        total = total + naive_evaluate_tree(t, m.algebra, td, args)
     assert not total.is_zero
     assert {n: str(v) for n, v in sorted(total.coeffs.items())} == w["output"]
     again = search_nonformal(seed=0)

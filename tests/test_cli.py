@@ -1,6 +1,9 @@
 """Command-line contract: exit codes 0/1/2/3 and JSON reports."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -151,3 +154,71 @@ def test_validate_with_separate_gram_file(tmp_path, capsys):
     algebra_path = _write(tmp_path / "algebra.json", doc)
     gram_path = _write(tmp_path / "gram.json", {"gram": gram_entries})
     assert main(["validate", algebra_path, "--gram", gram_path]) == 0
+
+
+@pytest.mark.parametrize("arity", ["1", "-3"])
+def test_transfer_rejects_arity_below_two(torus_file, capsys, arity):
+    assert main(["transfer", torus_file, "--max-arity", arity]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: max-arity:")
+
+
+@pytest.mark.parametrize("check", ["check_formal_unit", "top_degree_report"])
+def test_transfer_exits_1_when_a_table_check_fails(tmp_path, capsys,
+                                                   monkeypatch, check):
+    from bvhy import cli
+    from bvhy.reporting import CheckReport
+
+    def failing(*_args, **_kwargs):
+        report = CheckReport(check)
+        report.add("forced failure", False, "witness")
+        return report
+
+    monkeypatch.setattr(cli, check, failing)
+    path = _write(tmp_path / "torus10.json",
+                  serialize.algebra_to_json(build_torus_model(1, 0).algebra))
+    out_path = tmp_path / "table.json"
+    assert main(["transfer", path, "--max-arity", "3",
+                 "--out", str(out_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    table = json.loads(out_path.read_text())
+    key = "formal_unit" if check == "check_formal_unit" else "top_degree"
+    assert table[key]["passed"] is False
+
+
+def test_search_max_dim_above_limit_exits_2(capsys):
+    assert main(["search", "--max-dim", "25"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: max-dim:")
+
+
+@pytest.mark.parametrize("field,value,item", [
+    # the first d entry is -1; -2 times it breaks the derivation rule
+    ("d", "2", "d is a derivation of the product"),
+    ("delta", "7/2", "delta has order <= 2 (bracket Leibniz)"),
+], ids=["d", "delta"])
+def test_validate_witnesses_do_not_depend_on_hash_seed(tmp_path, field, value,
+                                                       item):
+    doc = serialize.algebra_to_json(build_torus_model(1, 1).algebra)
+    src, tgt, _old = doc[field][0]
+    doc[field][0] = [src, tgt, value]
+    path = _write(tmp_path / "broken.json", doc)
+    package_root = os.path.dirname(os.path.dirname(serialize.__file__))
+    reports = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_root)
+        proc = subprocess.run([sys.executable, "-m", "bvhy.cli", "validate",
+                               path], capture_output=True, env=env)
+        assert proc.returncode == 1 and not proc.stderr
+        report = json.loads(proc.stdout)
+        report.pop("timing_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    failed = {i["name"]: i.get("witness")
+              for r in reports[0]["results"] for i in r["items"]
+              if not i["passed"]}
+    assert failed[item]

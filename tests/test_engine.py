@@ -1,17 +1,16 @@
-"""Tree evaluation, operation specs, and the transferred-operation tables."""
+"""Tree evaluation and the transferred-operation tables."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from bvhy.engine import (OperationSpec, TreeEvaluator, build_operation_table,
-                         check_formal_unit, evaluate_tree, higher_op_specs,
-                         naive_evaluate_tree, strict_hy_spec,
-                         top_degree_report, transferred_operation,
-                         truncate_to_strict)
-from bvhy.graded import Bidegree
-from bvhy.models import build_torus_model, build_trivial_model
+from bvhy.engine import (TreeEvaluator, build_operation_table,
+                         check_formal_unit, naive_evaluate_tree,
+                         top_degree_report, truncate_to_strict)
+from bvhy.models import (build_torus_model, build_trivial_model,
+                         builtin_models, search_nonformal)
 from bvhy.trees import enumerate_trees, parse_tree
 
 F = Fraction
@@ -27,46 +26,9 @@ def torus():
     return build_torus_model(1, 1)
 
 
-def test_strict_spec_shapes():
-    spec = strict_hy_spec(2)
-    assert len(spec.terms) == 1
-    assert spec.terms[0][1] == parse_tree("(mul 1 2)")
-    spec3 = strict_hy_spec(3)
-    assert all(t.product_count == 1 and t.bracket_count == 1
-               for _c, t in spec3.terms)
-    spec5 = strict_hy_spec(5)
-    assert all(t.vertex_count == 4 and t.internal_edge_count() == 3
-               for _c, t in spec5.terms)
-    with pytest.raises(ValueError):
-        strict_hy_spec(1)
-
-
-def test_higher_op_specs_shapes():
-    specs = higher_op_specs(3)
-    assert len(specs) == 1 and specs[0].bracket_count == 0
-    assert all(t.product_count == 2 for _c, t in specs[0].terms)
-    from bvhy.trees import tree_bidegree
-    assert {tree_bidegree(t) for _c, t in specs[0].terms} == {Bidegree(0, -1)}
-    specs4 = higher_op_specs(4)
-    assert [s.bracket_count for s in specs4] == [0, 1]
-    from bvhy.trees import is_lie_type
-    for s in specs4:
-        assert all(not is_lie_type(t) for _c, t in s.terms)
-    with pytest.raises(ValueError):
-        higher_op_specs(2)
-
-
-def test_operation_spec_validation():
-    with pytest.raises(ValueError):
-        OperationSpec(3, [(F(1), parse_tree("(mul 1 2)"))])
-    with pytest.raises(ValueError):
-        OperationSpec(2, [(F(1), parse_tree("(mul 1 2)")),
-                          (F(1), parse_tree("(br 1 2)"))], bracket_count=0)
-
-
 def test_transferred_product_on_zero_differential_model(trivial):
     a, td = trivial.algebra, trivial.transfer_data()
-    constants = transferred_operation(strict_hy_spec(2), a, td)
+    constants = build_operation_table(a, td, 2).ops[(2, 0)]
     # iota and pi are identities here, so the constants are the algebra's
     for (x, y), col in a.product.items():
         assert constants[(f"[{x}]", f"[{y}]")] == \
@@ -74,12 +36,6 @@ def test_transferred_product_on_zero_differential_model(trivial):
     for key in constants:
         x, y = (n.strip("[]") for n in key)
         assert (x, y) in a.product
-
-
-def test_zero_coefficient_spec_gives_zero_map(torus):
-    spec = OperationSpec(2, [(F(0), parse_tree("(mul 1 2)"))])
-    assert transferred_operation(spec, torus.algebra,
-                                 torus.transfer_data()) == {}
 
 
 def test_lie_type_trees_act_as_zero_on_torus(torus):
@@ -124,16 +80,17 @@ def test_memoized_matches_naive_on_random_instances(torus, random_tree,
 
 def test_evaluate_tree_wrapper_and_errors(torus):
     a, td = torus.algebra, torus.transfer_data()
+    evaluator = TreeEvaluator(a, td)
     H = td.cohomology
     t = parse_tree("(mul 1 2)")
     u = [n for n in H.names if n == f"[{a.unit}]"][0]
-    out = evaluate_tree(t, a, td, [H.basis_element(u), H.basis_element(u)])
+    out = evaluator.evaluate(t, [H.basis_element(u), H.basis_element(u)])
     assert out == H.basis_element(u)
     with pytest.raises(ValueError):
-        evaluate_tree(t, a, td, [H.basis_element(u)])
+        evaluator.evaluate(t, [H.basis_element(u)])
     with pytest.raises(ValueError):
-        evaluate_tree(t, a, td, [a.space.basis_element(a.unit),
-                                 a.space.basis_element(a.unit)])
+        evaluator.evaluate(t, [a.space.basis_element(a.unit),
+                               a.space.basis_element(a.unit)])
 
 
 def test_operation_table_and_bidegree_law(torus):
@@ -166,3 +123,51 @@ def test_formal_unit_detects_violation(trivial):
     other = [n for n in td.cohomology.names if n != u][0]
     table.ops[(2, 0)][(u, other)] = {other: F(2)}
     assert not check_formal_unit(table).passed
+
+
+def _sum_constants(parts):
+    out = {}
+    for constants in parts:
+        for key, col in constants.items():
+            dst = out.setdefault(key, {})
+            for name, v in col.items():
+                dst[name] = dst.get(name, F(0)) + v
+    return {key: {n: v for n, v in col.items() if v != 0}
+            for key, col in out.items() if any(v != 0 for v in col.values())}
+
+
+def test_subset_recursion_matches_per_tree_sums(evaluators):
+    models = list(builtin_models()) + [search_nonformal(seed=s)
+                                       for s in (0, 1)]
+    nonzero_higher = 0
+    for m in models:
+        a, td = m.algebra, m.transfer_data()
+        evaluator = evaluators.get(m.name) or TreeEvaluator(a, td)
+        table = build_operation_table(a, td, 5)
+        assert sorted(table.ops) == [(k, l) for k in range(2, 6)
+                                     for l in range(k - 1)]
+        for (k, l), constants in table.ops.items():
+            trees = enumerate_trees(k, constraints={"bracket_count": l})
+            expected = _sum_constants(evaluator.operation_constants(t)
+                                      for t in trees)
+            assert constants == expected, (m.name, k, l)
+            if k >= 3:
+                nonzero_higher += sum(len(col) for col in constants.values())
+    assert nonzero_higher > 0
+
+
+def test_subset_recursion_matches_naive_on_witness():
+    m = search_nonformal(seed=0)
+    a, td = m.algebra, m.transfer_data()
+    H = td.cohomology
+    constants = build_operation_table(a, td, 3).ops[(3, 0)]
+    trees = enumerate_trees(3, constraints={"bracket_count": 0})
+    nonzero = 0
+    for key in itertools.product(H.names, repeat=3):
+        args = [H.basis_element(n) for n in key]
+        total = H.zero()
+        for t in trees:
+            total = total + naive_evaluate_tree(t, a, td, args)
+        assert total.coeffs == constants.get(key, {}), key
+        nonzero += not total.is_zero
+    assert nonzero > 0

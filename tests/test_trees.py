@@ -8,8 +8,8 @@ import pytest
 
 from bvhy.graded import Bidegree
 from bvhy.trees import (DecoratedTree, br, canonicalize, delta,
-                        enumerate_trees, is_lie_type, leaf, mul, parse_tree,
-                        tree_bidegree, unparse_tree)
+                        enumerate_trees, leaf, mul, parse_tree, tree_bidegree,
+                        unparse_tree)
 
 F = Fraction
 
@@ -72,14 +72,6 @@ def test_trivalent_vertex_and_edge_counts():
     for t in enumerate_trees(5):
         assert t.vertex_count == 4
         assert t.internal_edge_count() == 3
-
-
-def test_lie_type_detection():
-    assert is_lie_type(parse_tree("(br 1 2)"))
-    assert not is_lie_type(parse_tree("(mul (br 1 2) 3)"))
-    assert is_lie_type(parse_tree("(br (br (br 1 2) 3) 4)"))
-    assert not is_lie_type(parse_tree("1"))
-    assert not is_lie_type(parse_tree("(del (br 1 2))"))
 
 
 def test_enumeration_counts_against_closed_form():
@@ -156,9 +148,6 @@ def test_delta_enumeration_and_constraints():
     only2 = enumerate_trees(2, allow_delta=True,
                             constraints={"delta_count": 2})
     assert only2 and all(t.delta_count == 2 for t in only2)
-    lieless = enumerate_trees(3, constraints={"lie_type_excluded": True})
-    assert all(not is_lie_type(t) for t in lieless)
-    assert len(lieless) == len(enumerate_trees(3)) - 3
 
 
 def test_enumeration_errors():
