@@ -1,6 +1,6 @@
 """Exact homotopy transfer for finite-dimensional dg BV-algebras."""
 
-from .bv import BVAlgebra, check_bv_axioms, derived_bracket, evaluate_product
+from .bv import BVAlgebra, check_bv_axioms
 from .certify import (Footprint, certificate_cross_check, certify_formality,
                       is_hypersurface_footprint, op_bidegree)
 from .engine import (OperationTable, TreeEvaluator, build_operation_table,

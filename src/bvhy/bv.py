@@ -4,23 +4,33 @@ A ``BVAlgebra`` bundles a bigraded space, a differential of shift (0,1),
 an odd operator ``delta`` of shift (-1,0), a graded-commutative product
 given by structure constants, and a unit at bidegree (0,0).
 
-The bracket is not stored: it is derived from ``delta`` and the product as
+The bracket is not an input: it is derived from ``delta`` and the product as
 
     [x, y] = delta(x y) - delta(x) y - (-1)^|x| x delta(y)
 
 so that the order-2 compatibility checked in ``check_bv_axioms`` is
-automatically the right one.
+automatically the right one.  ``bracket`` expands it bilinearly over
+``brackets``, its nonzero values on basis pairs.
+
+The axiom checks use plain ``{name: Fraction}`` columns.  The trilinear
+ones visit only the tuples reached by one support index, built with the
+algebra: ``partners[u]``, the ``v`` with ``(u, v)`` a product key, in key
+order (keys are closed under swapping, so it is the left index too), the
+``d`` and ``delta`` columns, and ``brackets``.  Any other tuple satisfies
+the identity under test as 0 = 0.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .graded import Bidegree, BigradedSpace, Element, GradedMap, koszul_sign
 from .reporting import CheckReport
 
-ProductTable = Dict[Tuple[str, str], Dict[str, Fraction]]
+Vector = Dict[str, Fraction]
+ProductTable = Dict[Tuple[str, str], Vector]
 
 
 class BVAlgebra:
@@ -35,36 +45,33 @@ class BVAlgebra:
         self.delta = delta
         self.unit = unit
         self.product = _symmetrize(space, product)
+        self.partners: Dict[str, List[str]] = {}
+        for (u, v) in self.product:
+            self.partners.setdefault(u, []).append(v)
+        self.brackets = _bracket_table(self)
 
     def multiply(self, x: Element, y: Element) -> Element:
         """Bilinear product via the structure constants."""
-        out: Dict[str, Fraction] = {}
-        deg = None
-        if x.bidegree is not None and y.bidegree is not None:
-            deg = x.bidegree + y.bidegree
-        for a, ca in x.coeffs.items():
-            for b, cb in y.coeffs.items():
-                for t, v in self.product.get((a, b), {}).items():
-                    out[t] = out.get(t, Fraction(0)) + ca * cb * v
-        return Element(self.space, deg, out)
+        return self._expand(self.product, x, y, Bidegree(0, 0))
 
     def bracket(self, x: Element, y: Element) -> Element:
-        """Derived bracket; vanishes identically when delta = 0."""
-        t1 = self.delta(self.multiply(x, y))
-        t2 = self.multiply(self.delta(x), y)
-        t3 = self.multiply(x, self.delta(y)).scale(koszul_sign(1, x.total_degree))
-        return t1 - t2 - t3
+        """Derived bracket, expanded bilinearly over ``brackets``."""
+        return self._expand(self.brackets, x, y, self.delta.shift)
 
-    def unit_element(self) -> Element:
-        return self.space.basis_element(self.unit)
-
-    def basis_product(self, a: str, b: str) -> Element:
-        deg = self.space.bidegree[a] + self.space.bidegree[b]
-        return Element(self.space, deg, dict(self.product.get((a, b), {})))
+    def _expand(self, table: ProductTable, x: Element, y: Element,
+                shift: Bidegree) -> Element:
+        acc: Vector = {}
+        for n, c in x.coeffs.items():
+            _add_into(acc, _left(table, n, y.coeffs), c)
+        deg = None
+        if x.bidegree is not None and y.bidegree is not None:
+            deg = x.bidegree + y.bidegree + shift
+        return Element(self.space, deg, acc)
 
 
 def _symmetrize(space: BigradedSpace, product: ProductTable) -> ProductTable:
-    """Fill in missing mirror entries by graded commutativity.
+    """Drop zero constants, reject any that breaks bidegree additivity, and
+    fill in missing mirror entries by graded commutativity.
 
     If both orders are present they are kept as given; any inconsistency is
     surfaced by the commutativity item of ``check_bv_axioms``.
@@ -72,6 +79,10 @@ def _symmetrize(space: BigradedSpace, product: ProductTable) -> ProductTable:
     table: ProductTable = {}
     for (a, b), col in product.items():
         cleaned = {t: v for t, v in col.items() if v != 0}
+        for t in cleaned:
+            if space.bidegree[a] + space.bidegree[b] != space.bidegree[t]:
+                raise ValueError(f"product {a!r} {b!r} -> {t!r} breaks "
+                                 f"bidegree additivity")
         if cleaned:
             table[(a, b)] = cleaned
     for (a, b) in list(table):
@@ -82,19 +93,99 @@ def _symmetrize(space: BigradedSpace, product: ProductTable) -> ProductTable:
     return table
 
 
-def evaluate_product(a: BVAlgebra, x: Element, y: Element) -> Element:
-    return a.multiply(x, y)
+def _add_into(acc: Vector, vec: Vector, c=1) -> None:
+    if c != 1:
+        vec = {n: c * v for n, v in vec.items()}
+    for n, v in vec.items():
+        acc[n] = acc[n] + v if n in acc else v
 
 
-def derived_bracket(a: BVAlgebra, x: Element, y: Element) -> Element:
-    return a.bracket(x, y)
+def _left(table: ProductTable, x: str, vec: Vector) -> Vector:
+    """``table`` on the basis element ``x`` and a vector; ``_right`` on a
+    vector and the basis element ``z``."""
+    acc: Vector = {}
+    for w, c in vec.items():
+        col = table.get((x, w))
+        if col:
+            _add_into(acc, col, c)
+    return acc
+
+
+def _right(table: ProductTable, vec: Vector, z: str) -> Vector:
+    acc: Vector = {}
+    for w, c in vec.items():
+        col = table.get((w, z))
+        if col:
+            _add_into(acc, col, c)
+    return acc
+
+
+def _apply(cols: Dict[str, Vector], vec: Vector) -> Vector:
+    """Apply a linear map given by its columns ``cols[src][tgt]``."""
+    acc: Vector = {}
+    for n, c in vec.items():
+        col = cols.get(n)
+        if col:
+            _add_into(acc, col, c)
+    return acc
+
+
+def _nonzero(vec: Vector) -> Vector:
+    return {n: v for n, v in vec.items() if v != 0}
+
+
+def _differ(u: Vector, v: Vector) -> bool:
+    return u != v and _nonzero(u) != _nonzero(v)
+
+
+def _reached(a: BVAlgebra, cols: Dict[str, Vector]) -> List[Tuple[str, str]]:
+    """``(x, v)`` for ``x`` in basis order, ``s`` in the support of
+    ``cols[x]`` and ``v`` in ``partners[s]``."""
+    return [(x, v) for x in a.space.names for s in cols.get(x, ())
+            for v in a.partners.get(s, ())]
+
+
+def _bracket_table(a: BVAlgebra) -> ProductTable:
+    """Nonzero brackets of basis pairs.
+
+    Only pairs where a term of the three-term formula can be nonzero are
+    computed: product keys whose column ``delta`` hits, and both orders
+    of the pairs ``_reached`` from ``delta``.
+    """
+    product, cols = a.product, a.delta.entries
+    pairs = dict.fromkeys(key for key, col in product.items()
+                          if any(cols.get(t) for t in col))
+    for (x, w) in _reached(a, cols):
+        pairs[(x, w)] = pairs[(w, x)] = None
+    table: ProductTable = {}
+    for (x, w) in pairs:
+        acc = _apply(cols, product.get((x, w), {}))
+        _add_into(acc, _right(product, cols.get(x, {}), w), -1)
+        _add_into(acc, _left(product, x, cols.get(w, {})),
+                  -koszul_sign(1, a.space.bidegree[x].total))
+        acc = _nonzero(acc)
+        if acc:
+            table[(x, w)] = acc
+    return table
 
 
 def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     """Exact verification of all dg BV-algebra axioms.
 
-    Brute-force over basis tuples, pruned to tuples where some term of the
-    identity under test can be nonzero (everything else is zero = zero).
+    Each trilinear item reports its first failing tuple.  They visit, in
+    this order, only the tuples the support index reaches (see the module
+    docstring):
+
+    - associativity: the pairs ``(x, y)`` of product keys, each key followed
+      by its mirror, and for each the ``z`` in ``partners[y]`` or in
+      ``partners[w]`` for ``w`` in the support of ``xy``, in basis order;
+    - derivation: the product keys, then both orders of each pair
+      ``_reached`` from ``d``;
+    - order two: the ordered triples where ``[x, yz]``, ``[x, y] z`` or
+      ``y [x, z]`` can be nonzero, ordered as follows.  Let a pair run over
+      the product keys, then the pairs ``_reached`` from ``delta``, and a
+      third name over the basis; a triple comes at the first such step whose
+      sorted names are its own, and triples of one step in sorted order.
     """
     report = CheckReport("bv-axioms")
     space = a.space
@@ -114,30 +205,20 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     report.add("d delta + delta d = 0", anti.is_zero,
                anti.nonzero_entries()[:3] or None)
 
-    unit = a.unit_element()
-    witness = None
-    for n in space.names:
-        x = space.basis_element(n)
-        if a.multiply(unit, x) != x:
-            witness = (a.unit, n)
-            break
+    witness = next(((a.unit, n) for n in space.names
+                    if a.product.get((a.unit, n)) != {n: 1}), None)
     report.add("unit law", witness is None, witness)
 
-    report.add("delta(unit) = 0", a.delta(unit).is_zero, a.unit)
+    report.add("delta(unit) = 0", not a.delta.entries.get(a.unit), a.unit)
 
-    witness = None
-    for (x, y), col in a.product.items():
-        sign = koszul_sign(space.bidegree[x].total, space.bidegree[y].total)
-        mirror = {t: sign * v for t, v in a.product.get((y, x), {}).items()}
-        if mirror != col:
-            witness = (x, y)
-            break
-    if witness is None:
-        # squares of odd elements must vanish
-        for n in space.names:
-            if space.bidegree[n].total % 2 and a.product.get((n, n)):
-                witness = (n, n)
-                break
+    total = {n: space.bidegree[n].total for n in space.names}
+    witness = next(((x, y) for (x, y), col in a.product.items()
+                    if col != {t: koszul_sign(total[x], total[y]) * v
+                               for t, v in a.product.get((y, x), {}).items()}),
+                   None)
+    # squares of odd elements must vanish
+    witness = witness or next(((n, n) for n in space.names
+                               if total[n] % 2 and a.product.get((n, n))), None)
     report.add("graded commutativity", witness is None, witness)
 
     report.add("associativity", *_check_associativity(a))
@@ -147,51 +228,32 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
 
 
 def _check_associativity(a: BVAlgebra):
-    space = a.space
-    names = space.names
-    for (x, y) in _triple_candidates(a):
-        ex, ey = space.basis_element(x), space.basis_element(y)
-        xy = a.multiply(ex, ey)
-        for z in names:
-            ez = space.basis_element(z)
-            lhs = a.multiply(xy, ez)
-            rhs = a.multiply(ex, a.multiply(ey, ez))
-            if lhs != rhs:
+    product, partners, index = a.product, a.partners, a.space.index
+    for (x, y) in dict.fromkeys(p for x, y in product for p in ((x, y), (y, x))):
+        lhs: Dict[str, Vector] = {}    # z -> (xy) z
+        for w, c in product[(x, y)].items():
+            for z in partners.get(w, ()):
+                _add_into(lhs.setdefault(z, {}), product[(w, z)], c)
+        rhs: Dict[str, Vector] = {}    # z -> x (yz)
+        for z in partners.get(y, ()):
+            rhs[z] = _left(product, x, product[(y, z)])
+        for z in sorted(lhs.keys() | rhs.keys(), key=index.__getitem__):
+            if _differ(lhs.get(z, {}), rhs.get(z, {})):
                 return False, (x, y, z)
     return True, None
 
 
-def _triple_candidates(a: BVAlgebra):
-    """Ordered pairs (x,y) with xy != 0, each yielded once; triples where
-    no pairwise product is nonzero satisfy any trilinear identity trivially."""
-    seen = set()
-    for (x, y) in a.product:
-        for pair in ((x, y), (y, x)):
-            if pair not in seen:
-                seen.add(pair)
-                yield pair
-
-
 def _check_derivation(a: BVAlgebra):
-    space = a.space
-    # insertion-ordered, so the first witness follows product and basis order
-    pairs = dict.fromkeys(a.product)
-    # also pairs whose product is zero but whose d-images multiply nonzero
-    d_support = {n: list(a.d.entries.get(n, {})) for n in space.names}
-    first_index: Dict[str, List[str]] = {}
-    for (u, v) in a.product:
-        first_index.setdefault(u, []).append(v)
-    for n in space.names:
-        for s in d_support[n]:
-            for v in first_index.get(s, []):
-                pairs[(n, v)] = None
-                pairs[(v, n)] = None
+    product, cols = a.product, a.d.entries
+    pairs = dict.fromkeys(product)
+    for (x, v) in _reached(a, cols):
+        pairs[(x, v)] = pairs[(v, x)] = None
     for (x, y) in pairs:
-        ex, ey = space.basis_element(x), space.basis_element(y)
-        lhs = a.d(a.multiply(ex, ey))
-        rhs = a.multiply(a.d(ex), ey) + \
-            a.multiply(ex, a.d(ey)).scale(koszul_sign(1, ex.total_degree))
-        if lhs != rhs:
+        lhs = _apply(cols, product.get((x, y), {}))
+        rhs = _right(product, cols.get(x, {}), y)
+        _add_into(rhs, _left(product, x, cols.get(y, {})),
+                  koszul_sign(1, a.space.bidegree[x].total))
+        if _differ(lhs, rhs):
             return False, (x, y)
     return True, None
 
@@ -202,101 +264,39 @@ def _check_order_two(a: BVAlgebra):
         [x, yz] = [x,y] z + (-1)^((|x|+1)|y|) y [x,z]
 
     equivalent to the seven-term order-2 identity given commutativity.
-    Triples where no pair (with or without a delta applied) multiplies
-    nonzero satisfy the identity trivially and are skipped; the rest are
-    checked with memoized dictionary arithmetic.
+    The live triples come from joining ``brackets`` with the product, so
+    with ``delta = 0`` there are none.
     """
-    import itertools
+    space, product, brackets, partners = a.space, a.product, a.brackets, a.partners
+    bracketed: Dict[str, List[str]] = {}
+    for (x, w) in brackets:
+        bracketed.setdefault(w, []).append(x)
+    live: Dict[Tuple[str, str, str], None] = {}
+    for (y, z), col in product.items():
+        for w in col:
+            for x in bracketed.get(w, ()):
+                live[(x, y, z)] = None
+    for (x, y), col in brackets.items():
+        for u in col:
+            for z in partners.get(u, ()):
+                live[(x, y, z)] = live[(x, z, y)] = None
 
-    space = a.space
-    names = space.names
-    product = a.product
-    delta_entries = a.delta.entries
-    delta_support = {n: list(delta_entries.get(n, {})) for n in names}
-    first_index: Dict[str, List[str]] = {}
-    for (u, v) in product:
-        first_index.setdefault(u, []).append(v)
+    rank: Dict[Tuple[str, str], int] = {}
+    for key in [*product, *_reached(a, a.delta.entries)]:
+        rank.setdefault(key, len(rank))
 
-    # insertion-ordered, so the first witness follows product and basis order
-    candidates: Dict[Tuple[str, str, str], None] = {}
-    for (u, v) in product:
-        for z in names:
-            candidates[tuple(sorted((u, v, z)))] = None
-    for n in names:
-        for s in delta_support[n]:
-            for v in first_index.get(s, []):
-                for z in names:
-                    candidates[tuple(sorted((n, v, z)))] = None
+    def first_step(t):
+        s = sorted(t)
+        return min((rank[(s[i], s[j])], space.index[s[k]])
+                   for i, j, k in itertools.permutations(range(3))
+                   if (s[i], s[j]) in rank)
 
-    zero: Dict[str, Fraction] = {}
-
-    def add_into(acc: Dict[str, Fraction], vec: Dict[str, Fraction],
-                 c: Fraction) -> None:
-        for n, v in vec.items():
-            acc[n] = acc.get(n, Fraction(0)) + c * v
-
-    def mul_vec_basis(vec: Dict[str, Fraction], z: str) -> Dict[str, Fraction]:
-        acc: Dict[str, Fraction] = {}
-        for w, c in vec.items():
-            col = product.get((w, z))
-            if col:
-                add_into(acc, col, c)
-        return acc
-
-    def mul_basis_vec(x: str, vec: Dict[str, Fraction]) -> Dict[str, Fraction]:
-        acc: Dict[str, Fraction] = {}
-        for w, c in vec.items():
-            col = product.get((x, w))
-            if col:
-                add_into(acc, col, c)
-        return acc
-
-    def apply_delta(vec: Dict[str, Fraction]) -> Dict[str, Fraction]:
-        acc: Dict[str, Fraction] = {}
-        for n, c in vec.items():
-            col = delta_entries.get(n)
-            if col:
-                add_into(acc, col, c)
-        return acc
-
-    parity = {n: space.bidegree[n].total % 2 for n in names}
-    bracket_memo: Dict[Tuple[str, str], Dict[str, Fraction]] = {}
-
-    def bracket_basis(x: str, y: str) -> Dict[str, Fraction]:
-        key = (x, y)
-        if key not in bracket_memo:
-            acc = apply_delta(product.get(key, zero))
-            dx = delta_entries.get(x)
-            if dx:
-                for s, c in dx.items():
-                    col = product.get((s, y))
-                    if col:
-                        add_into(acc, col, -c)
-            dy = delta_entries.get(y)
-            if dy:
-                sign = Fraction(-1) if parity[x] == 0 else Fraction(1)
-                for s, c in dy.items():
-                    col = product.get((x, s))
-                    if col:
-                        add_into(acc, col, sign * c)
-            bracket_memo[key] = {n: v for n, v in acc.items() if v != 0}
-        return bracket_memo[key]
-
-    def bracket_with_vec(x: str, vec: Dict[str, Fraction]) -> Dict[str, Fraction]:
-        acc: Dict[str, Fraction] = {}
-        for w, c in vec.items():
-            add_into(acc, bracket_basis(x, w), c)
-        return acc
-
-    for triple in candidates:
-        for (x, y, z) in dict.fromkeys(itertools.permutations(triple)):
-            yz = product.get((y, z), zero)
-            lhs = bracket_with_vec(x, yz) if yz else {}
-            rhs = mul_vec_basis(bracket_basis(x, y), z)
-            sign = koszul_sign(parity[x] + 1, parity[y])
-            add_into(rhs, mul_basis_vec(y, bracket_basis(x, z)), sign)
-            diff = dict(lhs)
-            add_into(diff, rhs, Fraction(-1))
-            if any(v != 0 for v in diff.values()):
-                return False, (x, y, z)
+    parity = {n: space.bidegree[n].total % 2 for n in space.names}
+    for (x, y, z) in sorted(live, key=lambda t: (first_step(t), t)):
+        lhs = _left(brackets, x, product.get((y, z), {}))
+        rhs = _right(product, brackets.get((x, y), {}), z)
+        _add_into(rhs, _left(product, y, brackets.get((x, z), {})),
+                  koszul_sign(parity[x] + 1, parity[y]))
+        if _differ(lhs, rhs):
+            return False, (x, y, z)
     return True, None

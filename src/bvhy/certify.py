@@ -187,16 +187,21 @@ def certify_formality(fp: Footprint, assume_top_bottom: bool = True) -> Formalit
 
 
 def _numeric_degree_sweep() -> None:
-    """Guard the closed forms with a bounded enumeration over k."""
+    """Guard the closed forms with a bounded enumeration over k; a
+    violation raises ``RuntimeError``."""
     for k in range(3, NUMERIC_SWEEP_MAX_K + 1):
-        assert minimal_higher_op_degree(k) == -2 * k + 5
+        if minimal_higher_op_degree(k) != -2 * k + 5:
+            raise RuntimeError(f"minimal higher-operation degree wrong at k={k}")
         for l in range(0, k - 2):
             deg = op_bidegree(k, l)
             # primitive-to-primitive exclusion: never back on the diagonal
-            assert deg.p != deg.q
+            if deg.p == deg.q:
+                raise RuntimeError(f"operation ({k}, {l}) has diagonal bidegree {deg}")
             # minimal output degrees per case
-            assert 2 * k + deg.total >= 5
-        assert op_bidegree(k, k - 2) == Bidegree(-k + 2, -k + 2)
+            if 2 * k + deg.total < 5:
+                raise RuntimeError(f"operation ({k}, {l}) outputs below degree 5")
+        if op_bidegree(k, k - 2) != Bidegree(-k + 2, -k + 2):
+            raise RuntimeError(f"strict operation ({k}, {k - 2}) off the diagonal")
 
 
 def classify_part(fp: Footprint, deg: Bidegree) -> Optional[str]:

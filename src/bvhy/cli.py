@@ -15,9 +15,8 @@ from typing import Optional
 
 from . import serialize
 from .bv import check_bv_axioms
-from .certify import certificate_cross_check, certify_formality
+from .certify import certify_formality
 from .engine import build_operation_table, check_formal_unit, top_degree_report
-from .graded import Bidegree
 from .hodge import build_transfer_data, check_side_conditions, \
     check_strong_trivialization_composites
 from .models import MAX_SEARCH_DIM, SearchExhausted, search_nonformal

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 from .bv import BVAlgebra, check_bv_axioms
 from .certify import Footprint, is_hypersurface_footprint
 from .engine import build_operation_table, naive_evaluate_tree
-from .graded import Bidegree, BigradedSpace, Element, GradedMap
+from .graded import Bidegree, BigradedSpace, GradedMap
 from .hodge import InnerProduct, TransferData, build_transfer_data, \
     check_side_conditions, check_strong_trivialization_composites
 from .reporting import CheckReport

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .bv import BVAlgebra
 from .certify import Footprint
@@ -44,6 +44,17 @@ def _require(cond: bool, message: str, location: str) -> None:
         raise SchemaError(message, location)
 
 
+def _is_int(value) -> bool:
+    # bool is a subclass of int, but true/false are not bidegrees or sizes
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_name(space: BigradedSpace, name, location: str) -> None:
+    # a list or object name is unhashable, so test the type before lookup
+    _require(isinstance(name, str) and name in space.bidegree,
+             f"unknown basis element {name!r}", location)
+
+
 def _check_schema(doc: dict, location: str) -> None:
     _require(isinstance(doc, dict), "document must be a JSON object", location)
     _require(doc.get("schema") == SCHEMA_VERSION,
@@ -57,8 +68,8 @@ def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree) -> Graded
         _require(isinstance(row, list) and len(row) == 3,
                  "expected [source, target, scalar]", loc)
         src, tgt, val = row
-        _require(src in space.bidegree, f"unknown basis element {src!r}", loc)
-        _require(tgt in space.bidegree, f"unknown basis element {tgt!r}", loc)
+        _require_name(space, src, loc)
+        _require_name(space, tgt, loc)
         out.set_entry(src, tgt, parse_scalar(val, loc))
     bad = out.validate_shift()
     if bad:
@@ -80,7 +91,7 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
         _require(isinstance(name, str) and name, "missing basis name", loc)
         loc = f"basis[{i}] ({name})"
         p, q = entry.get("p"), entry.get("q")
-        _require(isinstance(p, int) and isinstance(q, int),
+        _require(_is_int(p) and _is_int(q),
                  f"malformed bidegree p={p!r} q={q!r}", loc)
         basis.append((name, Bidegree(p, q)))
     try:
@@ -96,13 +107,17 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
     delta = _map_entries(doc, "delta", space, Bidegree(-1, 0))
 
     product = {}
+    deg = space.bidegree
     for i, row in enumerate(doc.get("product", [])):
         loc = f"product[{i}]"
         _require(isinstance(row, list) and len(row) == 4,
                  "expected [x, y, target, scalar]", loc)
         x, y, tgt, val = row
         for nm in (x, y, tgt):
-            _require(nm in space.bidegree, f"unknown basis element {nm!r}", loc)
+            _require_name(space, nm, loc)
+        _require(deg[x] + deg[y] == deg[tgt],
+                 f"target {tgt!r} at {tuple(deg[tgt])} breaks bidegree "
+                 f"additivity: {tuple(deg[x])} + {tuple(deg[y])}", loc)
         product.setdefault((x, y), {})[tgt] = parse_scalar(val, loc)
 
     try:
@@ -125,7 +140,7 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
                  "expected [x, y, scalar]", loc)
         x, y, val = row
         for nm in (x, y):
-            _require(nm in space.bidegree, f"unknown basis element {nm!r}", loc)
+            _require_name(space, nm, loc)
         entries.append((x, y, parse_scalar(val, loc)))
     try:
         return InnerProduct.from_entries(space, entries)
@@ -164,7 +179,7 @@ def algebra_to_json(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> dict:
 def footprint_from_json(doc: dict) -> Footprint:
     _check_schema(doc, "footprint")
     n = doc.get("n")
-    _require(isinstance(n, int) and n >= 1, f"invalid dimension n={n!r}", "n")
+    _require(_is_int(n) and n >= 1, f"invalid dimension n={n!r}", "n")
     convention = doc.get("convention", "polyvector")
     _require(convention in ("forms", "polyvector"),
              f"unknown convention {convention!r}", "convention")
@@ -175,9 +190,9 @@ def footprint_from_json(doc: dict) -> Footprint:
         loc = f"occupied[{i}]"
         _require(isinstance(entry, dict), "expected an object", loc)
         p, q, dim = entry.get("p"), entry.get("q"), entry.get("dim")
-        _require(isinstance(p, int) and isinstance(q, int),
+        _require(_is_int(p) and _is_int(q),
                  f"malformed bidegree p={p!r} q={q!r}", loc)
-        _require(isinstance(dim, int) and dim >= 0,
+        _require(_is_int(dim) and dim >= 0,
                  f"invalid dimension {dim!r}", loc)
         if convention == "forms":
             # contraction with the volume form reverses the first index

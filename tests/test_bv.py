@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import bv_oracle
+from bvhy import bv
 from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.graded import Bidegree, GradedMap, koszul_sign
-from bvhy.models import build_torus_model, build_trivial_model
+from bvhy.models import build_torus_model, build_trivial_model, builtin_models
 
 F = Fraction
 
@@ -123,3 +125,76 @@ def test_symmetrized_product_and_odd_squares():
     assert a.product[("x1", "x2")] == {"x12": F(1)}
     assert a.product[("x2", "x1")] == {"x12": F(-1)}
     assert ("x1", "x1") not in a.product
+
+
+def _mutated(a, field):
+    """``a`` with one ``field`` entry perturbed: a product key and its
+    mirror scaled by 2, or the first ``d``/``delta`` entry doubled (added
+    with value 1 on the first pair that keeps the shift, when the map is
+    zero).  None when no pair keeps the shift."""
+    if field == "product":
+        keys = [k for k in a.product if a.unit not in k] or list(a.product)
+        product = {k: dict(v) for k, v in a.product.items()}
+        for k in {keys[0], keys[0][::-1]}:
+            product[k] = {t: 2 * v for t, v in product[k].items()}
+        return BVAlgebra(a.space, a.d, a.delta, product, a.unit)
+    old = getattr(a, field)
+    m = GradedMap(a.space, a.space, old.shift,
+                  {s: dict(c) for s, c in old.entries.items()})
+    if m.entries:
+        src, tgt, v = m.nonzero_entries()[0]
+        m.set_entry(src, tgt, 2 * v)
+    else:
+        deg = a.space.bidegree
+        pair = next(((s, t) for s in a.space.names for t in a.space.names
+                     if deg[t] == deg[s] + old.shift), None)
+        if pair is None:
+            return None
+        m.set_entry(*pair, F(1))
+    return BVAlgebra(a.space, m if field == "d" else a.d,
+                     m if field == "delta" else a.delta, a.product, a.unit)
+
+
+_BASE = {m.name: m.algebra for m in builtin_models()}
+_BASE["trivial(2)"] = build_trivial_model(2).algebra
+_VARIANTS = {f"{name}-{field}": (name, field,
+                                 a if field == "none" else _mutated(a, field))
+             for name, a in _BASE.items()
+             for field in ("none", "product", "d", "delta")}
+# trivial(n) has no pair of basis elements a d of shift (0,1) could join
+_VARIANTS = {k: v for k, v in _VARIANTS.items() if v[2] is not None}
+
+_CHECKS = {
+    "associativity": (bv._check_associativity, bv_oracle.associativity),
+    "derivation": (bv._check_derivation, bv_oracle.derivation),
+    "order two": (bv._check_order_two, bv_oracle.order_two),
+}
+# associativity reads only the product, derivation also d, order two also
+# delta; a check the mutation does not reach sees the unmutated model's inputs
+_READS = {"none": list(_CHECKS), "product": list(_CHECKS),
+          "d": ["derivation"], "delta": ["order two"]}
+
+
+@pytest.mark.parametrize("variant", list(_VARIANTS))
+def test_indexed_checks_match_reference_checkers(variant):
+    _name, field, a = _VARIANTS[variant]
+    for check in _READS[field]:
+        indexed, reference = _CHECKS[check]
+        assert indexed(a) == reference(a), check
+
+
+@pytest.mark.parametrize("variant", [v for v, (name, _f, _a) in _VARIANTS.items()
+                                     if name in ("trivial(2)", "torus(1,1)")])
+def test_indexed_verdicts_match_unpruned_loop(variant):
+    name, _field, a = _VARIANTS[variant]
+    if name == "torus(1,1)":
+        # order two then compares nonzero brackets, not only 0 = 0
+        assert a.brackets
+    verdicts = tuple(indexed(a)[0] for indexed, _ in _CHECKS.values())
+    assert verdicts == bv_oracle.unpruned(a)
+
+
+def test_mutations_reach_every_trilinear_failure():
+    failed = {check for _name, field, a in _VARIANTS.values()
+              for check in _READS[field] if not _CHECKS[check][0](a)[0]}
+    assert failed == set(_CHECKS)

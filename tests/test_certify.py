@@ -2,6 +2,7 @@
 
 import pytest
 
+from bvhy import certify
 from bvhy.certify import (Footprint, certificate_cross_check,
                           certify_formality, classify_part,
                           is_hypersurface_footprint, minimal_higher_op_degree,
@@ -34,6 +35,16 @@ def test_minimal_higher_op_degree_closed_form():
         assert minimal_higher_op_degree(k) == -2 * k + 5
         assert minimal_higher_op_degree(k) == min(
             op_bidegree(k, l).total for l in range(0, k - 2))
+
+
+def test_degree_sweep_raises_on_a_diagonal_higher_operation(monkeypatch):
+    # same total degree as the true (0, -2), so only the diagonal check trips
+    def diagonal(k, l):
+        return Bidegree(-1, -1) if (k, l) == (4, 0) else op_bidegree(k, l)
+
+    monkeypatch.setattr(certify, "op_bidegree", diagonal)
+    with pytest.raises(RuntimeError, match="diagonal"):
+        certify_formality(builtin_footprints()[0].footprint)
 
 
 def test_hypersurface_footprint_detection():

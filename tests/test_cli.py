@@ -61,6 +61,48 @@ def test_malformed_bidegree_exits_2_and_names_entry(tmp_path, capsys):
     assert "basis[1] (x1)" in err and "malformed bidegree" in err
 
 
+def test_product_breaking_bidegree_additivity_exits_2(tmp_path, capsys):
+    doc = {"schema": 1, "unit": "e",
+           "basis": [{"name": "e", "p": 0, "q": 0}, {"name": "a", "p": 1, "q": 0},
+                     {"name": "b", "p": 0, "q": 1}],
+           "product": [["e", "e", "e", "1"], ["e", "a", "a", "1"],
+                       ["e", "b", "b", "1"], ["a", "a", "b", "1"]]}
+    path = _write(tmp_path / "bad.json", doc)
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: product[3]:")
+    assert "additivity" in lines[0]
+
+
+@pytest.mark.parametrize("field", ["p", "q"])
+def test_bool_bidegree_exits_2(tmp_path, capsys, field):
+    doc = serialize.algebra_to_json(build_trivial_model(1).algebra)
+    doc["basis"][0][field] = False
+    path = _write(tmp_path / "bad.json", doc)
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert "basis[0] (x)" in err and "malformed bidegree" in err
+
+
+def test_bool_footprint_dimension_exits_2(tmp_path, capsys):
+    doc = serialize.footprint_to_json(builtin_footprints()[0].footprint)
+    doc["occupied"][0]["dim"] = True
+    path = _write(tmp_path / "bad.json", doc)
+    assert main(["certify", path]) == 2
+    assert "occupied[0]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,row", [("product", 0), ("d", 1)])
+def test_unhashable_basis_name_exits_2(tmp_path, capsys, field, row):
+    doc = serialize.algebra_to_json(build_torus_model(1, 1).algebra)
+    doc[field][0][row] = [doc[field][0][row]]
+    path = _write(tmp_path / "bad.json", doc)
+    assert main(["validate", path]) == 2
+    assert f"{field}[0]: unknown basis element" in capsys.readouterr().err
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -200,12 +242,13 @@ def test_search_max_dim_above_limit_exits_2(capsys):
     # the first d entry is -1; -2 times it breaks the derivation rule
     ("d", "2", "d is a derivation of the product"),
     ("delta", "7/2", "delta has order <= 2 (bracket Leibniz)"),
-], ids=["d", "delta"])
+    # one order of a product pair rescaled: every trilinear item fails
+    ("product", "2", "associativity"),
+], ids=["d", "delta", "product"])
 def test_validate_witnesses_do_not_depend_on_hash_seed(tmp_path, field, value,
                                                        item):
     doc = serialize.algebra_to_json(build_torus_model(1, 1).algebra)
-    src, tgt, _old = doc[field][0]
-    doc[field][0] = [src, tgt, value]
+    doc[field][0] = doc[field][0][:-1] + [value]
     path = _write(tmp_path / "broken.json", doc)
     package_root = os.path.dirname(os.path.dirname(serialize.__file__))
     reports = []
