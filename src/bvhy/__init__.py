@@ -6,8 +6,7 @@ from .certify import (Footprint, certificate_cross_check, certify_formality,
 from .engine import (OperationTable, TreeEvaluator, build_operation_table,
                      check_formal_unit, naive_evaluate_tree, top_degree_report,
                      truncate_to_strict)
-from .graded import (Bidegree, BigradedSpace, Element, GradedMap,
-                     apply_in_slot, koszul_sign)
+from .graded import Bidegree, BigradedSpace, Element, GradedMap, koszul_sign
 from .hodge import (InnerProduct, TransferData, adjoint_differential,
                     build_transfer_data, check_side_conditions,
                     check_strong_trivialization_composites,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 Scalar = Fraction
@@ -193,14 +194,23 @@ class GradedMap:
         if other.target.names != self.source.names:
             raise ValueError("space mismatch in composition")
         out = GradedMap(other.source, self.target, other.shift + self.shift)
+        # self over one common denominator; each column of other over its own
+        den = lcm(*[v.denominator for col in self.entries.values()
+                    for v in col.values()])
+        nums = {mid: [(tgt, v.numerator * (den // v.denominator))
+                      for tgt, v in col.items()]
+                for mid, col in self.entries.items()}
         for src, col in other.entries.items():
-            acc: Dict[str, Scalar] = {}
+            cden = lcm(*[c.denominator for c in col.values()])
+            acc: Dict[str, int] = {}
             for mid, c in col.items():
-                for tgt, v in self.entries.get(mid, {}).items():
-                    acc[tgt] = acc.get(tgt, Fraction(0)) + c * v
-            for tgt, v in acc.items():
-                if v != 0:
-                    out.entries.setdefault(src, {})[tgt] = v
+                cnum = c.numerator * (cden // c.denominator)
+                for tgt, v in nums.get(mid, ()):
+                    acc[tgt] = acc.get(tgt, 0) + cnum * v
+            total = cden * den
+            entries = {tgt: Fraction(v, total) for tgt, v in acc.items() if v}
+            if entries:
+                out.entries[src] = entries
         return out
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
@@ -251,15 +261,7 @@ class GradedMap:
         deg = Bidegree(*deg)
         src_names = self.source.names_at(deg)
         tgt_names = self.target.names_at(deg + self.shift)
-        block = [[self.entry(s, t) for s in src_names] for t in tgt_names]
+        cols = [self.entries.get(s, {}) for s in src_names]
+        zero = Fraction(0)
+        block = [[col.get(t, zero) for col in cols] for t in tgt_names]
         return block, src_names, tgt_names
-
-
-def apply_in_slot(f: GradedMap, slot: int, args: List[Element]) -> Element:
-    """Apply ``f`` to ``args[slot-1]`` with the Koszul sign from moving
-    ``f`` past the arguments to the left of that slot (slots are 1-based)."""
-    if not 1 <= slot <= len(args):
-        raise ValueError(f"slot {slot} out of range for arity {len(args)}")
-    passed = sum(a.total_degree for a in args[: slot - 1])
-    sign = koszul_sign(f.total_degree, passed)
-    return f.apply(args[slot - 1]).scale(sign)

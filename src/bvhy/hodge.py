@@ -47,10 +47,14 @@ class InnerProduct:
         blocks: Dict[Bidegree, linalg.Matrix] = {}
         for deg in space.occupied_bidegrees():
             blocks[deg] = linalg.identity(len(space.names_at(deg)))
+        seen = set()
         for a, b, v in entries:
             da, db = space.bidegree[a], space.bidegree[b]
             if da != db:
                 raise ValueError(f"gram entry ({a},{b}) crosses bidegrees")
+            if frozenset((a, b)) in seen:
+                raise ValueError(f"gram entry ({a},{b}) is given twice")
+            seen.add(frozenset((a, b)))
             names = space.names_at(da)
             i, j = names.index(a), names.index(b)
             blocks[da][i][j] = Fraction(v)
@@ -110,28 +114,31 @@ def harmonic_decomposition(a: BVAlgebra, ip: InnerProduct):
     of (name, column vector) pairs and green is a GradedMap with
     L green = green L = id - P, P the orthogonal projection onto ker L.
     """
+    harmonic, green, _ = _decompose(a, ip, adjoint_differential(a, ip))
+    return harmonic, green
+
+
+def _decompose(a: BVAlgebra, ip: InnerProduct, dstar: GradedMap):
+    """``harmonic_decomposition`` from a given d*, plus, per bidegree with a
+    nonempty kernel K, the harmonic coordinates (K^T G K)^-1 K^T G."""
     space = a.space
-    dstar = adjoint_differential(a, ip)
     lap = _laplacian(a, dstar)
     green = GradedMap.zero(space, space, Bidegree(0, 0))
     harmonic: Dict[Bidegree, List[Tuple[str, List[Fraction]]]] = {}
+    coords: Dict[Bidegree, linalg.Matrix] = {}
     for deg in space.occupied_bidegrees():
         names = space.names_at(deg)
         n = len(names)
         lblock, _, _ = lap.block(deg)
         kern = linalg.kernel_basis(lblock)
-        cols = []
-        for i, vec in enumerate(kern):
-            label = _harmonic_name(names, vec, deg, i)
-            cols.append((label, vec))
-        harmonic[deg] = cols
-        # orthogonal projection onto the kernel w.r.t. the Gram form
-        g = ip.block(deg)
+        harmonic[deg] = [(_harmonic_name(names, vec, deg, i), vec)
+                         for i, vec in enumerate(kern)]
+        # orthogonal projection K (K^T G K)^-1 K^T G onto the kernel
         if kern:
-            k = linalg.transpose(kern)  # columns are kernel vectors
-            ktg = linalg.mat_mul(linalg.transpose(k), g)
-            gram = linalg.mat_mul(ktg, k)
-            proj = linalg.mat_mul(k, linalg.mat_mul(linalg.inverse(gram), ktg))
+            ktg = linalg.mat_mul(kern, ip.block(deg))
+            gram = linalg.mat_mul(ktg, linalg.transpose(kern))
+            coords[deg] = linalg.mat_mul(linalg.inverse(gram), ktg)
+            proj = linalg.mat_mul(linalg.transpose(kern), coords[deg])
         else:
             proj = linalg.zeros(n, n)
         # L + P is invertible; its inverse restricted off the kernel is G
@@ -140,7 +147,7 @@ def harmonic_decomposition(a: BVAlgebra, ip: InnerProduct):
         for j, src in enumerate(names):
             for i, tgt in enumerate(names):
                 green.set_entry(src, tgt, gblock[i][j])
-    return harmonic, green
+    return harmonic, green, coords
 
 
 def _harmonic_name(names: List[str], vec: List[Fraction], deg: Bidegree,
@@ -156,7 +163,7 @@ def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> Tran
     if ip is None:
         ip = InnerProduct.identity(space)
     dstar = adjoint_differential(a, ip)
-    harmonic, green = harmonic_decomposition(a, ip)
+    harmonic, green, coords = _decompose(a, ip, dstar)
 
     hbasis = []
     for deg in space.occupied_bidegrees():
@@ -166,23 +173,16 @@ def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> Tran
 
     iota = GradedMap.zero(cohomology, space, Bidegree(0, 0))
     pi = GradedMap.zero(space, cohomology, Bidegree(0, 0))
-    for deg in space.occupied_bidegrees():
+    for deg, pmat in coords.items():
         names = space.names_at(deg)
         cols = harmonic[deg]
-        if not cols:
-            continue
         for label, vec in cols:
             for i, c in enumerate(vec):
                 if c != 0:
                     iota.set_entry(label, names[i], c)
-        # pi = (K^T G K)^-1 K^T G in harmonic coordinates, so pi iota = id
-        k = linalg.transpose([vec for _l, vec in cols])
-        ktg = linalg.mat_mul(linalg.transpose(k), ip.block(deg))
-        gram = linalg.mat_mul(ktg, k)
-        pmat = linalg.mat_mul(linalg.inverse(gram), ktg)
-        labels = [label for label, _v in cols]
+        # pi is the harmonic coordinates, so pi iota = id
         for j, src in enumerate(names):
-            for i, label in enumerate(labels):
+            for i, (label, _vec) in enumerate(cols):
                 pi.set_entry(src, label, pmat[i][j])
 
     h = dstar.compose(green)

@@ -1,11 +1,15 @@
 """Dense exact-rational linear algebra on small matrices.
 
-Matrices are lists of rows, entries are ``fractions.Fraction``.  Everything
-here is exact; there are no tolerances anywhere in the package.
+Matrices are lists of rows, entries are ``fractions.Fraction``.  The
+products and eliminations scale each row to integers over the lcm of its
+denominators, work in Python ints, and build one exact ``Fraction`` per
+output entry at the end.  Everything here is exact; there are no
+tolerances anywhere in the package.
 """
 
 from fractions import Fraction
-from typing import List
+from math import gcd, lcm
+from typing import List, Tuple
 
 Matrix = List[List[Fraction]]
 
@@ -24,32 +28,39 @@ def identity(n: int) -> Matrix:
     return m
 
 
+def _int_row(row) -> Tuple[List[int], int]:
+    """``row`` as integer numerators over the lcm of its denominators."""
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix dimension mismatch in product")
-    rows, inner = len(a), len(b)
     cols = len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j] != 0:
-                    oi[j] += aik * bk[j]
+    # b over one common denominator, each row as its nonzero (column, numerator)
+    bden = lcm(*[x.denominator for row in b for x in row])
+    bnz = [[(j, x.numerator * (bden // x.denominator))
+            for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for row in a:
+        nums, aden = _int_row(row)
+        acc = [0] * cols
+        for x, bk in zip(nums, bnz):
+            if x:
+                for j, y in bk:
+                    acc[j] += x * y
+        den = aden * bden
+        out.append([Fraction(v, den) if v else ZERO for v in acc])
     return out
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -58,37 +69,57 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def rref(a: Matrix):
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-    m = [row[:] for row in a]
+def _eliminate(m: List[List[int]], ncols: int) -> List[int]:
+    """Gauss-Jordan elimination of the integer rows ``m`` in place, with
+    pivots searched in the first ``ncols`` columns.  Row scaling keeps the
+    row space, so each row is kept divided by its content gcd.  On return
+    the pivot rows lead ``m`` and are zero in every other pivot column.
+    Returns the pivot columns."""
     rows = len(m)
-    cols = len(m[0]) if m else 0
-    pivots = []
+    for i, row in enumerate(m):
+        g = gcd(*row)
+        if g > 1:
+            m[i] = [x // g for x in row]
+    pivots: List[int] = []
     r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        pr = m[r]
+        pv = pr[c]
+        support = [(j, y) for j, y in enumerate(pr) if y]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            g = gcd(pv, f)
+            s, f = pv // g, f // g
+            row = [s * x for x in m[i]] if s != 1 else m[i]
+            for j, y in support:
+                row[j] -= f * y
+            g = gcd(*row)
+            m[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return pivots
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[1])
+def rref(a: Matrix):
+    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
+    m = [_int_row(row)[0] for row in a]
+    cols = len(m[0]) if m else 0
+    pivots = _eliminate(m, cols)
+    out = [_divide(m[r], m[r][c]) for r, c in enumerate(pivots)]
+    out += [[ZERO] * cols for _ in range(len(m) - len(pivots))]
+    return out, pivots
+
+
+def _divide(row: List[int], den: int) -> List[Fraction]:
+    return [Fraction(x, den) if x else ZERO for x in row]
 
 
 def kernel_basis(a: Matrix) -> List[List[Fraction]]:
@@ -111,11 +142,18 @@ def kernel_basis(a: Matrix) -> List[List[Fraction]]:
 
 def inverse(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    # [A | I] with row i scaled by its lcm d_i is [D A | D]; its rref is
+    # still [I | A^-1]
+    aug = []
+    for i, row in enumerate(a):
+        nums, den = _int_row(row)
+        unit = [0] * n
+        unit[i] = den
+        aug.append(nums + unit)
+    pivots = _eliminate(aug, n)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [_divide(row[n:], row[r]) for r, row in enumerate(aug)]
 
 
 def is_symmetric(a: Matrix) -> bool:
@@ -133,9 +171,9 @@ def is_positive_definite(a: Matrix) -> bool:
         if m[k][k] <= 0:
             return False
         for i in range(k + 1, n):
-            f = m[i][k] / m[k][k]
-            if f == 0:
+            if m[i][k] == 0:
                 continue
+            f = m[i][k] / m[k][k]
             for j in range(k, n):
                 m[i][j] -= f * m[k][j]
     return True

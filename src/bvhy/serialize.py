@@ -55,6 +55,12 @@ def _require_name(space: BigradedSpace, name, location: str) -> None:
              f"unknown basis element {name!r}", location)
 
 
+def _require_new(seen: set, key: tuple, location: str) -> None:
+    _require(key not in seen, f"repeats the entry {list(key)} of an earlier row",
+             location)
+    seen.add(key)
+
+
 def _check_schema(doc: dict, location: str) -> None:
     _require(isinstance(doc, dict), "document must be a JSON object", location)
     _require(doc.get("schema") == SCHEMA_VERSION,
@@ -63,6 +69,7 @@ def _check_schema(doc: dict, location: str) -> None:
 
 def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree) -> GradedMap:
     out = GradedMap.zero(space, space, shift)
+    seen: set = set()
     for i, row in enumerate(doc.get(key, [])):
         loc = f"{key}[{i}]"
         _require(isinstance(row, list) and len(row) == 3,
@@ -70,7 +77,9 @@ def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree) -> Graded
         src, tgt, val = row
         _require_name(space, src, loc)
         _require_name(space, tgt, loc)
-        out.set_entry(src, tgt, parse_scalar(val, loc))
+        val = parse_scalar(val, loc)
+        _require_new(seen, (src, tgt), loc)
+        out.set_entry(src, tgt, val)
     bad = out.validate_shift()
     if bad:
         s, t = bad[0]
@@ -107,6 +116,7 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
     delta = _map_entries(doc, "delta", space, Bidegree(-1, 0))
 
     product = {}
+    seen: set = set()
     deg = space.bidegree
     for i, row in enumerate(doc.get("product", [])):
         loc = f"product[{i}]"
@@ -118,7 +128,9 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
         _require(deg[x] + deg[y] == deg[tgt],
                  f"target {tgt!r} at {tuple(deg[tgt])} breaks bidegree "
                  f"additivity: {tuple(deg[x])} + {tuple(deg[y])}", loc)
-        product.setdefault((x, y), {})[tgt] = parse_scalar(val, loc)
+        val = parse_scalar(val, loc)
+        _require_new(seen, (x, y, tgt), loc)
+        product.setdefault((x, y), {})[tgt] = val
 
     try:
         algebra = BVAlgebra(space, d, delta, product, unit)
@@ -134,6 +146,7 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
 def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
     _require(isinstance(raw, list), "gram must be a list of entries", "gram")
     entries = []
+    seen: set = set()
     for i, row in enumerate(raw):
         loc = f"gram[{i}]"
         _require(isinstance(row, list) and len(row) == 3,
@@ -141,7 +154,10 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
         x, y, val = row
         for nm in (x, y):
             _require_name(space, nm, loc)
-        entries.append((x, y, parse_scalar(val, loc)))
+        val = parse_scalar(val, loc)
+        # the form is symmetric, so [x, y] and [y, x] set the same entry
+        _require_new(seen, tuple(sorted((x, y))), loc)
+        entries.append((x, y, val))
     try:
         return InnerProduct.from_entries(space, entries)
     except ValueError as exc:

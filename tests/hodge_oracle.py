@@ -1,0 +1,209 @@
+"""Reference Hodge kernels for the oracle tests in ``test_hodge_oracle.py``.
+
+These are the ``Fraction``-arithmetic versions of ``linalg.rref``,
+``linalg.mat_mul``, ``linalg.inverse``, ``GradedMap.compose`` and
+``hodge.build_transfer_data`` that ``bvhy`` used before its kernels
+eliminated and accumulated in integers over common denominators.  Every
+entry is combined as a ``Fraction``; the library must return the same
+exact values.  ``rank`` is the test suite's rank oracle.
+"""
+
+from fractions import Fraction
+from typing import Dict, List, Tuple
+
+from bvhy.graded import Bidegree, BigradedSpace, GradedMap
+from bvhy.hodge import InnerProduct, TransferData
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def zeros(rows, cols):
+    return [[ZERO] * cols for _ in range(rows)]
+
+
+def identity(n):
+    m = zeros(n, n)
+    for i in range(n):
+        m[i][i] = ONE
+    return m
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
+
+
+def mat_mul(a, b):
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("matrix dimension mismatch in product")
+    rows, inner = len(a), len(b)
+    cols = len(b[0]) if b else 0
+    out = zeros(rows, cols)
+    for i in range(rows):
+        ai = a[i]
+        oi = out[i]
+        for k in range(inner):
+            aik = ai[k]
+            if aik == 0:
+                continue
+            bk = b[k]
+            for j in range(cols):
+                if bk[j] != 0:
+                    oi[j] += aik * bk[j]
+    return out
+
+
+def rref(a):
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def rank(a) -> int:
+    return len(rref(a)[1])
+
+
+def kernel_basis(a):
+    if not a:
+        return []
+    cols = len(a[0])
+    red, pivots = rref(a)
+    free = [c for c in range(cols) if c not in set(pivots)]
+    basis = []
+    for fc in free:
+        v = [ZERO] * cols
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def inverse(a):
+    n = len(a)
+    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+def compose(f: GradedMap, g: GradedMap) -> GradedMap:
+    """f after g, accumulated entry by entry in Fractions."""
+    if g.target.names != f.source.names:
+        raise ValueError("space mismatch in composition")
+    out = GradedMap(g.source, f.target, g.shift + f.shift)
+    for src, col in g.entries.items():
+        acc: Dict[str, Fraction] = {}
+        for mid, c in col.items():
+            for tgt, v in f.entries.get(mid, {}).items():
+                acc[tgt] = acc.get(tgt, ZERO) + c * v
+        for tgt, v in acc.items():
+            if v != 0:
+                out.entries.setdefault(src, {})[tgt] = v
+    return out
+
+
+def _adjoint_differential(a, ip):
+    space = a.space
+    dstar = GradedMap.zero(space, space, Bidegree(0, -1))
+    for deg in space.occupied_bidegrees():
+        block, src_names, tgt_names = a.d.block(deg)
+        if not src_names or not tgt_names:
+            continue
+        g_low = ip.block(deg)
+        g_high = ip.block(deg + Bidegree(0, 1))
+        m = mat_mul(inverse(g_low), mat_mul(transpose(block), g_high))
+        for j, src in enumerate(tgt_names):
+            for i, tgt in enumerate(src_names):
+                dstar.set_entry(src, tgt, m[i][j])
+    return dstar
+
+
+def _harmonic_name(names, vec, deg, idx):
+    support = [i for i, c in enumerate(vec) if c != 0]
+    if len(support) == 1 and vec[support[0]] == 1:
+        return f"[{names[support[0]]}]"
+    return f"h({deg.p},{deg.q})#{idx}"
+
+
+def _harmonic_decomposition(a, ip):
+    space = a.space
+    dstar = _adjoint_differential(a, ip)
+    lap = compose(a.d, dstar) + compose(dstar, a.d)
+    green = GradedMap.zero(space, space, Bidegree(0, 0))
+    harmonic: Dict[Bidegree, List[Tuple[str, List[Fraction]]]] = {}
+    for deg in space.occupied_bidegrees():
+        names = space.names_at(deg)
+        n = len(names)
+        lblock, _, _ = lap.block(deg)
+        kern = kernel_basis(lblock)
+        harmonic[deg] = [(_harmonic_name(names, vec, deg, i), vec)
+                         for i, vec in enumerate(kern)]
+        g = ip.block(deg)
+        if kern:
+            k = transpose(kern)
+            ktg = mat_mul(transpose(k), g)
+            gram = mat_mul(ktg, k)
+            proj = mat_mul(k, mat_mul(inverse(gram), ktg))
+        else:
+            proj = zeros(n, n)
+        lp = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(lblock, proj)]
+        gblock = [[x - y for x, y in zip(ra, rb)]
+                  for ra, rb in zip(inverse(lp), proj)]
+        for j, src in enumerate(names):
+            for i, tgt in enumerate(names):
+                green.set_entry(src, tgt, gblock[i][j])
+    return harmonic, green
+
+
+def build_transfer_data(a, ip=None) -> TransferData:
+    space = a.space
+    if ip is None:
+        ip = InnerProduct.identity(space)
+    dstar = _adjoint_differential(a, ip)
+    harmonic, green = _harmonic_decomposition(a, ip)
+    cohomology = BigradedSpace([(label, deg)
+                                for deg in space.occupied_bidegrees()
+                                for label, _vec in harmonic[deg]])
+    iota = GradedMap.zero(cohomology, space, Bidegree(0, 0))
+    pi = GradedMap.zero(space, cohomology, Bidegree(0, 0))
+    for deg in space.occupied_bidegrees():
+        names = space.names_at(deg)
+        cols = harmonic[deg]
+        if not cols:
+            continue
+        for label, vec in cols:
+            for i, c in enumerate(vec):
+                if c != 0:
+                    iota.set_entry(label, names[i], c)
+        k = transpose([vec for _l, vec in cols])
+        ktg = mat_mul(transpose(k), ip.block(deg))
+        gram = mat_mul(ktg, k)
+        pmat = mat_mul(inverse(gram), ktg)
+        for j, src in enumerate(names):
+            for i, (label, _v) in enumerate(cols):
+                pi.set_entry(src, label, pmat[i][j])
+    return TransferData(cohomology, iota, pi, compose(dstar, green), green)

@@ -9,8 +9,8 @@ import pytest
 
 from bvhy import serialize
 from bvhy.cli import main
-from bvhy.models import build_torus_model, build_trivial_model, \
-    builtin_footprints, search_nonformal
+from bvhy.models import build_skew_gram_model, build_torus_model, \
+    build_trivial_model, builtin_footprints, search_nonformal
 
 
 def _write(path, doc):
@@ -103,6 +103,26 @@ def test_unhashable_basis_name_exits_2(tmp_path, capsys, field, row):
     assert f"{field}[0]: unknown basis element" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["d", "delta", "product", "gram"])
+def test_repeated_entry_exits_2(tmp_path, capsys, field):
+    m = build_skew_gram_model() if field == "gram" else build_torus_model(1, 1)
+    doc = serialize.algebra_to_json(m.algebra, m.inner_product)
+    rows = doc[field]
+    if field == "gram":
+        # the form is symmetric: [y, x] sets the same entry as [x, y]
+        x, y, _ = next(r for r in rows if r[0] != r[1])
+        rows.append([y, x, "5"])
+    else:
+        rows.append(rows[0][:-1] + ["5"])
+    path = _write(tmp_path / "bad.json", doc)
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {field}[{len(rows) - 1}]: repeats")
+
+
 def test_invalid_json_exits_2(tmp_path, capsys):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -189,7 +209,6 @@ def test_search_round_trip_through_validate(tmp_path, capsys):
 
 
 def test_validate_with_separate_gram_file(tmp_path, capsys):
-    from bvhy.models import build_skew_gram_model
     m = build_skew_gram_model()
     doc = serialize.algebra_to_json(m.algebra, m.inner_product)
     gram_entries = doc.pop("gram")

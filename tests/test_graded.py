@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bvhy import linalg
-from bvhy.graded import (Bidegree, BigradedSpace, Element, GradedMap,
-                         apply_in_slot, koszul_sign)
+from bvhy.graded import Bidegree, BigradedSpace, Element, GradedMap, koszul_sign
 
 F = Fraction
 
@@ -100,20 +99,3 @@ def test_graded_map_add_scale_entries(space):
     assert f.nonzero_entries() == [("a", "b", F(2))]
     with pytest.raises(ValueError):
         f + GradedMap.zero(space, space, Bidegree(0, 1))
-
-
-def test_apply_in_slot_signs(space):
-    # degree-0 map in any slot: plain application, sign +1
-    ident = GradedMap.identity(space)
-    args = [space.basis_element("a"), space.basis_element("b")]
-    assert apply_in_slot(ident, 2, args) == args[1]
-    # odd map in slot 1: nothing passed, sign +1
-    h = GradedMap.zero(space, space, Bidegree(0, -1))
-    h.set_entry("c", "e", F(1))
-    assert apply_in_slot(h, 1, [space.basis_element("c"), args[0]]) == \
-        space.basis_element("e")
-    # odd map in slot 2 over an odd argument: sign -1
-    assert apply_in_slot(h, 2, [args[0], space.basis_element("c")]) == \
-        space.basis_element("e").scale(F(-1))
-    with pytest.raises(ValueError):
-        apply_in_slot(ident, 3, args)

@@ -1,0 +1,133 @@
+"""The integer kernels of ``linalg``, ``GradedMap.compose`` and
+``build_transfer_data`` against the Fraction references in
+``hodge_oracle.py``: every value must be the same exact rational."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import hodge_oracle
+from bvhy import linalg
+from bvhy.bv import BVAlgebra
+from bvhy.graded import Bidegree, BigradedSpace, GradedMap
+from bvhy.hodge import InnerProduct, build_transfer_data
+
+F = Fraction
+POOL = (0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4), F(7, 6))
+
+
+def _random_matrix(rng, rows, cols):
+    """Random entries, or a product of random factors of a random inner
+    size (so often rank-deficient); some rows are zeroed out."""
+    if rng.random() < 0.5:
+        m = [[F(rng.choice(POOL)) for _ in range(cols)] for _ in range(rows)]
+    else:
+        inner = rng.randint(0, min(rows, cols))
+        u = [[F(rng.choice(POOL)) for _ in range(inner)] for _ in range(rows)]
+        v = [[F(rng.choice(POOL)) for _ in range(cols)] for _ in range(inner)]
+        m = [[sum((u[i][t] * v[t][j] for t in range(inner)), F(0))
+              for j in range(cols)] for i in range(rows)]
+    for i in range(rows):
+        if rng.random() < 0.15:
+            m[i] = [F(0)] * cols
+    return m
+
+
+def test_kernels_match_fraction_reference():
+    rng = random.Random(5)
+    seen = {"deficient": 0, "zero row": 0, "non-integer": 0, "inverse": 0,
+            "singular": 0}
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        a = _random_matrix(rng, rows, cols)
+        b = _random_matrix(rng, cols, rng.randint(1, 6))
+        red, pivots = linalg.rref(a)
+        assert (red, pivots) == hodge_oracle.rref(a)
+        assert linalg.kernel_basis(a) == hodge_oracle.kernel_basis(a)
+        assert linalg.mat_mul(a, b) == hodge_oracle.mat_mul(a, b)
+        seen["deficient"] += len(pivots) < min(rows, cols)
+        seen["zero row"] += any(not any(row) for row in a)
+        seen["non-integer"] += any(x.denominator > 1 for row in red for x in row)
+        square = [row[:rows] + [F(0)] * (rows - len(row)) for row in a]
+        try:
+            expected = hodge_oracle.inverse(square)
+        except ValueError:
+            seen["singular"] += 1
+            with pytest.raises(ValueError):
+                linalg.inverse(square)
+        else:
+            seen["inverse"] += 1
+            assert linalg.inverse(square) == expected
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_compose_matches_fraction_reference():
+    rng = random.Random(9)
+    space = BigradedSpace([(f"x{i}", Bidegree(0, i % 3)) for i in range(9)])
+    by_deg = {deg: space.names_at(deg) for deg in space.occupied_bidegrees()}
+    nonzero = 0
+    for _ in range(50):
+        f, g = (GradedMap.zero(space, space, Bidegree(0, 1)) for _ in range(2))
+        for m in (f, g):
+            for deg, names in by_deg.items():
+                for src in names:
+                    for tgt in by_deg.get(deg + Bidegree(0, 1), []):
+                        m.set_entry(src, tgt, F(rng.choice(POOL)))
+        comp = f.compose(g)
+        assert comp.entries == hodge_oracle.compose(f, g).entries
+        nonzero += not comp.is_zero
+    assert nonzero >= 25
+
+
+def _td_values(td):
+    return ([(n, td.cohomology.bidegree[n]) for n in td.cohomology.names],
+            [m.nonzero_entries() for m in (td.iota, td.pi, td.h, td.green)])
+
+
+def test_transfer_data_matches_reference_on_builtin_models(models):
+    for m in models:
+        assert _td_values(build_transfer_data(m.algebra, m.inner_product)) \
+            == _td_values(hodge_oracle.build_transfer_data(
+                m.algebra, m.inner_product)), m.name
+
+
+def _two_term_complex(rng, n):
+    """Unit plus a1..an at (1,0) and b1..bn at (1,1); d: a -> b is a
+    rational map of rank about n/2; the Gram form is tridiagonal and
+    not the identity."""
+    names_a = [f"a{i}" for i in range(n)]
+    names_b = [f"b{i}" for i in range(n)]
+    space = BigradedSpace([("e", Bidegree(0, 0))]
+                          + [(x, Bidegree(1, 0)) for x in names_a]
+                          + [(x, Bidegree(1, 1)) for x in names_b])
+    d = GradedMap.zero(space, space, Bidegree(0, 1))
+    rank = n // 2
+    u = [[F(rng.choice(POOL)) for _ in range(rank)] for _ in range(n)]
+    v = [[F(rng.choice(POOL)) for _ in range(n)] for _ in range(rank)]
+    for i, src in enumerate(names_a):
+        for j, tgt in enumerate(names_b):
+            d.set_entry(src, tgt, sum((u[j][t] * v[t][i] for t in range(rank)),
+                                      F(0)))
+    product = {("e", x): {x: F(1)} for x in space.names}
+    product.update({(x, "e"): {x: F(1)} for x in space.names[1:]})
+    algebra = BVAlgebra(space, d, GradedMap.zero(space, space, Bidegree(-1, 0)),
+                        product, "e")
+    entries = []
+    for names, off in ((names_a, F(1)), (names_b, F(1, 2))):
+        for i, x in enumerate(names):
+            entries.append((x, x, F(rng.randint(2, 4))))
+            if i + 1 < n:
+                entries.append((x, names[i + 1], off))
+    return algebra, InnerProduct.from_entries(space, entries)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_transfer_data_matches_reference_on_tridiagonal_gram(seed):
+    rng = random.Random(seed)
+    algebra, ip = _two_term_complex(rng, 7 + seed)
+    td = build_transfer_data(algebra, ip)
+    assert _td_values(td) == _td_values(
+        hodge_oracle.build_transfer_data(algebra, ip))
+    # a nonzero, non-integer homotopy: the comparison is not 0 == 0
+    assert any(v.denominator > 1 for _s, _t, v in td.h.nonzero_entries())
