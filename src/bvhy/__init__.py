@@ -4,8 +4,7 @@ from .bv import BVAlgebra, check_bv_axioms
 from .certify import (Footprint, certificate_cross_check, certify_formality,
                       is_hypersurface_footprint, op_bidegree)
 from .engine import (OperationTable, TreeEvaluator, build_operation_table,
-                     check_formal_unit, naive_evaluate_tree, top_degree_report,
-                     truncate_to_strict)
+                     check_formal_unit, naive_evaluate_tree, top_degree_report)
 from .graded import Bidegree, BigradedSpace, Element, GradedMap, koszul_sign
 from .hodge import (InnerProduct, TransferData, adjoint_differential,
                     build_transfer_data, check_side_conditions,

@@ -22,7 +22,7 @@ from .hodge import build_transfer_data, check_side_conditions, \
 from .models import MAX_SEARCH_DIM, SearchExhausted, search_nonformal
 from .serialize import SchemaError
 
-MAX_ARITY_GUARD = 7
+MAX_ARITY_GUARD = 9
 
 
 def _digest(path: str) -> str:
@@ -100,9 +100,12 @@ def cmd_transfer(args) -> int:
         return 1
     td = build_transfer_data(algebra, gram)
     side = check_side_conditions(td, algebra)
-    if not side.passed:
-        _emit(_report("transfer", inputs, started,
-                      results=[axioms.to_dict(), side.to_dict()], passed=False))
+    # the table sums trivalent trees only: every delta tree must vanish
+    triv = check_strong_trivialization_composites(td, algebra)
+    results = [axioms.to_dict(), side.to_dict(), triv.to_dict()]
+    if not (side.passed and triv.passed):
+        _emit(_report("transfer", inputs, started, results=results,
+                      passed=False))
         return 1
 
     table = build_operation_table(algebra, td, args.max_arity)
@@ -121,9 +124,8 @@ def cmd_transfer(args) -> int:
             "skipped": f"top bidegree ({top.p},{top.q}) is not of the form (n,n)"}
 
     _emit(table_doc, args.out)
-    _emit(_report("transfer", inputs, started,
-                  results=[axioms.to_dict(), side.to_dict()],
-                  passed=ok, out=args.out))
+    _emit(_report("transfer", inputs, started, results=results, passed=ok,
+                  out=args.out))
     return 0 if ok else 1
 
 

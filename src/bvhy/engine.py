@@ -5,84 +5,101 @@ internal edges with ``h``, vertices with the algebra's product, bracket or
 delta, and the root with ``pi``.  Koszul signs arise when the odd operator
 ``h`` passes over the already-assembled value of a left sibling.
 
+Values are plain ``{name: Fraction}`` dicts combined with the helpers of
+``bv``, in tables keyed by tuples of harmonic basis names in increasing
+leaf-label order.  Applying a map drops zero values, so on strongly
+trivialized models the tables collapse early; ``h`` is applied once per
+table.
 ``build_operation_table`` sums all trees with equal leaf and bracket
-counts at once, bottom-up over leaf subsets.  ``TreeEvaluator`` evaluates
-single trees, caching per subtree the values on all harmonic basis tuples
-under the leaf-relabelled canonical form.  Both graft child values with
-``_graft``, and neither stores zero values, so on strongly trivialized
-models the tables collapse early.  ``naive_evaluate_tree`` is the
-independent reference path: direct recursion, no canonical forms, no
-caching.
+counts at once, bottom-up over leaf subsets.  A graft's values depend only
+on the sizes and bracket counts of its subtrees and the vertex kind; leaf
+labels only permute keys.  So each size class gets one product list
+(``_products``), scattered into every split of that class (``_scatter``).
+``TreeEvaluator`` evaluates single trees with the same two helpers,
+memoizing per subtree shape: the nested tuple with each leaf replaced by
+its rank.  ``naive_evaluate_tree`` is the independent reference path:
+direct recursion on ``Element``s, no tables, no caching.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bv import BVAlgebra
+from .bv import BVAlgebra, Vector, _add_into, _apply, _left, _nonzero
 from .graded import Bidegree, Element, koszul_sign
 from .hodge import TransferData
 from .reporting import CheckReport
-from .trees import BR, MUL, DecoratedTree, leaf, tree_bidegree, unparse_tree
+from .trees import BR, DEL, MUL, DecoratedTree, tree_bidegree
 
-Constants = Dict[Tuple[str, ...], Dict[str, Fraction]]
-ValueTable = Dict[Tuple[str, ...], Element]
-
-
-def _normalize_leaves(t: DecoratedTree) -> DecoratedTree:
-    """Relabel leaves to 1..m preserving label order, for table sharing."""
-    labels = sorted(t.leaves())
-    remap = {old: i + 1 for i, old in enumerate(labels)}
-
-    def rec(node: DecoratedTree) -> DecoratedTree:
-        if node.is_leaf:
-            return leaf(remap[node.label])
-        return DecoratedTree(node.kind, children=tuple(rec(c) for c in node.children))
-
-    return rec(t)
+Constants = Dict[Tuple[str, ...], Vector]
+Items = List[Tuple[Tuple[str, ...], Vector]]
+Shape = Union[int, tuple]
 
 
-def _graft(a: BVAlgebra, td: TransferData, kind: str,
-           left: ValueTable, left_labels: List[int], left_vertex: bool,
-           right: ValueTable, right_labels: List[int], right_vertex: bool,
-           out: ValueTable) -> None:
-    """Add the binary vertex ``kind`` on every pair of child values to ``out``.
-
-    A child that is a vertex reaches its parent through the homotopy ``h``,
-    which picks up a Koszul sign when it passes over the left value.  Child
-    keys follow their sorted leaf labels; the parent key merges them into
-    increasing label order.
-    """
-    combine = a.multiply if kind == MUL else a.bracket
-    labels = left_labels + right_labels
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    rights = [(kr, td.h(vr) if right_vertex else vr) for kr, vr in right.items()]
-    rights = [(kr, vr) for kr, vr in rights if not vr.is_zero]
-    for kl, vl in left.items():
-        if left_vertex:
-            vl = td.h(vl)
-        if vl.is_zero:
-            continue
-        sign = koszul_sign(1, vl.total_degree) if right_vertex else Fraction(1)
-        for kr, vr in rights:
-            w = combine(vl, vr.scale(sign))
-            if w.is_zero:
-                continue
-            merged = kl + kr
-            key = tuple(merged[i] for i in order)
-            out[key] = out[key] + w if key in out else w
+def _leaves(td: TransferData) -> Constants:
+    return {(n,): c for n in td.cohomology.names if (c := td.iota.entries.get(n))}
 
 
-def _project(td: TransferData, values: ValueTable) -> Constants:
-    """Apply ``pi`` at the root and keep the nonzero structure constants."""
-    out: Constants = {}
-    for key, v in values.items():
-        w = td.pi(v)
-        if not w.is_zero:
-            out[key] = dict(w.coeffs)
+def _through(cols: Dict[str, Vector], items) -> Items:
+    """Nonzero images of ``(key, value)`` items under the map ``cols``."""
+    return [(k, w) for k, v in items if (w := _nonzero(_apply(cols, v)))]
+
+
+def _products(a: BVAlgebra, kind: str, left: Items, right: Items,
+              right_vertex: bool) -> Items:
+    """The vertex ``kind`` on every pair of child values (each after ``h``
+    if the child is a vertex), as nonzero ``(left key + right key, value)``
+    pairs, left-major.  A right vertex child's ``h`` is odd, so it picks
+    up a Koszul sign passing over the left value."""
+    table = a.product if kind == MUL else a.brackets
+    if not table:
+        return []
+    out: Items = []
+    for kl, vl in left:
+        if right_vertex and a.space.bidegree[next(iter(vl))].total % 2:
+            vl = {n: -c for n, c in vl.items()}
+        for kr, vr in right:
+            acc: Vector = {}
+            for n, c in vl.items():
+                _add_into(acc, _left(table, n, vr), c)
+            if w := _nonzero(acc):
+                out.append((kl + kr, w))
     return out
+
+
+def _scatter(products: Items, labels: Sequence[int], out: Constants) -> None:
+    """Add ``products`` to ``out``, their merged keys reordered from the
+    children's leaf ``labels`` into increasing label order."""
+    pick = itemgetter(*sorted(range(len(labels)), key=labels.__getitem__))
+    for merged, w in products:
+        key = pick(merged)
+        if key in out:
+            _add_into(out[key], w)
+        else:
+            out[key] = dict(w)
+
+
+def _ranked(s: Shape) -> Tuple[List[int], Shape]:
+    """The sorted leaf labels of the nested tuple ``s``, and ``s`` with each
+    leaf label replaced by its rank."""
+    def labels(u: Shape) -> List[int]:
+        return [u] if isinstance(u, int) else [x for c in u[1:] for x in labels(c)]
+
+    def relabel(u: Shape) -> Shape:
+        return rank[u] if isinstance(u, int) else (u[0], *map(relabel, u[1:]))
+
+    ordered = sorted(labels(s))
+    if ordered == list(range(1, len(ordered) + 1)):     # already ranks
+        return ordered, s
+    rank = {x: i for i, x in enumerate(ordered, 1)}
+    return ordered, relabel(s)
+
+
+def _nested(t: DecoratedTree) -> Shape:
+    return t.label if not t.children else (t.kind, *map(_nested, t.children))
 
 
 class TreeEvaluator:
@@ -91,50 +108,37 @@ class TreeEvaluator:
     def __init__(self, algebra: BVAlgebra, td: TransferData):
         self.algebra = algebra
         self.td = td
-        self._tables: Dict[str, ValueTable] = {}
-        self._root_tables: Dict[str, Constants] = {}
+        self._edges: Dict[Shape, Items] = {}
+        self._roots: Dict[Shape, Constants] = {}
 
-    def value_table(self, t: DecoratedTree) -> ValueTable:
-        """Nonzero pre-projection values on harmonic basis tuples.
+    def _values(self, s: Shape) -> Constants:
+        """Values before ``pi`` of the tree of shape ``s``; some may be 0."""
+        if isinstance(s, int):
+            return _leaves(self.td)
+        if s[0] == DEL:
+            return dict(_through(self.algebra.delta.entries, self._edge(s[1])))
+        (left_labels, left), (right_labels, right) = map(_ranked, s[1:])
+        out: Constants = {}
+        _scatter(_products(self.algebra, s[0], self._edge(left),
+                           self._edge(right), not isinstance(right, int)),
+                 left_labels + right_labels, out)
+        return out
 
-        Keys are tuples of harmonic basis names in increasing leaf-label
-        order; values live in the big algebra (pi not yet applied).
-        """
-        norm = _normalize_leaves(t)
-        key = unparse_tree(norm)
-        if key not in self._tables:
-            self._tables[key] = self._build(norm)
-        return self._tables[key]
-
-    def _build(self, t: DecoratedTree) -> ValueTable:
-        a, td = self.algebra, self.td
-        if t.is_leaf:
-            return {(n,): td.iota(td.cohomology.basis_element(n))
-                    for n in td.cohomology.names}
-        if t.kind == "del":
-            child = t.children[0]
-            table = {}
-            for k, v in self.value_table(child).items():
-                w = a.delta(v if child.is_leaf else td.h(v))
-                if not w.is_zero:
-                    table[k] = w
-            return table
-
-        left, right = t.children
-        table: ValueTable = {}
-        _graft(a, td, t.kind,
-               self.value_table(left), sorted(left.leaves()), not left.is_leaf,
-               self.value_table(right), sorted(right.leaves()), not right.is_leaf,
-               table)
-        return table
+    def _edge(self, s: Shape) -> Items:
+        """Values of shape ``s`` as its parent sees them (through ``h``)."""
+        if s not in self._edges:
+            values = self._values(s)
+            self._edges[s] = list(values.items()) if isinstance(s, int) \
+                else _through(self.td.h.entries, values.items())
+        return self._edges[s]
 
     def operation_constants(self, t: DecoratedTree) -> Constants:
         """Structure constants of the induced operation on cohomology."""
-        norm = _normalize_leaves(t)
-        key = unparse_tree(norm)
-        if key not in self._root_tables:
-            self._root_tables[key] = _project(self.td, self.value_table(norm))
-        return self._root_tables[key]
+        _, s = _ranked(_nested(t))
+        if s not in self._roots:
+            self._roots[s] = dict(_through(self.td.pi.entries,
+                                           self._values(s).items()))
+        return self._roots[s]
 
     def evaluate(self, t: DecoratedTree, args: List[Element]) -> Element:
         """Multilinear evaluation on homogeneous cohomology elements."""
@@ -204,9 +208,6 @@ class OperationTable:
         self.td = td
         self.ops: Dict[Tuple[int, int], Constants] = {}
 
-    def nonzero_keys(self) -> List[Tuple[int, int]]:
-        return sorted(kl for kl, c in self.ops.items() if c)
-
     def unit_class(self) -> str:
         """Harmonic basis name whose inclusion is the algebra unit."""
         target = {self.algebra.unit: Fraction(1)}
@@ -215,61 +216,45 @@ class OperationTable:
                 return n
         raise ValueError("unit class is not a harmonic basis element")
 
-    def validate_bidegrees(self) -> List[Tuple]:
-        """Entries violating the (-l, -k+2) bidegree law, if any."""
-        H = self.td.cohomology
-        bad = []
-        for (k, l), constants in self.ops.items():
-            shift = Bidegree(-l, -k + 2)
-            for key, col in constants.items():
-                in_deg = Bidegree(*map(sum, zip(*(H.bidegree[n] for n in key))))
-                expect = in_deg + shift
-                for name in col:
-                    if H.bidegree[name] != expect:
-                        bad.append((k, l, key, name))
-        return bad
-
 
 def build_operation_table(a: BVAlgebra, td: TransferData,
                           max_arity: int) -> OperationTable:
     """Operations (k, l) for 2 <= k <= max_arity and 0 <= l <= k - 2.
 
     Each operation is the sum of all trivalent trees with k leaves and l
-    brackets.  ``sums[(m, l)]`` holds that sum before ``pi`` for trees on
-    leaves 1..m.  The root of such a tree splits the leaves into A, which
-    holds leaf 1, and B; the subtree sums on A and B are ``sums[(|A|, la)]``
-    and ``sums[(|B|, lb)]`` up to an order-preserving relabelling.
+    brackets.  ``edges[(m, l)]`` holds that sum before ``pi`` for trees on
+    leaves 1..m, as the edge above its root sees it.  The root of such a
+    tree splits the leaves into A, which holds leaf 1, and B; the subtree
+    sums on A and B are ``edges[(|A|, la)]`` and ``edges[(|B|, lb)]`` up to
+    an order-preserving relabelling, so their products are computed once
+    per size class ``(|A|, la, |B|, lb, kind)`` and level.
     """
-    H = td.cohomology
-    sums: Dict[Tuple[int, int], ValueTable] = {
-        (1, 0): {(n,): td.iota(H.basis_element(n)) for n in H.names}}
+    edges: Dict[Tuple[int, int], Items] = {(1, 0): list(_leaves(td).items())}
     table = OperationTable(a, td)
     for m in range(2, max_arity + 1):
-        level: Dict[int, ValueTable] = {l: {} for l in range(m)}
+        level: Dict[int, Constants] = {l: {} for l in range(m)}
+        products: Dict[Tuple[int, int, int, int, str], Items] = {}
         rest = range(2, m + 1)
         for r in range(m - 1):
             for others in itertools.combinations(rest, r):
-                A = [1, *others]
-                B = [x for x in rest if x not in others]
+                A = (1, *others)
+                B = tuple(x for x in rest if x not in others)
                 for la, lb, kind in itertools.product(
                         range(len(A)), range(len(B)), (MUL, BR)):
-                    _graft(a, td, kind, sums[(len(A), la)], A, len(A) > 1,
-                           sums[(len(B), lb)], B, len(B) > 1,
-                           level[la + lb + (kind == BR)])
+                    size_class = (len(A), la, len(B), lb, kind)
+                    if size_class not in products:
+                        products[size_class] = _products(
+                            a, kind, edges[(len(A), la)], edges[(len(B), lb)],
+                            len(B) > 1)
+                    _scatter(products[size_class], A + B,
+                             level[la + lb + (kind == BR)])
         for l, values in level.items():
-            sums[(m, l)] = {k: v for k, v in values.items() if not v.is_zero}
+            if m < max_arity:
+                edges[(m, l)] = _through(td.h.entries, values.items())
             if l <= m - 2:
-                table.ops[(m, l)] = _project(td, sums[(m, l)])
+                table.ops[(m, l)] = dict(_through(td.pi.entries,
+                                                  values.items()))
     return table
-
-
-def truncate_to_strict(table: OperationTable) -> OperationTable:
-    """Keep only the strict entries (l = k - 2); higher ones are dropped."""
-    out = OperationTable(table.algebra, table.td)
-    for (k, l), constants in table.ops.items():
-        if l == k - 2:
-            out.ops[(k, l)] = {key: dict(col) for key, col in constants.items()}
-    return out
 
 
 def check_formal_unit(table: OperationTable,

@@ -160,8 +160,30 @@ def test_transfer_torus_top_degree_report(tmp_path):
 
 
 def test_transfer_arity_guard(torus_file, capsys):
-    assert main(["transfer", torus_file, "--max-arity", "8"]) == 2
+    assert main(["transfer", torus_file, "--max-arity", "10"]) == 2
     assert "--force" in capsys.readouterr().err
+
+
+def test_transfer_requires_strong_trivialization(tmp_path, capsys):
+    # passes the axioms and side conditions, but delta x = y is harmonic
+    # on both ends, so trees with a delta vertex do not vanish
+    doc = {"schema": 1,
+           "basis": [{"name": "e", "p": 0, "q": 0},
+                     {"name": "x", "p": 1, "q": 0},
+                     {"name": "y", "p": 0, "q": 0}],
+           "unit": "e", "d": [], "delta": [["x", "y", "1"]],
+           "product": [["e", "e", "e", "1"], ["e", "x", "x", "1"],
+                       ["e", "y", "y", "1"]]}
+    path = _write(tmp_path / "untrivialized.json", doc)
+    out_path = tmp_path / "table.json"
+    assert main(["transfer", path, "--max-arity", "3",
+                 "--out", str(out_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    failed = {item["name"] for r in report["results"]
+              for item in r["items"] if not item["passed"]}
+    assert failed == {"delta iota = 0", "pi delta = 0"}
+    assert not out_path.exists()
 
 
 def test_transfer_witness_model_exposes_higher_operation(tmp_path, capsys):

@@ -6,12 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+import engine_oracle
+from engine_oracle import (bidegree_violations, nonzero_keys,
+                           truncate_to_strict)
+from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.engine import (TreeEvaluator, build_operation_table,
                          check_formal_unit, naive_evaluate_tree,
-                         top_degree_report, truncate_to_strict)
+                         top_degree_report)
+from bvhy.graded import Bidegree, BigradedSpace, GradedMap
+from bvhy.hodge import build_transfer_data
 from bvhy.models import (build_torus_model, build_trivial_model,
                          builtin_models, search_nonformal)
-from bvhy.trees import enumerate_trees, parse_tree
+from bvhy.serialize import dump, table_to_json
+from bvhy.trees import DecoratedTree, enumerate_trees, leaf, parse_tree
 
 F = Fraction
 
@@ -96,7 +103,7 @@ def test_evaluate_tree_wrapper_and_errors(torus):
 def test_operation_table_and_bidegree_law(torus):
     a, td = torus.algebra, torus.transfer_data()
     table = build_operation_table(a, td, 4)
-    assert table.validate_bidegrees() == []
+    assert bidegree_violations(table) == []
     assert (2, 0) in table.ops and table.ops[(2, 0)]
     assert table.unit_class() == f"[{a.unit}]"
     strict_only = truncate_to_strict(table)
@@ -107,7 +114,7 @@ def test_formal_unit_and_top_degree_on_zero_differential_model(trivial):
     a, td = trivial.algebra, trivial.transfer_data()
     table = build_operation_table(a, td, 4)
     # with h = 0 everything beyond the product vanishes
-    assert table.nonzero_keys() == [(2, 0)]
+    assert nonzero_keys(table) == [(2, 0)]
     assert check_formal_unit(table).passed
     assert top_degree_report(table, 2).passed
 
@@ -171,3 +178,96 @@ def test_subset_recursion_matches_naive_on_witness():
         assert total.coeffs == constants.get(key, {}), key
         nonzero += not total.is_zero
     assert nonzero > 0
+
+
+def _sorted_word(word):
+    """Sign and sorted form of a word in odd generators; None on a repeat."""
+    if len(set(word)) < len(word):
+        return None
+    inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
+    return (-1) ** inversions, tuple(sorted(word))
+
+
+def _nilpotent_ce(n, scale):
+    """Chevalley-Eilenberg algebra with generators g_1..g_n at (0,1) and
+    d g_k = c_k g_1 g_{k-1} for k >= 3 (Heisenberg for n = 3, filiform L_n
+    above); d^2 = 0 for any c_k because g_1 g_1 = 0."""
+    gens = range(1, n + 1)
+    subsets = [s for r in range(n + 1) for s in itertools.combinations(gens, r)]
+
+    def name(s):
+        return "g" + "".join(map(str, s))
+
+    space = BigradedSpace([(name(s), Bidegree(0, len(s))) for s in subsets])
+    product = {}
+    for s in subsets:
+        for t in subsets:
+            merged = _sorted_word(s + t)
+            if merged:
+                product[(name(s), name(t))] = {name(merged[1]): F(merged[0])}
+    d = {}
+    for s in subsets:
+        col = {}
+        for j, k in enumerate(s):
+            if k < 3:
+                continue
+            merged = _sorted_word(s[:j] + (1, k - 1) + s[j + 1:])
+            if merged:
+                sign, word = merged
+                col[name(word)] = col.get(name(word), 0) + \
+                    (-1) ** j * sign * scale(k)
+        d[name(s)] = col
+    return BVAlgebra(space, GradedMap(space, space, Bidegree(0, 1), d),
+                     GradedMap.zero(space, space, Bidegree(-1, 0)),
+                     product, "g")
+
+
+def _oracle_cases(models):
+    for m in list(models) + [search_nonformal(seed=s) for s in (0, 1)]:
+        yield m.name, m.algebra, m.transfer_data()
+    for n in (3, 4, 5):
+        a = _nilpotent_ce(n, lambda k: F(2 * k - 1, k - 1))
+        assert check_bv_axioms(a).passed
+        yield f"ce({n})", a, build_transfer_data(a)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(models):
+    return list(_oracle_cases(models))
+
+
+def test_tables_match_the_reference_engine(oracle_cases):
+    higher = 0
+    for name, a, td in oracle_cases:
+        got = build_operation_table(a, td, 6)
+        want = engine_oracle.build_operation_table(a, td, 6)
+        assert dump(table_to_json(got)) == dump(table_to_json(want)), name
+        assert [(kl, list(c)) for kl, c in got.ops.items()] == \
+            [(kl, list(c)) for kl, c in want.ops.items()], name
+        higher += sum(len(got.ops[(k, 0)]) for k in range(4, 7))
+    assert higher > 0
+
+
+def test_tree_evaluator_matches_the_reference_evaluator(oracle_cases):
+    trees = [t for k in range(1, 5) for t in enumerate_trees(k)]
+    trees += [t for k in range(1, 4)
+              for t in enumerate_trees(k, allow_delta=True) if t.delta_count]
+    nonzero = 0
+    for name, a, td in oracle_cases:
+        fast = TreeEvaluator(a, td)
+        slow = engine_oracle.TreeEvaluator(a, td)
+        for t in trees:
+            # an order-reversing relabelling is another operation that
+            # both evaluators must rank the same way
+            for tree in (t, _relabel(t, lambda i: 20 - 3 * i)):
+                got = fast.operation_constants(tree)
+                assert got == slow.operation_constants(tree), (name, tree)
+                nonzero += tree.arity >= 3 and bool(got)
+    assert nonzero > 0
+
+
+def _relabel(t, f):
+    if t.is_leaf:
+        return leaf(f(t.label))
+    return DecoratedTree(t.kind, children=tuple(_relabel(c, f)
+                                                for c in t.children))
