@@ -1,7 +1,8 @@
 """Batch front-end: validate algebras, build transfer tables, certify.
 
-Exit codes: 0 success / formal, 1 check failure, 2 parse or schema error,
-3 certificate "not certified" (distinct from error).
+Exit codes: 0 success / formal, 1 check failure, 2 unreadable input,
+parse or schema error, or unwritable ``--out``, 3 certificate "not
+certified" (distinct from error).
 """
 
 from __future__ import annotations
@@ -30,14 +31,18 @@ def _digest(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}", path) from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", path) from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}", path) from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read: {exc.strerror}", path) from None
 
 
 def _report(command: str, inputs: dict, started: float, **extra) -> dict:
@@ -50,32 +55,47 @@ def _report(command: str, inputs: dict, started: float, **extra) -> dict:
 def _emit(doc: dict, out: Optional[str] = None) -> None:
     text = serialize.dump(doc)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"cannot write {out}: {exc.strerror}",
+                              "out") from None
     else:
         sys.stdout.write(text)
 
 
-def cmd_validate(args) -> int:
-    started = time.monotonic()
-    doc = _load_json(args.algebra)
-    algebra, gram = serialize.algebra_from_json(doc)
-    if args.gram:
-        gram_doc = _load_json(args.gram)
-        gram = serialize.gram_from_entries(gram_doc.get("gram", gram_doc), algebra.space)
-    inputs = {args.algebra: _digest(args.algebra)}
-    if args.gram:
-        inputs[args.gram] = _digest(args.gram)
+def _load_and_check(algebra_path: str, gram_path: Optional[str] = None):
+    """Parse an algebra document (with an optional separate Gram file) and
+    run the BV axioms, then the side conditions and strong trivialization
+    of its transfer data.
+
+    Returns ``(algebra, td, inputs, results, passed)``; ``td`` is None if
+    the axioms fail, and then no later check runs.
+    """
+    algebra, gram = serialize.algebra_from_json(_load_json(algebra_path))
+    if gram_path:
+        entries = _load_json(gram_path)
+        if isinstance(entries, dict):
+            entries = entries.get("gram", entries)
+        gram = serialize.gram_from_entries(entries, algebra.space)
+    inputs = {p: _digest(p) for p in (algebra_path, gram_path) if p}
 
     axioms = check_bv_axioms(algebra)
     results = [axioms.to_dict()]
-    ok = axioms.passed
-    if ok:
-        td = build_transfer_data(algebra, gram)
-        side = check_side_conditions(td, algebra)
-        triv = check_strong_trivialization_composites(td, algebra)
-        results += [side.to_dict(), triv.to_dict()]
-        ok = side.passed and triv.passed
+    if not axioms.passed:
+        return algebra, None, inputs, results, False
+    td = build_transfer_data(algebra, gram)
+    side = check_side_conditions(td, algebra)
+    # tables sum trivalent trees only: every delta tree must vanish
+    triv = check_strong_trivialization_composites(td, algebra)
+    results += [side.to_dict(), triv.to_dict()]
+    return algebra, td, inputs, results, side.passed and triv.passed
+
+
+def cmd_validate(args) -> int:
+    started = time.monotonic()
+    _, _, inputs, results, ok = _load_and_check(args.algebra, args.gram)
     _emit(_report("validate", inputs, started, results=results, passed=ok))
     return 0 if ok else 1
 
@@ -89,21 +109,8 @@ def cmd_transfer(args) -> int:
         raise SchemaError(
             f"--max-arity {args.max_arity} exceeds the combinatorial guard "
             f"({MAX_ARITY_GUARD}); pass --force to override", "max-arity")
-    doc = _load_json(args.algebra)
-    algebra, gram = serialize.algebra_from_json(doc)
-    inputs = {args.algebra: _digest(args.algebra)}
-
-    axioms = check_bv_axioms(algebra)
-    if not axioms.passed:
-        _emit(_report("transfer", inputs, started,
-                      results=[axioms.to_dict()], passed=False))
-        return 1
-    td = build_transfer_data(algebra, gram)
-    side = check_side_conditions(td, algebra)
-    # the table sums trivalent trees only: every delta tree must vanish
-    triv = check_strong_trivialization_composites(td, algebra)
-    results = [axioms.to_dict(), side.to_dict(), triv.to_dict()]
-    if not (side.passed and triv.passed):
+    algebra, td, inputs, results, ok = _load_and_check(args.algebra)
+    if not ok:
         _emit(_report("transfer", inputs, started, results=results,
                       passed=False))
         return 1

@@ -11,7 +11,8 @@ leaf-label order.  Applying a map drops zero values, so on strongly
 trivialized models the tables collapse early; ``h`` is applied once per
 table.
 ``build_operation_table`` sums all trees with equal leaf and bracket
-counts at once, bottom-up over leaf subsets.  A graft's values depend only
+counts at once, bottom-up over the leaf splits of ``trees.splits`` (the
+rule ``enumerate_trees`` builds trees from).  A graft's values depend only
 on the sizes and bracket counts of its subtrees and the vertex kind; leaf
 labels only permute keys.  So each size class gets one product list
 (``_products``), scattered into every split of that class (``_scatter``).
@@ -32,7 +33,7 @@ from .bv import BVAlgebra, Vector, _add_into, _apply, _left, _nonzero
 from .graded import Bidegree, Element, koszul_sign
 from .hodge import TransferData
 from .reporting import CheckReport
-from .trees import BR, DEL, MUL, DecoratedTree, tree_bidegree
+from .trees import BR, DEL, MUL, DecoratedTree, splits, tree_bidegree
 
 Constants = Dict[Tuple[str, ...], Vector]
 Items = List[Tuple[Tuple[str, ...], Vector]]
@@ -224,7 +225,8 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
     Each operation is the sum of all trivalent trees with k leaves and l
     brackets.  ``edges[(m, l)]`` holds that sum before ``pi`` for trees on
     leaves 1..m, as the edge above its root sees it.  The root of such a
-    tree splits the leaves into A, which holds leaf 1, and B; the subtree
+    tree splits the leaves into A, which holds leaf 1, and B, in the
+    order of ``trees.splits``; the subtree
     sums on A and B are ``edges[(|A|, la)]`` and ``edges[(|B|, lb)]`` up to
     an order-preserving relabelling, so their products are computed once
     per size class ``(|A|, la, |B|, lb, kind)`` and level.
@@ -234,20 +236,16 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
     for m in range(2, max_arity + 1):
         level: Dict[int, Constants] = {l: {} for l in range(m)}
         products: Dict[Tuple[int, int, int, int, str], Items] = {}
-        rest = range(2, m + 1)
-        for r in range(m - 1):
-            for others in itertools.combinations(rest, r):
-                A = (1, *others)
-                B = tuple(x for x in rest if x not in others)
-                for la, lb, kind in itertools.product(
-                        range(len(A)), range(len(B)), (MUL, BR)):
-                    size_class = (len(A), la, len(B), lb, kind)
-                    if size_class not in products:
-                        products[size_class] = _products(
-                            a, kind, edges[(len(A), la)], edges[(len(B), lb)],
-                            len(B) > 1)
-                    _scatter(products[size_class], A + B,
-                             level[la + lb + (kind == BR)])
+        for A, B in splits(tuple(range(1, m + 1))):
+            for la, lb, kind in itertools.product(
+                    range(len(A)), range(len(B)), (MUL, BR)):
+                size_class = (len(A), la, len(B), lb, kind)
+                if size_class not in products:
+                    products[size_class] = _products(
+                        a, kind, edges[(len(A), la)], edges[(len(B), lb)],
+                        len(B) > 1)
+                _scatter(products[size_class], A + B,
+                         level[la + lb + (kind == BR)])
         for l, values in level.items():
             if m < max_arity:
                 edges[(m, l)] = _through(td.h.entries, values.items())

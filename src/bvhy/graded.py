@@ -163,10 +163,6 @@ class GradedMap:
              shift: Bidegree) -> "GradedMap":
         return cls(source, target, shift, {})
 
-    @property
-    def total_degree(self) -> int:
-        return self.shift.total
-
     def set_entry(self, src: str, tgt: str, c: Scalar) -> None:
         if c == 0:
             self.entries.get(src, {}).pop(tgt, None)

@@ -107,20 +107,12 @@ def _laplacian(a: BVAlgebra, dstar: GradedMap) -> GradedMap:
     return a.d.compose(dstar) + dstar.compose(a.d)
 
 
-def harmonic_decomposition(a: BVAlgebra, ip: InnerProduct):
-    """Harmonic basis (kernel of the Laplacian) and the Green operator.
-
-    Returns (harmonic, green) where harmonic maps each bidegree to a list
-    of (name, column vector) pairs and green is a GradedMap with
-    L green = green L = id - P, P the orthogonal projection onto ker L.
-    """
-    harmonic, green, _ = _decompose(a, ip, adjoint_differential(a, ip))
-    return harmonic, green
-
-
 def _decompose(a: BVAlgebra, ip: InnerProduct, dstar: GradedMap):
-    """``harmonic_decomposition`` from a given d*, plus, per bidegree with a
-    nonempty kernel K, the harmonic coordinates (K^T G K)^-1 K^T G."""
+    """Per bidegree, the harmonic basis (kernel of the Laplacian L built
+    from ``dstar``) as (name, column vector) pairs; the Green operator, with
+    L green = green L = id - P for P the orthogonal projection onto ker L;
+    and, where the kernel K is nonempty, harmonic coordinates
+    (K^T G K)^-1 K^T G."""
     space = a.space
     lap = _laplacian(a, dstar)
     green = GradedMap.zero(space, space, Bidegree(0, 0))

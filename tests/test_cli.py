@@ -239,6 +239,58 @@ def test_validate_with_separate_gram_file(tmp_path, capsys):
     assert main(["validate", algebra_path, "--gram", gram_path]) == 0
 
 
+# the minimal algebra document of the README
+_README_ALGEBRA = {
+    "schema": 1,
+    "basis": [{"name": "e", "p": 0, "q": 0}, {"name": "x", "p": 0, "q": 0},
+              {"name": "y", "p": 0, "q": 1}],
+    "unit": "e", "d": [["x", "y", "1"]], "delta": [],
+    "product": [["e", "e", "e", "1"], ["e", "x", "x", "1"],
+                ["e", "y", "y", "1"]]}
+
+
+@pytest.mark.parametrize("gram,code", [([["x", "x", "2"]], 0), ("x", 2)],
+                         ids=["list", "string"])
+def test_validate_gram_file_without_gram_key(tmp_path, capsys, gram, code):
+    algebra_path = _write(tmp_path / "algebra.json", _README_ALGEBRA)
+    gram_path = _write(tmp_path / "gram.json", gram)
+    assert main(["validate", algebra_path, "--gram", gram_path]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["passed"] is True
+    else:
+        assert captured.out == ""
+        assert captured.err.splitlines() == \
+            ["error: gram: gram must be a list of entries"]
+
+
+@pytest.mark.parametrize("command", ["validate", "transfer", "certify"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_exits_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"schema": 1, "unit": "\xff"}')
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("command", ["transfer", "search"])
+def test_out_into_missing_directory_exits_2(tmp_path, capsys, torus_file,
+                                             command):
+    out = str(tmp_path / "missing" / "out.json")
+    argv = ["transfer", torus_file] if command == "transfer" else ["search"]
+    assert main(argv + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out: ")
+
+
 @pytest.mark.parametrize("arity", ["1", "-3"])
 def test_transfer_rejects_arity_below_two(torus_file, capsys, arity):
     assert main(["transfer", torus_file, "--max-arity", arity]) == 2

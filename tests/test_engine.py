@@ -9,6 +9,7 @@ import pytest
 import engine_oracle
 from engine_oracle import (bidegree_violations, nonzero_keys,
                            truncate_to_strict)
+from tree_oracle import delta_trees
 from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.engine import (TreeEvaluator, build_operation_table,
                          check_formal_unit, naive_evaluate_tree,
@@ -65,9 +66,8 @@ def test_lie_type_trees_act_as_zero_on_torus(torus):
 def test_delta_trees_vanish_on_trivialized_model(torus):
     a, td = torus.algebra, torus.transfer_data()
     evaluator = TreeEvaluator(a, td)
-    for t in enumerate_trees(3, allow_delta=True):
-        if t.delta_count:
-            assert evaluator.operation_constants(t) == {}
+    for t in delta_trees(3):
+        assert evaluator.operation_constants(t) == {}
 
 
 def test_memoized_matches_naive_on_random_instances(torus, random_tree,
@@ -250,8 +250,7 @@ def test_tables_match_the_reference_engine(oracle_cases):
 
 def test_tree_evaluator_matches_the_reference_evaluator(oracle_cases):
     trees = [t for k in range(1, 5) for t in enumerate_trees(k)]
-    trees += [t for k in range(1, 4)
-              for t in enumerate_trees(k, allow_delta=True) if t.delta_count]
+    trees += [t for k in range(1, 4) for t in delta_trees(k)]
     nonzero = 0
     for name, a, td in oracle_cases:
         fast = TreeEvaluator(a, td)

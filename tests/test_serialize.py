@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from bvhy import serialize
-from bvhy.graded import Bidegree
 from bvhy.models import (build_skew_gram_model, build_torus_model,
                          search_nonformal)
 from bvhy.serialize import SchemaError

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from tree_oracle import canonicalize, delta_trees
 from bvhy.graded import Bidegree
-from bvhy.trees import (DecoratedTree, br, canonicalize, delta,
-                        enumerate_trees, leaf, mul, parse_tree, tree_bidegree,
-                        unparse_tree)
+from bvhy.trees import (DecoratedTree, br, delta, enumerate_trees, leaf, mul,
+                        parse_tree, splits, tree_bidegree, unparse_tree)
 
 F = Fraction
 
@@ -67,11 +67,21 @@ def test_counts_and_bidegree_examples():
 
 def test_trivalent_vertex_and_edge_counts():
     for t in enumerate_trees(4):
-        assert t.vertex_count == 3
+        assert t.count("mul") + t.bracket_count == 3 and not t.delta_count
         assert t.internal_edge_count() == 2
     for t in enumerate_trees(5):
-        assert t.vertex_count == 4
+        assert t.count("mul") + t.bracket_count == 4 and not t.delta_count
         assert t.internal_edge_count() == 3
+
+
+def test_splits_put_the_smallest_label_left():
+    assert list(splits((1, 2, 3))) == [((1,), (2, 3)), ((1, 2), (3,)),
+                                       ((1, 3), (2,))]
+    for labels in [(4,), (2, 5, 7, 9), tuple(range(1, 7))]:
+        got = list(splits(labels))
+        assert len(got) == 2 ** (len(labels) - 1) - 1
+        assert all(A[0] == labels[0] and B and sorted(A + B) == list(labels)
+                   for A, B in got)
 
 
 def test_enumeration_counts_against_closed_form():
@@ -105,7 +115,9 @@ def test_enumeration_matches_bruteforce_dedup_oracle():
 
 
 def test_k3_single_product_classes():
-    trees = enumerate_trees(3, constraints={"product_count": 1})
+    # with k = 3 there are two vertices, so one product means one bracket
+    trees = enumerate_trees(3, constraints={"bracket_count": 1})
+    assert all(t.count("mul") == 1 for t in trees)
     assert len(trees) == 6
     shapes = {(t.kind, t.children[0].kind, t.children[1].kind) for t in trees}
     # product over bracket and bracket over product, leaf on either side
@@ -139,15 +151,19 @@ def test_canonicalize_records_structural_swap_sign():
 
 
 def test_delta_enumeration_and_constraints():
-    trees = enumerate_trees(2, allow_delta=True)
+    trees = delta_trees(2)
     keys = {unparse_tree(t) for t in trees}
     assert "(del (mul 1 2))" in keys
     assert "(mul (del 1) 2)" in keys
     assert "(del (del (mul 1 2)))" in keys
     assert len(keys) == len(trees)   # duplicate-free
-    only2 = enumerate_trees(2, allow_delta=True,
-                            constraints={"delta_count": 2})
-    assert only2 and all(t.delta_count == 2 for t in only2)
+    assert all(t.delta_count in (1, 2) for t in trees)
+    only1 = delta_trees(2, max_delta=1)
+    assert only1 and all(t.delta_count == 1 for t in only1)
+    for k in (3, 4):
+        trees = delta_trees(k)
+        assert len({unparse_tree(t) for t in trees}) == len(trees)
+        assert all(canonicalize(t) == (t, F(1)) for t in trees)
 
 
 def test_enumeration_errors():
