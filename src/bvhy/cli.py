@@ -15,32 +15,29 @@ import time
 from typing import Optional
 
 from . import serialize
-from .bv import check_bv_axioms
 from .certify import certify_formality
 from .engine import build_operation_table, check_formal_unit, top_degree_report
-from .hodge import build_transfer_data, check_side_conditions, \
-    check_strong_trivialization_composites
+from .hodge import check_transfer_input
 from .models import MAX_SEARCH_DIM, SearchExhausted, search_nonformal
 from .serialize import SchemaError
 
 MAX_ARITY_GUARD = 9
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _load_json(path: str):
+    """The document at ``path`` and the sha256 of the bytes it was parsed
+    from; the file is read once."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}", path) from None
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}", path) from None
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc}", path) from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the digit limit, or deep nesting
+        raise SchemaError(f"invalid JSON: {exc}", path) from None
     except OSError as exc:
         raise SchemaError(f"cannot read: {exc.strerror}", path) from None
 
@@ -67,30 +64,22 @@ def _emit(doc: dict, out: Optional[str] = None) -> None:
 
 def _load_and_check(algebra_path: str, gram_path: Optional[str] = None):
     """Parse an algebra document (with an optional separate Gram file) and
-    run the BV axioms, then the side conditions and strong trivialization
-    of its transfer data.
+    run ``check_transfer_input`` on it.
 
     Returns ``(algebra, td, inputs, results, passed)``; ``td`` is None if
     the axioms fail, and then no later check runs.
     """
-    algebra, gram = serialize.algebra_from_json(_load_json(algebra_path))
+    doc, digest = _load_json(algebra_path)
+    inputs = {algebra_path: digest}
+    algebra, gram = serialize.algebra_from_json(doc)
     if gram_path:
-        entries = _load_json(gram_path)
+        entries, inputs[gram_path] = _load_json(gram_path)
         if isinstance(entries, dict):
             entries = entries.get("gram", entries)
         gram = serialize.gram_from_entries(entries, algebra.space)
-    inputs = {p: _digest(p) for p in (algebra_path, gram_path) if p}
-
-    axioms = check_bv_axioms(algebra)
-    results = [axioms.to_dict()]
-    if not axioms.passed:
-        return algebra, None, inputs, results, False
-    td = build_transfer_data(algebra, gram)
-    side = check_side_conditions(td, algebra)
-    # tables sum trivalent trees only: every delta tree must vanish
-    triv = check_strong_trivialization_composites(td, algebra)
-    results += [side.to_dict(), triv.to_dict()]
-    return algebra, td, inputs, results, side.passed and triv.passed
+    td, reports = check_transfer_input(algebra, gram)
+    return (algebra, td, inputs, [r.to_dict() for r in reports],
+            all(r.passed for r in reports))
 
 
 def cmd_validate(args) -> int:
@@ -138,9 +127,9 @@ def cmd_transfer(args) -> int:
 
 def cmd_certify(args) -> int:
     started = time.monotonic()
-    doc = _load_json(args.footprint)
+    doc, digest = _load_json(args.footprint)
     fp = serialize.footprint_from_json(doc)
-    inputs = {args.footprint: _digest(args.footprint)}
+    inputs = {args.footprint: digest}
     cert = certify_formality(fp, assume_top_bottom=args.assume_top_bottom)
     _emit(_report("certify", inputs, started, certificate=cert.to_dict(),
                   verdict=cert.verdict))

@@ -17,8 +17,8 @@ on the sizes and bracket counts of its subtrees and the vertex kind; leaf
 labels only permute keys.  So each size class gets one product list
 (``_products``), scattered into every split of that class (``_scatter``).
 ``TreeEvaluator`` evaluates single trees with the same two helpers,
-memoizing per subtree shape: the nested tuple with each leaf replaced by
-its rank.  ``naive_evaluate_tree`` is the independent reference path:
+memoizing the value of each subtree (as its parent sees it) under the
+subtree itself.  ``naive_evaluate_tree`` is the independent reference path:
 direct recursion on ``Element``s, no tables, no caching.
 """
 
@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import prod
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .bv import BVAlgebra, Vector, _add_into, _apply, _left, _nonzero
 from .graded import Bidegree, Element, koszul_sign
@@ -37,7 +38,6 @@ from .trees import BR, DEL, MUL, DecoratedTree, splits, tree_bidegree
 
 Constants = Dict[Tuple[str, ...], Vector]
 Items = List[Tuple[Tuple[str, ...], Vector]]
-Shape = Union[int, tuple]
 
 
 def _leaves(td: TransferData) -> Constants:
@@ -83,63 +83,41 @@ def _scatter(products: Items, labels: Sequence[int], out: Constants) -> None:
             out[key] = dict(w)
 
 
-def _ranked(s: Shape) -> Tuple[List[int], Shape]:
-    """The sorted leaf labels of the nested tuple ``s``, and ``s`` with each
-    leaf label replaced by its rank."""
-    def labels(u: Shape) -> List[int]:
-        return [u] if isinstance(u, int) else [x for c in u[1:] for x in labels(c)]
-
-    def relabel(u: Shape) -> Shape:
-        return rank[u] if isinstance(u, int) else (u[0], *map(relabel, u[1:]))
-
-    ordered = sorted(labels(s))
-    if ordered == list(range(1, len(ordered) + 1)):     # already ranks
-        return ordered, s
-    rank = {x: i for i, x in enumerate(ordered, 1)}
-    return ordered, relabel(s)
-
-
-def _nested(t: DecoratedTree) -> Shape:
-    return t.label if not t.children else (t.kind, *map(_nested, t.children))
-
-
 class TreeEvaluator:
     """Memoized evaluation of decorated trees over the harmonic basis."""
 
     def __init__(self, algebra: BVAlgebra, td: TransferData):
         self.algebra = algebra
         self.td = td
-        self._edges: Dict[Shape, Items] = {}
-        self._roots: Dict[Shape, Constants] = {}
+        self._edges: Dict[DecoratedTree, Items] = {}
 
-    def _values(self, s: Shape) -> Constants:
-        """Values before ``pi`` of the tree of shape ``s``; some may be 0."""
-        if isinstance(s, int):
+    def _values(self, t: DecoratedTree) -> Constants:
+        """Values of ``t`` before ``pi``, keyed in increasing leaf-label
+        order; some may be 0."""
+        if t.is_leaf:
             return _leaves(self.td)
-        if s[0] == DEL:
-            return dict(_through(self.algebra.delta.entries, self._edge(s[1])))
-        (left_labels, left), (right_labels, right) = map(_ranked, s[1:])
+        if t.kind == DEL:
+            return dict(_through(self.algebra.delta.entries,
+                                 self._edge(t.children[0])))
+        left, right = t.children
         out: Constants = {}
-        _scatter(_products(self.algebra, s[0], self._edge(left),
-                           self._edge(right), not isinstance(right, int)),
-                 left_labels + right_labels, out)
+        _scatter(_products(self.algebra, t.kind, self._edge(left),
+                           self._edge(right), not right.is_leaf),
+                 sorted(left.leaves()) + sorted(right.leaves()), out)
         return out
 
-    def _edge(self, s: Shape) -> Items:
-        """Values of shape ``s`` as its parent sees them (through ``h``)."""
-        if s not in self._edges:
-            values = self._values(s)
-            self._edges[s] = list(values.items()) if isinstance(s, int) \
+    def _edge(self, t: DecoratedTree) -> Items:
+        """Values of ``t`` as its parent sees them (through ``h``)."""
+        items = self._edges.get(t)
+        if items is None:
+            values = self._values(t)
+            items = self._edges[t] = list(values.items()) if t.is_leaf \
                 else _through(self.td.h.entries, values.items())
-        return self._edges[s]
+        return items
 
     def operation_constants(self, t: DecoratedTree) -> Constants:
         """Structure constants of the induced operation on cohomology."""
-        _, s = _ranked(_nested(t))
-        if s not in self._roots:
-            self._roots[s] = dict(_through(self.td.pi.entries,
-                                           self._values(s).items()))
-        return self._roots[s]
+        return dict(_through(self.td.pi.entries, self._values(t).items()))
 
     def evaluate(self, t: DecoratedTree, args: List[Element]) -> Element:
         """Multilinear evaluation on homogeneous cohomology elements."""
@@ -155,25 +133,11 @@ class TreeEvaluator:
             out_deg = Bidegree(*map(sum, zip(*(x.bidegree for x in args)))) \
                 + tree_bidegree(t)
         acc: Dict[str, Fraction] = {}
-        _accumulate(constants, args, acc)
+        for key, col in constants.items():
+            if coeff := prod(x.coeffs.get(n, 0) for x, n in zip(args, key)):
+                for name, v in col.items():
+                    acc[name] = acc.get(name, 0) + coeff * v
         return Element(H, out_deg, acc)
-
-
-def _accumulate(constants: Constants, args: List[Element],
-                acc: Dict[str, Fraction]) -> None:
-    k = len(args)
-
-    def rec(i: int, key: List[str], coeff: Fraction) -> None:
-        if i == k:
-            for name, v in constants.get(tuple(key), {}).items():
-                acc[name] = acc.get(name, Fraction(0)) + coeff * v
-            return
-        for n, c in args[i].coeffs.items():
-            key.append(n)
-            rec(i + 1, key, coeff * c)
-            key.pop()
-
-    rec(0, [], Fraction(1))
 
 
 def naive_evaluate_tree(t: DecoratedTree, a: BVAlgebra, td: TransferData,
@@ -255,12 +219,11 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
     return table
 
 
-def check_formal_unit(table: OperationTable,
-                      unit_class: Optional[str] = None) -> CheckReport:
+def check_formal_unit(table: OperationTable) -> CheckReport:
     """Unit class acts as identity for the product and kills every other
     stored operation when placed in any argument slot."""
     report = CheckReport("formal-unit")
-    u = unit_class if unit_class is not None else table.unit_class()
+    u = table.unit_class()
     H = table.td.cohomology
 
     witness = None

@@ -6,7 +6,9 @@ operator (inverse of L on the orthogonal complement of its kernel), and
 from these the contraction ``h = d* G`` together with the harmonic
 inclusion ``iota`` and projection ``pi``.  All five homotopy-retract
 identities and the three trivialization composites are checked with exact
-equality.
+equality.  ``check_transfer_input`` is the one pipeline that decides
+whether an algebra is a valid transfer input: BV axioms, then transfer
+data, side conditions and strong trivialization.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .bv import BVAlgebra
+from .bv import BVAlgebra, check_bv_axioms
 from .graded import Bidegree, BigradedSpace, GradedMap
 from .reporting import CheckReport
 
@@ -211,3 +213,20 @@ def check_strong_trivialization_composites(td: TransferData,
             ("h delta h = 0", td.h.compose(a.delta).compose(td.h))):
         report.add(name, comp.is_zero, comp.nonzero_entries()[:3] or None)
     return report
+
+
+def check_transfer_input(a: BVAlgebra, ip: Optional[InnerProduct] = None
+                         ) -> Tuple[Optional[TransferData], List[CheckReport]]:
+    """Run the BV axioms, then build transfer data and check its side
+    conditions and strong trivialization (tables sum trivalent trees
+    only, so every delta tree must vanish).
+
+    Returns ``(td, reports)``; ``td`` is None if the axioms fail, and then
+    no later check runs.  The input is valid iff every report passed.
+    """
+    axioms = check_bv_axioms(a)
+    if not axioms.passed:
+        return None, [axioms]
+    td = build_transfer_data(a, ip)
+    return td, [axioms, check_side_conditions(td, a),
+                check_strong_trivialization_composites(td, a)]

@@ -13,21 +13,21 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
-from .bv import BVAlgebra, check_bv_axioms
-from .certify import Footprint, is_hypersurface_footprint
+from .bv import BVAlgebra
+from .certify import Footprint
 from .engine import build_operation_table, naive_evaluate_tree
 from .graded import Bidegree, BigradedSpace, GradedMap
 from .hodge import InnerProduct, TransferData, build_transfer_data, \
-    check_side_conditions, check_strong_trivialization_composites
-from .reporting import CheckReport
+    check_transfer_input
 from .trees import enumerate_trees
 
 MAX_SEARCH_DIM = 24
+SEARCH_ATTEMPTS = 64
 
 
 class SearchExhausted(RuntimeError):
@@ -40,7 +40,6 @@ class ModelDescriptor:
     algebra: BVAlgebra
     inner_product: Optional[InnerProduct] = None
     n: Optional[int] = None     # dimension for footprint / top-degree use
-    expected: Dict = field(default_factory=dict)
     witness: Optional[Dict] = None
     _td: Optional[TransferData] = None
 
@@ -55,27 +54,6 @@ class ModelDescriptor:
         H = self.transfer_data().cohomology
         occupied = {deg: len(H.names_at(deg)) for deg in H.occupied_bidegrees()}
         return Footprint(self.n, occupied)
-
-    def verify(self) -> CheckReport:
-        """Re-verify the expected properties instead of trusting them."""
-        report = CheckReport(f"model:{self.name}")
-        axioms = check_bv_axioms(self.algebra)
-        report.add("bv axioms", axioms.passed == self.expected.get("axioms", True),
-                   [i.to_dict() for i in axioms.failures()] or None)
-        td = self.transfer_data()
-        side = check_side_conditions(td, self.algebra)
-        report.add("side conditions",
-                   side.passed == self.expected.get("side_conditions", True),
-                   [i.to_dict() for i in side.failures()] or None)
-        triv = check_strong_trivialization_composites(td, self.algebra)
-        report.add("strong trivialization",
-                   triv.passed == self.expected.get("strong_trivialization", True),
-                   [i.to_dict() for i in triv.failures()] or None)
-        if self.n is not None:
-            got = is_hypersurface_footprint(self.footprint())[0]
-            report.add("footprint",
-                       got == self.expected.get("footprint"), got)
-        return report
 
 
 def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
@@ -110,10 +88,7 @@ def build_trivial_model(generators: int) -> ModelDescriptor:
     zero = GradedMap.zero(space, space, Bidegree(0, 1))
     zero_delta = GradedMap.zero(space, space, Bidegree(-1, 0))
     algebra = BVAlgebra(space, zero, zero_delta, product, "x")
-    return ModelDescriptor(
-        name=f"trivial({generators})", algebra=algebra,
-        expected={"axioms": True, "side_conditions": True,
-                  "strong_trivialization": True})
+    return ModelDescriptor(f"trivial({generators})", algebra)
 
 
 def _torus_name(m: Tuple[int, ...], I: Tuple[int, ...], J: Tuple[int, ...]) -> str:
@@ -189,11 +164,7 @@ def build_torus_model(n: int, mode_cutoff: int) -> ModelDescriptor:
 
     unit = _torus_name(zero_mode, (), ())
     algebra = BVAlgebra(space, d, delta, product, unit)
-    return ModelDescriptor(
-        name=f"torus({n},{mode_cutoff})", algebra=algebra, n=n,
-        expected={"axioms": True, "side_conditions": True,
-                  "strong_trivialization": True,
-                  "footprint": n == 1})
+    return ModelDescriptor(f"torus({n},{mode_cutoff})", algebra, n=n)
 
 
 def build_skew_gram_model() -> ModelDescriptor:
@@ -217,10 +188,7 @@ def build_skew_gram_model() -> ModelDescriptor:
         Bidegree(1, 0): [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]],
         Bidegree(1, 1): [[Fraction(3), Fraction(1)], [Fraction(1), Fraction(2)]],
     })
-    return ModelDescriptor(
-        name="skew-gram", algebra=algebra, inner_product=gram,
-        expected={"axioms": True, "side_conditions": True,
-                  "strong_trivialization": True})
+    return ModelDescriptor("skew-gram", algebra, inner_product=gram)
 
 
 _COEFF_POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
@@ -247,8 +215,7 @@ def _witness_candidate(alpha: Fraction, beta: Fraction, gamma: Fraction) -> BVAl
     return BVAlgebra(space, d, delta, product, "e")
 
 
-def search_nonformal(max_dim: int = 24, seed: int = 0,
-                     attempts: int = 64) -> ModelDescriptor:
+def search_nonformal(max_dim: int = 24, seed: int = 0) -> ModelDescriptor:
     """Randomized search for a model whose arity-3 higher operation is
     nonzero; the witness constant is re-verified by the naive evaluator.
     Deterministic for a fixed seed."""
@@ -259,23 +226,17 @@ def search_nonformal(max_dim: int = 24, seed: int = 0,
             f"no candidate family fits in dimension {max_dim}; smallest "
             f"known witness needs 7 basis elements")
     rng = random.Random(seed)
-    for attempt in range(attempts):
+    for attempt in range(SEARCH_ATTEMPTS):
         alpha, beta, gamma = (rng.choice(_COEFF_POOL) for _ in range(3))
         algebra = _witness_candidate(alpha, beta, gamma)
-        if not check_bv_axioms(algebra).passed:
+        td, reports = check_transfer_input(algebra)
+        if not all(r.passed for r in reports):
             continue
-        td = build_transfer_data(algebra)
-        if not check_side_conditions(td, algebra).passed:
-            continue
+        # the table keeps nonzero columns only: any entry is a witness
         constants = build_operation_table(algebra, td, 3).ops[(3, 0)]
-        hit = None
-        for key, col in sorted(constants.items()):
-            if col:
-                hit = (key, col)
-                break
-        if hit is None:
+        if not constants:
             continue
-        key, col = hit
+        key, col = min(constants.items())
         # independent confirmation, bypassing tables and canonical forms
         H = td.cohomology
         args = [H.basis_element(nm) for nm in key]
@@ -287,13 +248,11 @@ def search_nonformal(max_dim: int = 24, seed: int = 0,
                 f"witness at seed {seed} failed independent re-verification")
         return ModelDescriptor(
             name=f"nonformal-witness(seed={seed})", algebra=algebra,
-            expected={"axioms": True, "side_conditions": True,
-                      "strong_trivialization": True},
             witness={"arity": 3, "brackets": 0, "inputs": list(key),
                      "output": {nm: str(v) for nm, v in sorted(col.items())},
                      "attempt": attempt})
     raise SearchExhausted(
-        f"no witness found for seed {seed} within {attempts} attempts")
+        f"no witness found for seed {seed} within {SEARCH_ATTEMPTS} attempts")
 
 
 @dataclass

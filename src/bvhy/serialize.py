@@ -33,10 +33,13 @@ def scalar_to_str(x: Fraction) -> str:
 
 
 def parse_scalar(text, location: str) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"invalid rational scalar {text!r}", location) from None
+    # Fraction expands an exponent in full, so "1e1000000000" would stall
+    if "e" not in str(text).lower():
+        try:
+            return Fraction(str(text))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(f"invalid rational scalar {text!r}", location)
 
 
 def _require(cond: bool, message: str, location: str) -> None:
@@ -67,10 +70,17 @@ def _check_schema(doc: dict, location: str) -> None:
              f"unsupported schema {doc.get('schema')!r}", location)
 
 
+def _rows(doc: dict, key: str) -> list:
+    """The entry list under ``key``; a missing key means no entries."""
+    rows = doc.get(key, [])
+    _require(isinstance(rows, list), f"{key} must be a list of entries", key)
+    return rows
+
+
 def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree) -> GradedMap:
     out = GradedMap.zero(space, space, shift)
     seen: set = set()
-    for i, row in enumerate(doc.get(key, [])):
+    for i, row in enumerate(_rows(doc, key)):
         loc = f"{key}[{i}]"
         _require(isinstance(row, list) and len(row) == 3,
                  "expected [source, target, scalar]", loc)
@@ -118,7 +128,7 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
     product = {}
     seen: set = set()
     deg = space.bidegree
-    for i, row in enumerate(doc.get("product", [])):
+    for i, row in enumerate(_rows(doc, "product")):
         loc = f"product[{i}]"
         _require(isinstance(row, list) and len(row) == 4,
                  "expected [x, y, target, scalar]", loc)

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes 0/1/2/3 and JSON reports."""
 
+import builtins
 import json
 import os
 import subprocess
@@ -262,6 +263,41 @@ def test_validate_gram_file_without_gram_key(tmp_path, capsys, gram, code):
         assert captured.out == ""
         assert captured.err.splitlines() == \
             ["error: gram: gram must be a list of entries"]
+
+
+@pytest.mark.parametrize("field,value", [("d", None), ("delta", 1),
+                                         ("product", True)])
+def test_non_list_entries_exit_2(tmp_path, capsys, field, value):
+    path = _write(tmp_path / "bad.json", dict(_README_ALGEBRA, **{field: value}))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == \
+        [f"error: {field}: {field} must be a list of entries"]
+
+
+def test_missing_entry_list_means_empty(tmp_path, capsys):
+    doc = {k: v for k, v in _README_ALGEBRA.items() if k != "delta"}
+    assert main(["validate", _write(tmp_path / "a.json", doc)]) == 0
+
+
+def test_validate_reads_each_input_once(tmp_path, capsys, monkeypatch):
+    m = build_skew_gram_model()
+    doc = serialize.algebra_to_json(m.algebra, m.inner_product)
+    gram_path = _write(tmp_path / "gram.json", {"gram": doc.pop("gram")})
+    algebra_path = _write(tmp_path / "algebra.json", doc)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["validate", algebra_path, "--gram", gram_path]) == 0
+    assert (opened.count(algebra_path), opened.count(gram_path)) == (1, 1)
+    assert set(json.loads(capsys.readouterr().out)["inputs"]) == \
+        {algebra_path, gram_path}
 
 
 @pytest.mark.parametrize("command", ["validate", "transfer", "certify"])

@@ -11,6 +11,7 @@ from bvhy.bv import check_bv_axioms
 from bvhy.certify import is_hypersurface_footprint
 from bvhy.engine import build_operation_table
 from bvhy.graded import Bidegree
+from bvhy.hodge import check_transfer_input
 from bvhy.models import (SearchExhausted, build_skew_gram_model,
                          build_torus_model, build_trivial_model,
                          builtin_footprints, builtin_models, search_nonformal,
@@ -63,9 +64,12 @@ def test_builtin_model_expectations_reverified():
     for m in builtin_models():
         if m.name == "torus(2,1)":
             continue  # covered by the acceptance suite; axioms are slow
-        report = m.verify()
-        assert report.passed, (m.name,
-                               [i.to_dict() for i in report.failures()])
+        td, reports = check_transfer_input(m.algebra, m.inner_product)
+        assert td is not None and all(r.passed for r in reports), \
+            (m.name, [i.to_dict() for r in reports for i in r.failures()])
+        if m.n is not None:
+            # of the torus models, only those with n = 1 are of hypersurface type
+            assert is_hypersurface_footprint(m.footprint())[0] == (m.n == 1)
 
 
 def test_torus_models_selector():

@@ -20,6 +20,8 @@ def test_scalar_round_trip():
         serialize.parse_scalar("1.5.2", "t")
     with pytest.raises(SchemaError):
         serialize.parse_scalar("3/0", "t")
+    with pytest.raises(SchemaError):
+        serialize.parse_scalar("1e5", "t")
 
 
 def test_algebra_round_trip_torus():
