@@ -197,13 +197,10 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
                a.delta.shift == Bidegree(-1, 0) and not a.delta.validate_shift(),
                a.delta.validate_shift() or None)
 
-    dd = a.d.compose(a.d)
-    report.add("d^2 = 0", dd.is_zero, dd.nonzero_entries()[:3] or None)
-    qq = a.delta.compose(a.delta)
-    report.add("delta^2 = 0", qq.is_zero, qq.nonzero_entries()[:3] or None)
-    anti = a.d.compose(a.delta) + a.delta.compose(a.d)
-    report.add("d delta + delta d = 0", anti.is_zero,
-               anti.nonzero_entries()[:3] or None)
+    report.add_zero("d^2 = 0", a.d.compose(a.d))
+    report.add_zero("delta^2 = 0", a.delta.compose(a.delta))
+    report.add_zero("d delta + delta d = 0",
+                    a.d.compose(a.delta) + a.delta.compose(a.d))
 
     witness = next(((a.unit, n) for n in space.names
                     if a.product.get((a.unit, n)) != {n: 1}), None)

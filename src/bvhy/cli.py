@@ -18,7 +18,7 @@ from . import serialize
 from .certify import certify_formality
 from .engine import build_operation_table, check_formal_unit, top_degree_report
 from .hodge import check_transfer_input
-from .models import MAX_SEARCH_DIM, SearchExhausted, search_nonformal
+from .models import SearchExhausted, search_nonformal
 from .serialize import SchemaError
 
 MAX_ARITY_GUARD = 9
@@ -119,9 +119,12 @@ def cmd_transfer(args) -> int:
         table_doc["top_degree"] = {
             "skipped": f"top bidegree ({top.p},{top.q}) is not of the form (n,n)"}
 
-    _emit(table_doc, args.out)
+    # without --out, stdout holds one document: the report, table included
+    extra = {} if args.out else {"table": table_doc}
+    if args.out:
+        _emit(table_doc, args.out)
     _emit(_report("transfer", inputs, started, results=results, passed=ok,
-                  out=args.out))
+                  out=args.out, **extra))
     return 0 if ok else 1
 
 
@@ -138,12 +141,8 @@ def cmd_certify(args) -> int:
 
 def cmd_search(args) -> int:
     started = time.monotonic()
-    if args.max_dim > MAX_SEARCH_DIM:
-        raise SchemaError(f"--max-dim {args.max_dim} exceeds the largest "
-                          f"supported search dimension ({MAX_SEARCH_DIM})",
-                          "max-dim")
     try:
-        model = search_nonformal(max_dim=args.max_dim, seed=args.seed)
+        model = search_nonformal(seed=args.seed)
     except SearchExhausted as exc:
         _emit(_report("search", {}, started, passed=False, error=str(exc)))
         return 1
@@ -178,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transfer", help="build the transferred operation table")
     p.add_argument("algebra", help="algebra JSON file")
     p.add_argument("--max-arity", type=int, default=4)
-    p.add_argument("--out", help="write the table JSON here instead of stdout")
+    p.add_argument("--out", help="write the table JSON here; without it "
+                   "the table is the report's \"table\" key")
     p.add_argument("--force", action="store_true",
                    help="override the arity guard")
     p.set_defaults(func=cmd_transfer)
@@ -191,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for a non-formality witness")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-dim", type=int, default=24)
     p.add_argument("--out", help="write the witness algebra JSON here")
     p.set_defaults(func=cmd_search)
     return parser

@@ -261,3 +261,19 @@ class GradedMap:
         zero = Fraction(0)
         block = [[col.get(t, zero) for col in cols] for t in tgt_names]
         return block, src_names, tgt_names
+
+    @classmethod
+    def from_blocks(cls, source: BigradedSpace, target: BigradedSpace,
+                    shift: Bidegree,
+                    blocks: Dict[Bidegree, List[List[Scalar]]]) -> "GradedMap":
+        """The inverse of ``block``: the map whose dense block at each
+        source bidegree ``deg`` of ``blocks`` is ``blocks[deg]``, laid out
+        as ``block`` returns it; every other block is zero."""
+        out = cls(source, target, shift)
+        for deg, block in blocks.items():
+            tgt_names = target.names_at(deg + out.shift)
+            for j, src in enumerate(source.names_at(deg)):
+                col = {t: row[j] for t, row in zip(tgt_names, block) if row[j]}
+                if col:
+                    out.entries[src] = col
+        return out

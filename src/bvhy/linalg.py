@@ -3,8 +3,10 @@
 Matrices are lists of rows, entries are ``fractions.Fraction``.  The
 products and eliminations scale each row to integers over the lcm of its
 denominators, work in Python ints, and build one exact ``Fraction`` per
-output entry at the end.  Everything here is exact; there are no
-tolerances anywhere in the package.
+output entry at the end.  One Gauss-Jordan elimination serves both
+``kernel_basis``, which reads the kernel off its pivot rows, and
+``inverse``.  Everything here is exact; there are no tolerances anywhere
+in the package.
 """
 
 from fractions import Fraction
@@ -108,34 +110,22 @@ def _eliminate(m: List[List[int]], ncols: int) -> List[int]:
     return pivots
 
 
-def rref(a: Matrix):
-    """Reduced row echelon form.  Returns (rref_matrix, pivot_columns)."""
-    m = [_int_row(row)[0] for row in a]
-    cols = len(m[0]) if m else 0
-    pivots = _eliminate(m, cols)
-    out = [_divide(m[r], m[r][c]) for r, c in enumerate(pivots)]
-    out += [[ZERO] * cols for _ in range(len(m) - len(pivots))]
-    return out, pivots
-
-
-def _divide(row: List[int], den: int) -> List[Fraction]:
-    return [Fraction(x, den) if x else ZERO for x in row]
-
-
 def kernel_basis(a: Matrix) -> List[List[Fraction]]:
-    """Basis of the right kernel {v : a v = 0}, as a list of column vectors."""
+    """Basis of the right kernel {v : a v = 0}, as a list of column vectors:
+    one per free column of the reduced rows, read off the pivot rows."""
     if not a:
         return []
-    cols = len(a[0])
-    red, pivots = rref(a)
+    m = [_int_row(row)[0] for row in a]
+    cols = len(m[0])
+    pivots = _eliminate(m, cols)
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
     basis = []
+    free = [c for c in range(cols) if c not in pivot_set]
     for fc in free:
         v = [ZERO] * cols
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
     return basis
 
@@ -153,7 +143,8 @@ def inverse(a: Matrix) -> Matrix:
     pivots = _eliminate(aug, n)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [_divide(row[n:], row[r]) for r, row in enumerate(aug)]
+    return [[Fraction(x, row[r]) if x else ZERO for x in row[n:]]
+            for r, row in enumerate(aug)]
 
 
 def is_symmetric(a: Matrix) -> bool:

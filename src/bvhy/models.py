@@ -26,7 +26,6 @@ from .hodge import InnerProduct, TransferData, build_transfer_data, \
     check_transfer_input
 from .trees import enumerate_trees
 
-MAX_SEARCH_DIM = 24
 SEARCH_ATTEMPTS = 64
 
 
@@ -215,16 +214,10 @@ def _witness_candidate(alpha: Fraction, beta: Fraction, gamma: Fraction) -> BVAl
     return BVAlgebra(space, d, delta, product, "e")
 
 
-def search_nonformal(max_dim: int = 24, seed: int = 0) -> ModelDescriptor:
+def search_nonformal(seed: int = 0) -> ModelDescriptor:
     """Randomized search for a model whose arity-3 higher operation is
     nonzero; the witness constant is re-verified by the naive evaluator.
     Deterministic for a fixed seed."""
-    if max_dim > MAX_SEARCH_DIM:
-        raise ValueError(f"max_dim above {MAX_SEARCH_DIM} is not supported")
-    if max_dim < 7:
-        raise SearchExhausted(
-            f"no candidate family fits in dimension {max_dim}; smallest "
-            f"known witness needs 7 basis elements")
     rng = random.Random(seed)
     for attempt in range(SEARCH_ATTEMPTS):
         alpha, beta, gamma = (rng.choice(_COEFF_POOL) for _ in range(3))

@@ -25,6 +25,11 @@ class CheckReport:
     def add(self, name: str, passed: bool, witness=None) -> None:
         self.items.append(CheckItem(name, passed, witness))
 
+    def add_zero(self, name: str, m) -> None:
+        """Item ``name`` passes iff the ``GradedMap`` ``m`` is zero; its
+        witness is the first three nonzero entries of ``m``."""
+        self.add(name, m.is_zero, m.nonzero_entries()[:3] or None)
+
     @property
     def passed(self) -> bool:
         return all(item.passed for item in self.items)

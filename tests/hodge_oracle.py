@@ -1,7 +1,8 @@
 """Reference Hodge kernels for the oracle tests in ``test_hodge_oracle.py``.
 
-These are the ``Fraction``-arithmetic versions of ``linalg.rref``,
-``linalg.mat_mul``, ``linalg.inverse``, ``GradedMap.compose`` and
+These are the ``Fraction``-arithmetic versions of the row reduction
+behind ``linalg.kernel_basis`` and ``linalg.inverse``, of
+``linalg.mat_mul``, ``GradedMap.compose`` and
 ``hodge.build_transfer_data`` that ``bvhy`` used before its kernels
 eliminated and accumulated in integers over common denominators.  Every
 entry is combined as a ``Fraction``; the library must return the same
@@ -182,7 +183,7 @@ def _harmonic_decomposition(a, ip):
 def build_transfer_data(a, ip=None) -> TransferData:
     space = a.space
     if ip is None:
-        ip = InnerProduct.identity(space)
+        ip = InnerProduct(space)
     dstar = _adjoint_differential(a, ip)
     harmonic, green = _harmonic_decomposition(a, ip)
     cohomology = BigradedSpace([(label, deg)

@@ -1,5 +1,7 @@
 """Degree-counting formality certificates and the structural cross-check."""
 
+from fractions import Fraction
+
 import pytest
 
 from bvhy import certify
@@ -7,6 +9,7 @@ from bvhy.certify import (Footprint, certificate_cross_check,
                           certify_formality, classify_part,
                           is_hypersurface_footprint, minimal_higher_op_degree,
                           op_bidegree)
+from bvhy.engine import build_operation_table, top_degree_report
 from bvhy.graded import Bidegree
 from bvhy.models import builtin_footprints
 
@@ -136,16 +139,35 @@ def test_cross_check_clean_on_genuine_footprints(tables, models):
         assert "skipped" not in report.items[0].name
 
 
-def test_cross_check_flags_planted_discrepancy(models):
+def _torus10_table(models):
+    """A fresh arity-3 table of torus(1,0) and its classes: the formal ones
+    at (0,1) and (1,0), and the non-unit primitive one at (1,1)."""
     m = [x for x in models if x.name == "torus(1,0)"][0]
-    from bvhy.engine import build_operation_table
     table = build_operation_table(m.algebra, m.transfer_data(), 3)
     H = table.td.cohomology
-    unit = table.unit_class()
-    prim = [n for n in H.names
-            if H.bidegree[n].p == H.bidegree[n].q and n != unit]
-    from fractions import Fraction
-    # plant a nonzero all-primitive -> primitive higher operation
-    table.ops[(3, 0)] = {(prim[0], prim[0], prim[0]): {prim[0]: Fraction(1)}}
+    by_deg = {tuple(H.bidegree[n]): n for n in H.names}
+    return m, table, by_deg[(0, 1)], by_deg[(1, 0)], by_deg[(1, 1)]
+
+
+@pytest.mark.parametrize("inputs,output", [
+    ("ppp", "p"), ("ppp", "a"), ("app", "p"), ("abp", "p"),
+], ids=["all-primitive-primitive-target", "all-primitive-formal-target",
+        "one-formal-argument", "two-formal-arguments"])
+def test_cross_check_flags_planted_discrepancy(models, inputs, output):
+    m, table, a, b, p = _torus10_table(models)
+    names = {"a": a, "b": b, "p": p}
+    key = tuple(names[c] for c in inputs)
+    # plant one nonzero higher operation of the excluded case
+    table.ops[(3, 0)] = {key: {names[output]: Fraction(1)}}
     report = certificate_cross_check(m.footprint(), table)
     assert not report.passed
+    assert report.items[0].witness == [(3, 0, key, [names[output]])]
+
+
+def test_top_degree_report_flags_planted_output(models):
+    _m, table, a, b, p = _torus10_table(models)
+    assert top_degree_report(table, 1).passed
+    table.ops[(3, 0)] = {(a, b, p): {p: Fraction(1)}}
+    report = top_degree_report(table, 1)
+    assert not report.passed
+    assert report.items[0].witness == [(3, 0, (a, b, p))]

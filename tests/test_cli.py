@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from bvhy import serialize
+from bvhy import models, serialize
 from bvhy.cli import main
 from bvhy.models import build_skew_gram_model, build_torus_model, \
     build_trivial_model, builtin_footprints, search_nonformal
@@ -359,12 +359,26 @@ def test_transfer_exits_1_when_a_table_check_fails(tmp_path, capsys,
     assert table[key]["passed"] is False
 
 
-def test_search_max_dim_above_limit_exits_2(capsys):
-    assert main(["search", "--max-dim", "25"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: max-dim:")
+def test_search_exhaustion_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(models, "SEARCH_ATTEMPTS", 0)
+    assert main(["search", "--seed", "0"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False
+    assert "within 0 attempts" in report["error"]
+
+
+def test_transfer_without_out_prints_one_document(tmp_path, capsys):
+    path = _write(tmp_path / "trivial.json",
+                  serialize.algebra_to_json(build_trivial_model(1).algebra))
+    out_path = tmp_path / "table.json"
+    assert main(["transfer", path, "--max-arity", "3",
+                 "--out", str(out_path)]) == 0
+    with_out = json.loads(capsys.readouterr().out)
+    assert main(["transfer", path, "--max-arity", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True and report["out"] is None
+    assert report["table"] == json.loads(out_path.read_text())
+    assert "table" not in with_out
 
 
 @pytest.mark.parametrize("field,value,item", [

@@ -7,7 +7,7 @@ import pytest
 from hodge_oracle import rank
 from bvhy import linalg
 from bvhy.graded import Bidegree, BigradedSpace, GradedMap
-from bvhy.hodge import (InnerProduct, _decompose, adjoint_differential,
+from bvhy.hodge import (InnerProduct, adjoint_differential,
                         build_transfer_data, check_side_conditions,
                         check_strong_trivialization_composites)
 from bvhy.models import (build_skew_gram_model, build_torus_model,
@@ -29,13 +29,11 @@ def _pairing(ip, space, x, y):
 def test_zero_differential_gives_trivial_transfer():
     m = build_trivial_model(2)
     a = m.algebra
-    ip = InnerProduct.identity(a.space)
-    assert adjoint_differential(a, ip).is_zero
-    harmonic, green, _ = _decompose(a, ip, adjoint_differential(a, ip))
-    assert green.is_zero
-    for deg in a.space.occupied_bidegrees():
-        assert len(harmonic[deg]) == len(a.space.names_at(deg))
+    assert adjoint_differential(a, InnerProduct(a.space)).is_zero
     td = m.transfer_data()
+    assert td.green.is_zero
+    for deg in a.space.occupied_bidegrees():
+        assert len(td.cohomology.names_at(deg)) == len(a.space.names_at(deg))
     assert td.h.is_zero
     assert td.cohomology.dim == a.space.dim
     # iota and pi are the identity up to the bracketed harmonic names
@@ -51,7 +49,7 @@ def test_zero_differential_gives_trivial_transfer():
 def test_adjointness_identity_over_all_basis_pairs(model_builder, label):
     m = model_builder()
     a = m.algebra
-    ip = m.inner_product or InnerProduct.identity(a.space)
+    ip = m.inner_product or InnerProduct(a.space)
     dstar = adjoint_differential(a, ip)
     space = a.space
     for x in space.names:
@@ -63,7 +61,7 @@ def test_adjointness_identity_over_all_basis_pairs(model_builder, label):
 
 def test_identity_gram_adjoint_is_entrywise_transpose():
     a = build_torus_model(1, 1).algebra
-    dstar = adjoint_differential(a, InnerProduct.identity(a.space))
+    dstar = adjoint_differential(a, InnerProduct(a.space))
     assert sorted((t, s, v) for s, t, v in a.d.nonzero_entries()) == \
         sorted(dstar.nonzero_entries())
 
@@ -71,14 +69,13 @@ def test_identity_gram_adjoint_is_entrywise_transpose():
 def test_harmonic_dimensions_match_rank_oracle():
     m = build_torus_model(1, 1)
     a = m.algebra
-    ip = InnerProduct.identity(a.space)
-    harmonic, _, _ = _decompose(a, ip, adjoint_differential(a, ip))
+    cohomology = build_transfer_data(a).cohomology
     for deg in a.space.occupied_bidegrees():
         dim = len(a.space.names_at(deg))
         out_block, _, _ = a.d.block(deg)
         in_block, _, _ = a.d.block(deg + Bidegree(0, -1))
         expected = dim - rank(out_block) - rank(in_block)
-        assert len(harmonic[deg]) == expected
+        assert len(cohomology.names_at(deg)) == expected
 
 
 def test_green_commutes_with_d_and_vanishes_on_harmonics():

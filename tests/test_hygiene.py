@@ -29,3 +29,17 @@ def test_no_unused_imports():
     unused = {str(p.relative_to(ROOT)): found for p in paths
               if p.name != "__init__.py" and (found := _unused_imports(p))}
     assert not unused, unused
+
+
+def _asserts(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert, so library invariants must raise instead
+    found = {str(p.relative_to(ROOT)): lines
+             for p in sorted((ROOT / "src" / "bvhy").glob("*.py"))
+             if (lines := _asserts(p))}
+    assert not found, found

@@ -6,7 +6,7 @@ import pytest
 
 from engine_oracle import nonzero_keys, truncate_to_strict
 from hodge_oracle import rank
-from bvhy import linalg, serialize
+from bvhy import linalg, models, serialize
 from bvhy.bv import check_bv_axioms
 from bvhy.certify import is_hypersurface_footprint
 from bvhy.engine import build_operation_table
@@ -127,8 +127,7 @@ def test_search_is_deterministic_per_seed():
     assert da == db
 
 
-def test_search_exhaustion_paths():
-    with pytest.raises(SearchExhausted):
-        search_nonformal(max_dim=6)
-    with pytest.raises(ValueError):
-        search_nonformal(max_dim=100)
+def test_search_exhaustion_paths(monkeypatch):
+    monkeypatch.setattr(models, "SEARCH_ATTEMPTS", 0)
+    with pytest.raises(SearchExhausted, match="within 0 attempts"):
+        search_nonformal(seed=0)
