@@ -3,6 +3,9 @@
 Exit codes: 0 success / formal, 1 check failure, 2 unreadable input,
 parse or schema error, or unwritable ``--out``, 3 certificate "not
 certified" (distinct from error).
+
+Each subcommand imports the modules only it runs: ``validate`` loads no
+engine, certificate or model code.
 """
 
 from __future__ import annotations
@@ -15,10 +18,7 @@ import time
 from typing import Optional
 
 from . import serialize
-from .certify import certify_formality
-from .engine import build_operation_table, check_formal_unit, top_degree_report
 from .hodge import check_transfer_input
-from .models import SearchExhausted, search_nonformal
 from .serialize import SchemaError
 
 MAX_ARITY_GUARD = 9
@@ -90,6 +90,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    from .engine import build_operation_table, check_formal_unit, \
+        top_degree_report
     started = time.monotonic()
     if args.max_arity < 2:
         raise SchemaError(f"--max-arity {args.max_arity} is below 2, the "
@@ -129,6 +131,7 @@ def cmd_transfer(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .certify import certify_formality
     started = time.monotonic()
     doc, digest = _load_json(args.footprint)
     fp = serialize.footprint_from_json(doc)
@@ -140,6 +143,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .models import SearchExhausted, search_nonformal
     started = time.monotonic()
     try:
         model = search_nonformal(seed=args.seed)

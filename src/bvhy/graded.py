@@ -7,7 +7,6 @@ differ by exactly that shift; ``GradedMap.validate_shift`` enforces this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -77,22 +76,19 @@ class BigradedSpace:
         return f"BigradedSpace(dim={self.dim})"
 
 
-@dataclass
 class Element:
     """Homogeneous element: a linear combination of basis elements sharing
     one bidegree.  The zero element may carry a bidegree or ``None``."""
 
-    space: BigradedSpace
-    bidegree: Optional[Bidegree]
-    coeffs: Dict[str, Scalar] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.coeffs = {n: c for n, c in self.coeffs.items() if c != 0}
+    def __init__(self, space: BigradedSpace, bidegree: Optional[Bidegree],
+                 coeffs: Optional[Dict[str, Scalar]] = None):
+        self.space, self.bidegree = space, bidegree
+        self.coeffs = {n: c for n, c in (coeffs or {}).items() if c != 0}
         for n in self.coeffs:
-            if n not in self.space.bidegree:
+            if n not in space.bidegree:
                 raise ValueError(f"{n!r} not in space")
-            if self.bidegree is not None and self.space.bidegree[n] != self.bidegree:
-                raise ValueError(f"{n!r} is not homogeneous of bidegree {self.bidegree}")
+            if bidegree is not None and space.bidegree[n] != bidegree:
+                raise ValueError(f"{n!r} is not homogeneous of bidegree {bidegree}")
 
     @property
     def is_zero(self) -> bool:

@@ -14,7 +14,6 @@ data, side conditions and strong trivialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -68,13 +67,16 @@ class InnerProduct:
         return self.blocks[Bidegree(*deg)]
 
 
-@dataclass
 class TransferData:
-    cohomology: BigradedSpace
-    iota: GradedMap     # H -> B, shift (0,0)
-    pi: GradedMap       # B -> H, shift (0,0)
-    h: GradedMap        # B -> B, shift (0,-1)
-    green: GradedMap    # B -> B, shift (0,0)
+    """Harmonic cohomology ``H`` with the maps of the homotopy retract."""
+
+    def __init__(self, cohomology: BigradedSpace, iota: GradedMap,
+                 pi: GradedMap, h: GradedMap, green: GradedMap):
+        self.cohomology = cohomology
+        self.iota = iota     # H -> B, shift (0,0)
+        self.pi = pi         # B -> H, shift (0,0)
+        self.h = h           # B -> B, shift (0,-1)
+        self.green = green   # B -> B, shift (0,0)
 
 
 def adjoint_differential(a: BVAlgebra, ip: InnerProduct) -> GradedMap:

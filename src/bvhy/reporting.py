@@ -1,14 +1,11 @@
 """Tiny pass/fail report containers shared by the checking routines."""
 
-from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 
-@dataclass
 class CheckItem:
-    name: str
-    passed: bool
-    witness: Optional[Any] = None
+    def __init__(self, name: str, passed: bool, witness: Optional[Any] = None):
+        self.name, self.passed, self.witness = name, passed, witness
 
     def to_dict(self):
         d = {"name": self.name, "passed": self.passed}
@@ -17,10 +14,10 @@ class CheckItem:
         return d
 
 
-@dataclass
 class CheckReport:
-    title: str
-    items: List[CheckItem] = field(default_factory=list)
+    def __init__(self, title: str):
+        self.title = title
+        self.items: List[CheckItem] = []
 
     def add(self, name: str, passed: bool, witness=None) -> None:
         self.items.append(CheckItem(name, passed, witness))

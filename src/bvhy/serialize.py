@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .bv import BVAlgebra
-from .certify import Footprint
-from .engine import OperationTable
 from .graded import Bidegree, BigradedSpace, GradedMap
 from .hodge import InnerProduct
+
+if TYPE_CHECKING:
+    from .certify import Footprint
+    from .engine import OperationTable
 
 SCHEMA_VERSION = 1
 
@@ -203,6 +205,7 @@ def algebra_to_json(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> dict:
 
 
 def footprint_from_json(doc: dict) -> Footprint:
+    from .certify import Footprint
     _check_schema(doc, "footprint")
     n = doc.get("n")
     _require(_is_int(n) and n >= 1, f"invalid dimension n={n!r}", "n")

@@ -21,7 +21,6 @@ Textual syntax, round-tripped bit-exactly by ``parse_tree``/``unparse_tree``:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .graded import Bidegree
@@ -36,24 +35,39 @@ _BINARY = (MUL, BR)
 Labels = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class DecoratedTree:
-    kind: str
-    label: int = 0
-    children: Tuple["DecoratedTree", ...] = ()
+    """Never changed once built.  Equality is structural; the hash is taken
+    once, from the children's cached hashes, so hashing never walks it."""
 
-    def __post_init__(self):
-        if self.kind == LEAF:
-            if self.children:
+    __slots__ = ("kind", "label", "children", "_hash")
+
+    def __init__(self, kind: str, label: int = 0,
+                 children: Tuple["DecoratedTree", ...] = ()):
+        if kind == LEAF:
+            if children:
                 raise ValueError("leaf cannot have children")
-        elif self.kind in _BINARY:
-            if len(self.children) != 2:
-                raise ValueError(f"{self.kind} vertex needs exactly 2 children")
-        elif self.kind == DEL:
-            if len(self.children) != 1:
+        elif kind in _BINARY:
+            if len(children) != 2:
+                raise ValueError(f"{kind} vertex needs exactly 2 children")
+        elif kind == DEL:
+            if len(children) != 1:
                 raise ValueError("del vertex needs exactly 1 child")
         else:
-            raise ValueError(f"unknown decoration {self.kind!r}")
+            raise ValueError(f"unknown decoration {kind!r}")
+        self.kind, self.label, self.children = kind, label, children
+        self._hash = hash((kind, label, children))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, DecoratedTree) and self._hash == other._hash
+            and (self.kind, self.label, self.children)
+            == (other.kind, other.label, other.children))
+
+    def __repr__(self) -> str:
+        return f"DecoratedTree({unparse_tree(self)!r})"
 
     @property
     def is_leaf(self) -> bool:
@@ -74,21 +88,6 @@ class DecoratedTree:
     def count(self, kind: str) -> int:
         own = 1 if self.kind == kind else 0
         return own + sum(c.count(kind) for c in self.children)
-
-    @property
-    def delta_count(self) -> int:
-        return self.count(DEL)
-
-    @property
-    def bracket_count(self) -> int:
-        return self.count(BR)
-
-    def internal_edge_count(self) -> int:
-        """Edges whose both endpoints are decorated vertices."""
-        if self.is_leaf:
-            return 0
-        return sum((0 if c.is_leaf else 1) + c.internal_edge_count()
-                   for c in self.children)
 
 
 def leaf(i: int) -> DecoratedTree:
@@ -113,7 +112,16 @@ def tree_bidegree(t: DecoratedTree) -> Bidegree:
 
     For a trivalent tree with k leaves and l brackets this is (-l, -k+2).
     """
-    return Bidegree(-t.bracket_count - t.delta_count, -t.internal_edge_count())
+    p = q = 0
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        p -= node.kind in (BR, DEL)
+        for c in node.children:
+            if not c.is_leaf:
+                q -= 1
+                stack.append(c)
+    return Bidegree(p, q)
 
 
 def parse_tree(text: str) -> DecoratedTree:
@@ -156,8 +164,6 @@ def unparse_tree(t: DecoratedTree) -> str:
     return f"({t.kind} {inner})"
 
 
-
-
 def splits(labels: Labels) -> Iterator[Tuple[Labels, Labels]]:
     """The root splits ``(A, B)`` of a sorted label tuple: ``A`` holds the
     smallest label, ``B`` is nonempty; by size of ``A``, then
@@ -192,4 +198,4 @@ def enumerate_trees(k: int,
     if constraints:
         raise ValueError(f"unknown constraints {sorted(constraints)}")
     return [t for t in _trivalent_trees(tuple(range(1, k + 1)))
-            if want_br is None or t.bracket_count == want_br]
+            if want_br is None or t.count(BR) == want_br]

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from bvhy.certify import certificate_cross_check, certify_formality
-from tree_oracle import delta_trees
+from tree_oracle import delta_trees, internal_edge_count
 from bvhy.engine import naive_evaluate_tree
 from bvhy.graded import Bidegree
 from bvhy.hodge import (check_side_conditions,
@@ -69,10 +69,9 @@ def test_criterion_3_bidegree_law(models, evaluators):
     shifted = []
     for k in range(2, 7):
         for t in enumerate_trees(k):
-            expected_shift = Bidegree(-t.bracket_count,
-                                      -t.internal_edge_count())
+            expected_shift = Bidegree(-t.count("br"), -internal_edge_count(t))
             assert tree_bidegree(t) == expected_shift
-            assert expected_shift == Bidegree(-t.bracket_count, -k + 2)
+            assert expected_shift == Bidegree(-t.count("br"), -k + 2)
             shifted.append((t, expected_shift))
     checked = 0
     for m in models:

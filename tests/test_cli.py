@@ -338,7 +338,7 @@ def test_transfer_rejects_arity_below_two(torus_file, capsys, arity):
 @pytest.mark.parametrize("check", ["check_formal_unit", "top_degree_report"])
 def test_transfer_exits_1_when_a_table_check_fails(tmp_path, capsys,
                                                    monkeypatch, check):
-    from bvhy import cli
+    from bvhy import engine
     from bvhy.reporting import CheckReport
 
     def failing(*_args, **_kwargs):
@@ -346,7 +346,7 @@ def test_transfer_exits_1_when_a_table_check_fails(tmp_path, capsys,
         report.add("forced failure", False, "witness")
         return report
 
-    monkeypatch.setattr(cli, check, failing)
+    monkeypatch.setattr(engine, check, failing)
     path = _write(tmp_path / "torus10.json",
                   serialize.algebra_to_json(build_torus_model(1, 0).algebra))
     out_path = tmp_path / "table.json"

@@ -51,7 +51,7 @@ def test_lie_type_trees_act_as_zero_on_torus(torus):
     evaluator = TreeEvaluator(a, td)
     H = td.cohomology
     for k in (2, 3, 4):
-        trees = [t for t in enumerate_trees(k) if t.bracket_count == k - 1]
+        trees = [t for t in enumerate_trees(k) if t.count("br") == k - 1]
         for t in trees:
             assert evaluator.operation_constants(t) == {}
             # oracle: direct naive evaluation on every basis tuple

@@ -1,6 +1,10 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,3 +47,39 @@ def test_no_assert_in_the_package():
              for p in sorted((ROOT / "src" / "bvhy").glob("*.py"))
              if (lines := _asserts(p))}
     assert not found, found
+
+
+# Runs in a fresh interpreter, since pytest's own has imported everything.
+_IMPORT_PROBE = """
+import json, sys
+from bvhy import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv} failed")
+    loaded.append(sorted(sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_validate_and_transfer_load_only_what_they_run(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(example)
+    argvs = [["validate", str(algebra)],
+             ["transfer", str(algebra), "--max-arity", "3",
+              "--out", str(tmp_path / "table.json")]]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
+                           json.dumps(argvs)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    after_validate, after_transfer = map(set, json.loads(
+        proc.stdout.splitlines()[-1]))
+    assert {"bvhy.serialize", "bvhy.hodge"} <= after_validate
+    assert after_validate & {"bvhy.engine", "bvhy.trees", "bvhy.certify",
+                             "bvhy.models", "dataclasses"} == set()
+    assert "bvhy.engine" in after_transfer
+    assert after_transfer & {"bvhy.certify", "bvhy.models",
+                             "dataclasses"} == set()

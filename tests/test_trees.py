@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tree_oracle import canonicalize, delta_trees
+from tree_oracle import canonicalize, delta_trees, internal_edge_count
 from bvhy.graded import Bidegree
 from bvhy.trees import (DecoratedTree, br, delta, enumerate_trees, leaf, mul,
                         parse_tree, splits, tree_bidegree, unparse_tree)
@@ -56,22 +56,33 @@ def test_malformed_trees_rejected():
         DecoratedTree("spam")
 
 
+def test_trees_compare_and_hash_by_structure():
+    a = br(mul(leaf(1), leaf(2)), delta(leaf(3)))
+    b = parse_tree("(br (mul 1 2) (del 3))")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b, parse_tree(unparse_tree(a))}) == 1
+    for other in ["(mul (mul 1 2) (del 3))", "(br (br 1 2) (del 3))",
+                  "(br (mul 1 2) (del 4))", "(br (mul 2 1) (del 3))"]:
+        assert a != parse_tree(other)
+    assert a != unparse_tree(a)
+
+
 def test_counts_and_bidegree_examples():
     t = parse_tree("(mul (mul 1 2) 3)")        # k=3, two products
     assert tree_bidegree(t) == Bidegree(0, -1)
     t = parse_tree("(mul (br 1 2) (br 3 4))")  # k=4, l=2 strict
     assert tree_bidegree(t) == Bidegree(-2, -2)
     d = parse_tree("(del (mul 1 2))")
-    assert d.delta_count == 1 and tree_bidegree(d) == Bidegree(-1, -1)
+    assert d.count("del") == 1 and tree_bidegree(d) == Bidegree(-1, -1)
 
 
 def test_trivalent_vertex_and_edge_counts():
     for t in enumerate_trees(4):
-        assert t.count("mul") + t.bracket_count == 3 and not t.delta_count
-        assert t.internal_edge_count() == 2
+        assert t.count("mul") + t.count("br") == 3 and not t.count("del")
+        assert internal_edge_count(t) == 2
     for t in enumerate_trees(5):
-        assert t.count("mul") + t.bracket_count == 4 and not t.delta_count
-        assert t.internal_edge_count() == 3
+        assert t.count("mul") + t.count("br") == 4 and not t.count("del")
+        assert internal_edge_count(t) == 3
 
 
 def test_splits_put_the_smallest_label_left():
@@ -157,9 +168,9 @@ def test_delta_enumeration_and_constraints():
     assert "(mul (del 1) 2)" in keys
     assert "(del (del (mul 1 2)))" in keys
     assert len(keys) == len(trees)   # duplicate-free
-    assert all(t.delta_count in (1, 2) for t in trees)
+    assert all(t.count("del") in (1, 2) for t in trees)
     only1 = delta_trees(2, max_delta=1)
-    assert only1 and all(t.delta_count == 1 for t in only1)
+    assert only1 and all(t.count("del") == 1 for t in only1)
     for k in (3, 4):
         trees = delta_trees(k)
         assert len({unparse_tree(t) for t in trees}) == len(trees)

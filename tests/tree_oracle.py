@@ -34,6 +34,14 @@ def canonicalize(t: DecoratedTree) -> Tuple[DecoratedTree, Fraction]:
     return DecoratedTree(t.kind, children=(a, b)), sign
 
 
+def internal_edge_count(t: DecoratedTree) -> int:
+    """Edges whose both endpoints are decorated vertices, counted by plain
+    recursion (``bvhy.trees.tree_bidegree`` counts them in its own walk)."""
+    if t.is_leaf:
+        return 0
+    return sum((not c.is_leaf) + internal_edge_count(c) for c in t.children)
+
+
 def _node_paths(t: DecoratedTree) -> List[Tuple[int, ...]]:
     """Paths (child index sequences) of every node, root included."""
     out: List[Tuple[int, ...]] = [()]
