@@ -1,8 +1,9 @@
 """Symbolic formality certificates from bidegree footprints.
 
 The certificate works entirely with closed-form degree inequalities, valid
-for all arities k >= 3 at once, and never evaluates an operation.  A
-bounded numeric sweep over k in [3, 64] double-checks the closed forms.
+for all arities k >= 3 at once, and never evaluates an operation.  The
+tests check the closed forms against the operation bidegrees for k in
+[3, 64], and check tables against the certificate's exclusions.
 
 Conventions: bidegrees are on the polyvector side; a cohomology with a
 "hypersurface footprint" of dimension n is supported on the diagonal
@@ -15,12 +16,9 @@ strict operations have l = k-2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graded import Bidegree
-from .reporting import CheckReport
-
-NUMERIC_SWEEP_MAX_K = 64
 
 
 @dataclass
@@ -48,15 +46,6 @@ def is_hypersurface_footprint(fp: Footprint) -> Tuple[bool, str]:
     if not fp.corner_dims_one:
         return False, "corner bidegrees (0,0) and (n,n) must be one-dimensional"
     return True, "supported on diagonal and anti-diagonal with 1-dim corners"
-
-
-def op_bidegree(k: int, l: int) -> Bidegree:
-    """Bidegree (-l, -k+2) of a transferred operation with l brackets."""
-    if k < 2:
-        raise ValueError("operations have arity >= 2")
-    if not 0 <= l <= k - 2:
-        raise ValueError(f"bracket count {l} out of range for arity {k}")
-    return Bidegree(-l, -k + 2)
 
 
 @dataclass
@@ -99,12 +88,6 @@ class FormalityCertificate:
         }
 
 
-def minimal_higher_op_degree(k: int) -> int:
-    """Minimal total degree of a higher operation of arity k: -2k+5."""
-    return min(op_bidegree(k, l).total for l in range(0, k - 2)) if k >= 3 \
-        else op_bidegree(2, 0).total
-
-
 def certify_formality(fp: Footprint, assume_top_bottom: bool = True) -> FormalityCertificate:
     """Apply the four degree-counting exclusions to a footprint.
 
@@ -118,8 +101,6 @@ def certify_formality(fp: Footprint, assume_top_bottom: bool = True) -> Formalit
     if not ok:
         cert.verdict = "not certified: footprint hypothesis fails"
         return cert
-
-    _numeric_degree_sweep()
 
     cases = []
 
@@ -184,83 +165,3 @@ def certify_formality(fp: Footprint, assume_top_bottom: bool = True) -> Formalit
         names = "; ".join(c.case for c in blocking)
         cert.verdict = f"not certified: {names}"
     return cert
-
-
-def _numeric_degree_sweep() -> None:
-    """Guard the closed forms with a bounded enumeration over k; a
-    violation raises ``RuntimeError``."""
-    for k in range(3, NUMERIC_SWEEP_MAX_K + 1):
-        if minimal_higher_op_degree(k) != -2 * k + 5:
-            raise RuntimeError(f"minimal higher-operation degree wrong at k={k}")
-        for l in range(0, k - 2):
-            deg = op_bidegree(k, l)
-            # primitive-to-primitive exclusion: never back on the diagonal
-            if deg.p == deg.q:
-                raise RuntimeError(f"operation ({k}, {l}) has diagonal bidegree {deg}")
-            # minimal output degrees per case
-            if 2 * k + deg.total < 5:
-                raise RuntimeError(f"operation ({k}, {l}) outputs below degree 5")
-        if op_bidegree(k, k - 2) != Bidegree(-k + 2, -k + 2):
-            raise RuntimeError(f"strict operation ({k}, {k - 2}) off the diagonal")
-
-
-def classify_part(fp: Footprint, deg: Bidegree) -> Optional[str]:
-    """"primitive" (diagonal), "formal" (anti-diagonal), or None.
-
-    The overlap bidegree (n/2, n/2) counts as primitive, matching the
-    decomposition convention used by the exclusion arguments.
-    """
-    if deg.p == deg.q:
-        return "primitive"
-    if deg.p + deg.q == fp.n:
-        return "formal"
-    return None
-
-
-def certificate_cross_check(fp: Footprint, table) -> CheckReport:
-    """Excluded certificate cases must have exactly-zero structure constants.
-
-    ``table`` is an ``engine.OperationTable`` whose cohomology has
-    footprint ``fp``.  Skipped (with reason) when the footprint hypothesis
-    fails, since no exclusion is claimed there.
-    """
-    report = CheckReport("certificate-cross-check")
-    ok, reason = is_hypersurface_footprint(fp)
-    if not ok:
-        report.add(f"skipped: footprint hypothesis fails ({reason})", True)
-        return report
-
-    cert = certify_formality(fp, assume_top_bottom=True)
-    excluded_cases = {c.case for c in cert.cases
-                      if c.verdict in ("excluded", "product-only")}
-    H = table.td.cohomology
-    unit = table.unit_class()
-    discrepancies = []
-    for (k, l), constants in sorted(table.ops.items()):
-        if l >= k - 2:
-            continue  # strict; the certificate only excludes higher ops
-        for key, col in constants.items():
-            if not col:
-                continue
-            if unit in key:
-                continue  # unit arguments are the formal-unit lemma's case
-            parts = [classify_part(fp, H.bidegree[name]) for name in key]
-            if any(p is None for p in parts):
-                continue
-            n_formal = sum(1 for p in parts if p == "formal")
-            out_parts = {classify_part(fp, H.bidegree[name]) for name in col}
-            if n_formal == 0:
-                applicable = set()
-                if "primitive" in out_parts:
-                    applicable.add("all-primitive inputs, primitive target")
-                if "formal" in out_parts:
-                    applicable.add("all-primitive inputs, formal target")
-            elif n_formal == 1:
-                applicable = {"one formal argument"}
-            else:
-                applicable = {"two or more formal arguments"}
-            if applicable & excluded_cases:
-                discrepancies.append((k, l, key, sorted(col)))
-    report.add("excluded cases have zero structure constants",
-               not discrepancies, discrepancies[:5] or None)
-    return report

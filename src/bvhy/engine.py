@@ -16,25 +16,24 @@ rule ``enumerate_trees`` builds trees from).  A graft's values depend only
 on the sizes and bracket counts of its subtrees and the vertex kind; leaf
 labels only permute keys.  So each size class gets one product list
 (``_products``), scattered into every split of that class (``_scatter``).
-``TreeEvaluator`` evaluates single trees with the same two helpers,
-memoizing the value of each subtree (as its parent sees it) under the
-subtree itself.  ``naive_evaluate_tree`` is the independent reference path:
-direct recursion on ``Element``s, no tables, no caching.
+``naive_evaluate_tree`` evaluates one tree on given arguments by direct
+recursion on ``Element``s, with no tables and no caching.  The witness
+search re-verifies each witness with it, and the tests use it as the
+oracle for the tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import prod
 from operator import itemgetter
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bv import BVAlgebra, Vector, _add_into, _apply, _left, _nonzero
 from .graded import Bidegree, Element, koszul_sign
 from .hodge import TransferData
 from .reporting import CheckReport
-from .trees import BR, DEL, MUL, DecoratedTree, splits, tree_bidegree
+from .trees import BR, MUL, DecoratedTree, splits
 
 Constants = Dict[Tuple[str, ...], Vector]
 Items = List[Tuple[Tuple[str, ...], Vector]]
@@ -83,63 +82,6 @@ def _scatter(products: Items, labels: Sequence[int], out: Constants) -> None:
             out[key] = dict(w)
 
 
-class TreeEvaluator:
-    """Memoized evaluation of decorated trees over the harmonic basis."""
-
-    def __init__(self, algebra: BVAlgebra, td: TransferData):
-        self.algebra = algebra
-        self.td = td
-        self._edges: Dict[DecoratedTree, Items] = {}
-
-    def _values(self, t: DecoratedTree) -> Constants:
-        """Values of ``t`` before ``pi``, keyed in increasing leaf-label
-        order; some may be 0."""
-        if t.is_leaf:
-            return _leaves(self.td)
-        if t.kind == DEL:
-            return dict(_through(self.algebra.delta.entries,
-                                 self._edge(t.children[0])))
-        left, right = t.children
-        out: Constants = {}
-        _scatter(_products(self.algebra, t.kind, self._edge(left),
-                           self._edge(right), not right.is_leaf),
-                 sorted(left.leaves()) + sorted(right.leaves()), out)
-        return out
-
-    def _edge(self, t: DecoratedTree) -> Items:
-        """Values of ``t`` as its parent sees them (through ``h``)."""
-        items = self._edges.get(t)
-        if items is None:
-            values = self._values(t)
-            items = self._edges[t] = list(values.items()) if t.is_leaf \
-                else _through(self.td.h.entries, values.items())
-        return items
-
-    def operation_constants(self, t: DecoratedTree) -> Constants:
-        """Structure constants of the induced operation on cohomology."""
-        return dict(_through(self.td.pi.entries, self._values(t).items()))
-
-    def evaluate(self, t: DecoratedTree, args: List[Element]) -> Element:
-        """Multilinear evaluation on homogeneous cohomology elements."""
-        if len(args) != t.arity:
-            raise ValueError(f"tree has arity {t.arity}, got {len(args)} arguments")
-        for x in args:
-            if x.space.names != self.td.cohomology.names:
-                raise ValueError("argument outside the cohomology space")
-        constants = self.operation_constants(t)
-        H = self.td.cohomology
-        out_deg = None
-        if all(x.bidegree is not None for x in args):
-            out_deg = Bidegree(*map(sum, zip(*(x.bidegree for x in args)))) \
-                + tree_bidegree(t)
-        acc: Dict[str, Fraction] = {}
-        for key, col in constants.items():
-            if coeff := prod(x.coeffs.get(n, 0) for x, n in zip(args, key)):
-                for name, v in col.items():
-                    acc[name] = acc.get(name, 0) + coeff * v
-        return Element(H, out_deg, acc)
-
-
 def naive_evaluate_tree(t: DecoratedTree, a: BVAlgebra, td: TransferData,
                         args: List[Element]) -> Element:
     """Reference evaluator: plain recursion, no tables, no normal forms."""
@@ -173,13 +115,14 @@ class OperationTable:
         self.td = td
         self.ops: Dict[Tuple[int, int], Constants] = {}
 
-    def unit_class(self) -> str:
-        """Harmonic basis name whose inclusion is the algebra unit."""
+    def unit_class(self) -> Optional[str]:
+        """Harmonic basis name whose inclusion is the algebra unit, or None
+        if the unit is not harmonic (for instance, exact)."""
         target = {self.algebra.unit: Fraction(1)}
         for n in self.td.cohomology.names:
             if self.td.iota.entries.get(n, {}) == target:
                 return n
-        raise ValueError("unit class is not a harmonic basis element")
+        return None
 
 
 def build_operation_table(a: BVAlgebra, td: TransferData,
@@ -221,9 +164,14 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
 
 def check_formal_unit(table: OperationTable) -> CheckReport:
     """Unit class acts as identity for the product and kills every other
-    stored operation when placed in any argument slot."""
+    stored operation when placed in any argument slot.  A unit that is
+    not a harmonic basis element fails the report, named as its witness."""
     report = CheckReport("formal-unit")
     u = table.unit_class()
+    if u is None:
+        report.add("unit is a harmonic basis element", False,
+                   table.algebra.unit)
+        return report
     H = table.td.cohomology
 
     witness = None

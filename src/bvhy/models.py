@@ -1,12 +1,12 @@
-"""Desk-scale built-in algebras, footprints, and the non-formality search.
+"""Desk-scale built-in algebras and the non-formality search.
 
 The torus-style models transplant the operator shapes of the geometric
 example (diagonal differential with integer eigenvalues, odd divergence
 operator, square-zero product on nonconstant modes) into a small exact
 setting.  They are not Calabi-Yau varieties; the formality statement is
-exercised through the symbolic certificate on footprints instead, and the
-torus models exercise the transfer machinery and the top/bottom degree
-mechanisms.
+exercised through the symbolic certificate on footprints instead (the
+reference footprints are test fixtures), and the torus models exercise
+the transfer machinery and the top/bottom degree mechanisms.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .bv import BVAlgebra
-from .certify import Footprint
 from .engine import build_operation_table, naive_evaluate_tree
 from .graded import Bidegree, BigradedSpace, GradedMap
 from .hodge import InnerProduct, TransferData, build_transfer_data, \
@@ -46,13 +45,6 @@ class ModelDescriptor:
         if self._td is None:
             self._td = build_transfer_data(self.algebra, self.inner_product)
         return self._td
-
-    def footprint(self) -> Footprint:
-        if self.n is None:
-            raise ValueError(f"model {self.name} has no declared dimension")
-        H = self.transfer_data().cohomology
-        occupied = {deg: len(H.names_at(deg)) for deg in H.occupied_bidegrees()}
-        return Footprint(self.n, occupied)
 
 
 def _merge_sign(a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
@@ -248,42 +240,6 @@ def search_nonformal(seed: int = 0) -> ModelDescriptor:
         f"no witness found for seed {seed} within {SEARCH_ATTEMPTS} attempts")
 
 
-@dataclass
-class NamedFootprint:
-    name: str
-    footprint: Footprint
-    expected_hypersurface: bool
-    expected_formal: bool
-
-
-def _hypersurface_pattern(n: int, diag: List[int], anti: List[int]) -> Footprint:
-    occupied = {}
-    for j, dim in enumerate(diag):
-        occupied[Bidegree(j, j)] = occupied.get(Bidegree(j, j), 0) + dim
-    for i, dim in enumerate(anti):
-        deg = Bidegree(i, n - i)
-        occupied[deg] = occupied.get(deg, 0) + dim
-    return Footprint(n, occupied)
-
-
-def builtin_footprints() -> List[NamedFootprint]:
-    """Reference bidegree patterns, in polyvector convention."""
-    k3 = _hypersurface_pattern(2, [1, 20, 1], [1, 0, 1])
-    quintic = _hypersurface_pattern(3, [1, 1, 1, 1], [1, 101, 101, 1])
-    hyper4 = _hypersurface_pattern(4, [1, 1, 1, 1, 1], [1, 426, 1752, 426, 1])
-    bad4 = _hypersurface_pattern(4, [1, 1, 1, 1, 1], [1, 426, 1752, 426, 1])
-    bad4.occupied[Bidegree(1, 2)] = 1
-    hyper5 = _hypersurface_pattern(5, [1, 1, 1, 1, 1, 1],
-                                   [1, 426, 1667, 1667, 426, 1])
-    return [
-        NamedFootprint("k3", k3, True, True),
-        NamedFootprint("quintic", quintic, True, True),
-        NamedFootprint("hypersurface-4", hyper4, True, True),
-        NamedFootprint("violating-4", bad4, False, False),
-        NamedFootprint("hypersurface-5", hyper5, True, False),
-    ]
-
-
 @lru_cache(maxsize=None)
 def builtin_models() -> Tuple[ModelDescriptor, ...]:
     return (
@@ -294,7 +250,3 @@ def builtin_models() -> Tuple[ModelDescriptor, ...]:
         build_torus_model(2, 1),
         build_skew_gram_model(),
     )
-
-
-def torus_models() -> List[ModelDescriptor]:
-    return [m for m in builtin_models() if m.name.startswith("torus")]

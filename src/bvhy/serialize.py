@@ -231,16 +231,6 @@ def footprint_from_json(doc: dict) -> Footprint:
     return Footprint(n, occupied)
 
 
-def footprint_to_json(fp: Footprint) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "n": fp.n,
-        "convention": "polyvector",
-        "occupied": [{"p": deg.p, "q": deg.q, "dim": dim}
-                     for deg, dim in sorted(fp.occupied.items())],
-    }
-
-
 def table_to_json(table: OperationTable) -> dict:
     H = table.td.cohomology
     ops = []

@@ -10,8 +10,10 @@ label set splits it into a left part holding the smallest label and a
 nonempty right part.  ``enumerate_trees`` lists the trivalent trees (no
 ``del`` vertices) built from it, and ``engine.build_operation_table``
 iterates the same rule, so both visit splits in one order.  Canonical
-forms of arbitrary planar trees and delta-tree enumeration are test
-oracles and live with the tests.
+forms of arbitrary planar trees, delta-tree enumeration and the
+bidegree a tree's operation shifts by (``(-l, -k+2)`` for a trivalent
+tree with k leaves and l brackets) are test oracles and live with the
+tests.
 
 Textual syntax, round-tripped bit-exactly by ``parse_tree``/``unparse_tree``:
 
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
-
-from .graded import Bidegree
 
 LEAF = "leaf"
 MUL = "mul"
@@ -104,24 +104,6 @@ def br(a: DecoratedTree, b: DecoratedTree) -> DecoratedTree:
 
 def delta(a: DecoratedTree) -> DecoratedTree:
     return DecoratedTree(DEL, children=(a,))
-
-
-def tree_bidegree(t: DecoratedTree) -> Bidegree:
-    """Bidegree of the operation the tree induces on cohomology: each
-    bracket or delta contributes (-1,0), each internal edge (0,-1).
-
-    For a trivalent tree with k leaves and l brackets this is (-l, -k+2).
-    """
-    p = q = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        p -= node.kind in (BR, DEL)
-        for c in node.children:
-            if not c.is_leaf:
-                q -= 1
-                stack.append(c)
-    return Bidegree(p, q)
 
 
 def parse_tree(text: str) -> DecoratedTree:

@@ -10,8 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from bvhy.engine import TreeEvaluator, build_operation_table
-from bvhy.models import builtin_models, torus_models
+from certify_oracle import torus_models
+from engine_oracle import SubtreeEvaluator
+from bvhy.engine import build_operation_table
+from bvhy.models import builtin_models
 from bvhy.trees import DecoratedTree, leaf
 
 MAX_TABLE_ARITY = 5
@@ -40,7 +42,8 @@ def toruses():
 
 @pytest.fixture(scope="session")
 def evaluators(models):
-    return {m.name: TreeEvaluator(m.algebra, m.transfer_data()) for m in models}
+    return {m.name: SubtreeEvaluator(m.algebra, m.transfer_data())
+            for m in models}
 
 
 @pytest.fixture(scope="session")

@@ -8,19 +8,28 @@ every split recomputes its products and re-applies ``h`` to its children,
 and ``TreeEvaluator`` keys its memo by the printed leaf-relabelled tree.
 The library must return the same tables, with the same key order.
 
+``SubtreeEvaluator`` evaluates single trees with the library's own
+grafting helpers (``engine._products`` / ``_scatter``), memoizing each
+subtree's sorted leaf labels and values under the subtree itself.  The
+tests use it to sum tables tree by tree and to evaluate trees on
+arguments; ``TreeEvaluator`` and ``engine.naive_evaluate_tree`` check it.
+
 ``truncate_to_strict``, ``nonzero_keys`` and ``bidegree_violations`` are
 helpers that only tests use.
 """
 
 import itertools
 from fractions import Fraction
+from math import prod
 from typing import Dict, List, Tuple
 
+from tree_oracle import bidegree_shift
 from bvhy.bv import BVAlgebra
-from bvhy.engine import Constants, OperationTable
+from bvhy.engine import (Constants, Items, OperationTable, _leaves,
+                         _products, _scatter, _through)
 from bvhy.graded import Bidegree, Element, koszul_sign
 from bvhy.hodge import TransferData
-from bvhy.trees import BR, MUL, DecoratedTree, leaf, unparse_tree
+from bvhy.trees import BR, DEL, MUL, DecoratedTree, leaf, unparse_tree
 
 ValueTable = Dict[Tuple[str, ...], Element]
 
@@ -117,6 +126,67 @@ class TreeEvaluator:
         if key not in self._root_tables:
             self._root_tables[key] = _project(self.td, self.value_table(norm))
         return self._root_tables[key]
+
+
+class SubtreeEvaluator:
+    """Memoized evaluation of decorated trees over the harmonic basis."""
+
+    def __init__(self, algebra: BVAlgebra, td: TransferData):
+        self.algebra = algebra
+        self.td = td
+        self._edges: Dict[DecoratedTree, Tuple[List[int], Items]] = {}
+
+    def _values(self, t: DecoratedTree) -> Tuple[List[int], Constants]:
+        """Sorted leaf labels of ``t``, and its values before ``pi`` keyed
+        in that order; some values may be 0."""
+        if t.is_leaf:
+            return [t.label], _leaves(self.td)
+        if t.kind == DEL:
+            labels, items = self._edge(t.children[0])
+            return labels, dict(_through(self.algebra.delta.entries, items))
+        left, right = t.children
+        left_labels, left_items = self._edge(left)
+        right_labels, right_items = self._edge(right)
+        labels = left_labels + right_labels
+        out: Constants = {}
+        _scatter(_products(self.algebra, t.kind, left_items, right_items,
+                           not right.is_leaf), labels, out)
+        return sorted(labels), out
+
+    def _edge(self, t: DecoratedTree) -> Tuple[List[int], Items]:
+        """Sorted leaf labels and values of ``t`` as its parent sees them
+        (through ``h``)."""
+        entry = self._edges.get(t)
+        if entry is None:
+            labels, values = self._values(t)
+            entry = self._edges[t] = (
+                labels, list(values.items()) if t.is_leaf
+                else _through(self.td.h.entries, values.items()))
+        return entry
+
+    def operation_constants(self, t: DecoratedTree) -> Constants:
+        """Structure constants of the induced operation on cohomology."""
+        return dict(_through(self.td.pi.entries, self._values(t)[1].items()))
+
+    def evaluate(self, t: DecoratedTree, args: List[Element]) -> Element:
+        """Multilinear evaluation on homogeneous cohomology elements."""
+        if len(args) != t.arity:
+            raise ValueError(f"tree has arity {t.arity}, got {len(args)} arguments")
+        for x in args:
+            if x.space.names != self.td.cohomology.names:
+                raise ValueError("argument outside the cohomology space")
+        constants = self.operation_constants(t)
+        H = self.td.cohomology
+        out_deg = None
+        if all(x.bidegree is not None for x in args):
+            out_deg = Bidegree(*map(sum, zip(*(x.bidegree for x in args)))) \
+                + bidegree_shift(t)
+        acc: Dict[str, Fraction] = {}
+        for key, col in constants.items():
+            if coeff := prod(x.coeffs.get(n, 0) for x, n in zip(args, key)):
+                for name, v in col.items():
+                    acc[name] = acc.get(name, 0) + coeff * v
+        return Element(H, out_deg, acc)
 
 
 def build_operation_table(a: BVAlgebra, td: TransferData,

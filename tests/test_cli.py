@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
+from certify_oracle import builtin_footprints, footprint_to_json
 from bvhy import models, serialize
 from bvhy.cli import main
 from bvhy.models import build_skew_gram_model, build_torus_model, \
-    build_trivial_model, builtin_footprints, search_nonformal
+    build_trivial_model, search_nonformal
 
 
 def _write(path, doc):
@@ -29,7 +30,7 @@ def _footprint_file(tmp_path, name):
     for nf in builtin_footprints():
         if nf.name == name:
             return _write(tmp_path / f"{name}.json",
-                          serialize.footprint_to_json(nf.footprint))
+                          footprint_to_json(nf.footprint))
     raise KeyError(name)
 
 
@@ -88,7 +89,7 @@ def test_bool_bidegree_exits_2(tmp_path, capsys, field):
 
 
 def test_bool_footprint_dimension_exits_2(tmp_path, capsys):
-    doc = serialize.footprint_to_json(builtin_footprints()[0].footprint)
+    doc = footprint_to_json(builtin_footprints()[0].footprint)
     doc["occupied"][0]["dim"] = True
     path = _write(tmp_path / "bad.json", doc)
     assert main(["certify", path]) == 2
@@ -357,6 +358,27 @@ def test_transfer_exits_1_when_a_table_check_fails(tmp_path, capsys,
     table = json.loads(out_path.read_text())
     key = "formal_unit" if check == "check_formal_unit" else "top_degree"
     assert table[key]["passed"] is False
+
+
+def test_transfer_exits_1_when_the_unit_is_not_harmonic(tmp_path, capsys):
+    # d t = e makes the unit exact, so no harmonic class includes to it
+    doc = {"schema": 1, "unit": "e",
+           "basis": [{"name": "e", "p": 0, "q": 0},
+                     {"name": "t", "p": 0, "q": -1}],
+           "d": [["t", "e", "1"]], "delta": [],
+           "product": [["e", "e", "e", "1"], ["e", "t", "t", "1"]]}
+    path = _write(tmp_path / "exact-unit.json", doc)
+    assert main(["validate", path]) == 0
+    capsys.readouterr()
+    assert main(["transfer", path, "--max-arity", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    unit = report["table"]["formal_unit"]
+    assert unit["passed"] is False
+    assert unit["items"] == [{"name": "unit is a harmonic basis element",
+                              "passed": False, "witness": "e"}]
 
 
 def test_search_exhaustion_exits_1(capsys, monkeypatch):

@@ -7,15 +7,14 @@ from fractions import Fraction
 import pytest
 
 import engine_oracle
-from engine_oracle import (bidegree_violations, nonzero_keys,
-                           truncate_to_strict)
+from engine_oracle import (SubtreeEvaluator, bidegree_violations,
+                           nonzero_keys, truncate_to_strict)
 from tree_oracle import delta_trees
 from bvhy.bv import BVAlgebra, check_bv_axioms
-from bvhy.engine import (TreeEvaluator, build_operation_table,
-                         check_formal_unit, naive_evaluate_tree,
-                         top_degree_report)
+from bvhy.engine import (build_operation_table, check_formal_unit,
+                         naive_evaluate_tree, top_degree_report)
 from bvhy.graded import Bidegree, BigradedSpace, GradedMap
-from bvhy.hodge import build_transfer_data
+from bvhy.hodge import build_transfer_data, check_transfer_input
 from bvhy.models import (build_torus_model, build_trivial_model,
                          builtin_models, search_nonformal)
 from bvhy.serialize import dump, table_to_json
@@ -48,7 +47,7 @@ def test_transferred_product_on_zero_differential_model(trivial):
 
 def test_lie_type_trees_act_as_zero_on_torus(torus):
     a, td = torus.algebra, torus.transfer_data()
-    evaluator = TreeEvaluator(a, td)
+    evaluator = SubtreeEvaluator(a, td)
     H = td.cohomology
     for k in (2, 3, 4):
         trees = [t for t in enumerate_trees(k) if t.count("br") == k - 1]
@@ -65,7 +64,7 @@ def test_lie_type_trees_act_as_zero_on_torus(torus):
 
 def test_delta_trees_vanish_on_trivialized_model(torus):
     a, td = torus.algebra, torus.transfer_data()
-    evaluator = TreeEvaluator(a, td)
+    evaluator = SubtreeEvaluator(a, td)
     for t in delta_trees(3):
         assert evaluator.operation_constants(t) == {}
 
@@ -73,7 +72,7 @@ def test_delta_trees_vanish_on_trivialized_model(torus):
 def test_memoized_matches_naive_on_random_instances(torus, random_tree,
                                                     random_harmonic_element):
     a, td = torus.algebra, torus.transfer_data()
-    evaluator = TreeEvaluator(a, td)
+    evaluator = SubtreeEvaluator(a, td)
     H = td.cohomology
     rng = random.Random(99)
     for _ in range(100):
@@ -87,7 +86,7 @@ def test_memoized_matches_naive_on_random_instances(torus, random_tree,
 
 def test_evaluate_tree_wrapper_and_errors(torus):
     a, td = torus.algebra, torus.transfer_data()
-    evaluator = TreeEvaluator(a, td)
+    evaluator = SubtreeEvaluator(a, td)
     H = td.cohomology
     t = parse_tree("(mul 1 2)")
     u = [n for n in H.names if n == f"[{a.unit}]"][0]
@@ -149,7 +148,7 @@ def test_subset_recursion_matches_per_tree_sums(evaluators):
     nonzero_higher = 0
     for m in models:
         a, td = m.algebra, m.transfer_data()
-        evaluator = evaluators.get(m.name) or TreeEvaluator(a, td)
+        evaluator = evaluators.get(m.name) or SubtreeEvaluator(a, td)
         table = build_operation_table(a, td, 5)
         assert sorted(table.ops) == [(k, l) for k in range(2, 6)
                                      for l in range(k - 1)]
@@ -222,6 +221,23 @@ def _nilpotent_ce(n, scale):
                      product, "g")
 
 
+def _bracket_model():
+    """Nine elements with x y = d r exact, delta r = s and s z = w harmonic,
+    z at (2,0): the strict (3,1) operation is -2[w] on x, y, z."""
+    space = BigradedSpace([
+        ("e", Bidegree(0, 0)), ("x", Bidegree(1, 1)), ("y", Bidegree(1, 1)),
+        ("p", Bidegree(2, 2)), ("r", Bidegree(2, 1)), ("s", Bidegree(1, 1)),
+        ("q", Bidegree(1, 2)), ("z", Bidegree(2, 0)), ("w", Bidegree(3, 1))])
+    d = GradedMap(space, space, Bidegree(0, 1),
+                  {"r": {"p": F(1)}, "s": {"q": F(-1)}})
+    delta = GradedMap(space, space, Bidegree(-1, 0),
+                      {"r": {"s": F(1)}, "p": {"q": F(1)}})
+    product = {("e", n): {n: F(1)} for n in space.names}
+    product[("x", "y")] = {"p": F(1)}
+    product[("s", "z")] = {"w": F(1)}
+    return BVAlgebra(space, d, delta, product, "e")
+
+
 def _oracle_cases(models):
     for m in list(models) + [search_nonformal(seed=s) for s in (0, 1)]:
         yield m.name, m.algebra, m.transfer_data()
@@ -229,6 +245,29 @@ def _oracle_cases(models):
         a = _nilpotent_ce(n, lambda k: F(2 * k - 1, k - 1))
         assert check_bv_axioms(a).passed
         yield f"ce({n})", a, build_transfer_data(a)
+    a = _bracket_model()
+    td, reports = check_transfer_input(a)
+    assert all(r.passed for r in reports)
+    yield "bracket", a, td
+
+
+def test_bracket_model_has_a_nonzero_strict_bracket_entry():
+    a = _bracket_model()
+    td, reports = check_transfer_input(a)
+    assert all(r.passed for r in reports)
+    table = build_operation_table(a, td, 5)
+    assert check_formal_unit(table).passed
+    H = td.cohomology
+    x, y, z, w = (f"[{n}]" for n in "xyzw")
+    assert {x, y, z, w} <= set(H.names)
+    strict = table.ops[(3, 1)]
+    for key in itertools.permutations((x, y, z)):
+        assert strict[key] == {w: F(-2)}, key
+    args = [H.basis_element(n) for n in (x, y, z)]
+    total = H.zero()
+    for t in enumerate_trees(3, constraints={"bracket_count": 1}):
+        total = total + naive_evaluate_tree(t, a, td, args)
+    assert total.coeffs == {w: F(-2)}
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +276,7 @@ def oracle_cases(models):
 
 
 def test_tables_match_the_reference_engine(oracle_cases):
-    higher = 0
+    higher = brackets = 0
     for name, a, td in oracle_cases:
         got = build_operation_table(a, td, 6)
         want = engine_oracle.build_operation_table(a, td, 6)
@@ -245,7 +284,8 @@ def test_tables_match_the_reference_engine(oracle_cases):
         assert [(kl, list(c)) for kl, c in got.ops.items()] == \
             [(kl, list(c)) for kl, c in want.ops.items()], name
         higher += sum(len(got.ops[(k, 0)]) for k in range(4, 7))
-    assert higher > 0
+        brackets += sum(len(c) for (_k, l), c in got.ops.items() if l)
+    assert higher > 0 and brackets > 0
 
 
 def test_tree_evaluator_matches_the_reference_evaluator(oracle_cases):
@@ -253,7 +293,7 @@ def test_tree_evaluator_matches_the_reference_evaluator(oracle_cases):
     trees += [t for k in range(1, 4) for t in delta_trees(k)]
     nonzero = 0
     for name, a, td in oracle_cases:
-        fast = TreeEvaluator(a, td)
+        fast = SubtreeEvaluator(a, td)
         slow = engine_oracle.TreeEvaluator(a, td)
         for t in trees:
             # an order-reversing relabelling is another operation that

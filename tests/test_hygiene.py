@@ -1,6 +1,7 @@
 """Source hygiene checks that need only the standard library."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -47,6 +48,38 @@ def test_no_assert_in_the_package():
              for p in sorted((ROOT / "src" / "bvhy").glob("*.py"))
              if (lines := _asserts(p))}
     assert not found, found
+
+
+def _bvhy_names(path: Path):
+    """``(module, name)`` for every ``bvhy`` name ``path`` uses: the names
+    of each ``from bvhy.mod import name`` and each ``mod.name`` attribute
+    of a module bound by ``from bvhy import mod``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules, used = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "bvhy":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("bvhy."):
+            used.update((node.module, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id in modules:
+            used.add((f"bvhy.{modules[node.value.id]}", node.attr))
+    return used
+
+
+def test_perfbench_uses_only_names_bvhy_defines():
+    # testpaths leaves perfbench/ out, so a name moved out of the package
+    # would break the benchmark without failing any collected test
+    used = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _bvhy_names(path)
+    assert {m for m, _ in used} >= {"bvhy.bv", "bvhy.engine", "bvhy.hodge",
+                                   "bvhy.serialize", "bvhy.trees"}
+    missing = sorted((m, n) for m, n in used
+                     if not hasattr(importlib.import_module(m), n))
+    assert not missing, missing
 
 
 # Runs in a fresh interpreter, since pytest's own has imported everything.

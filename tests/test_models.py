@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from certify_oracle import builtin_footprints, model_footprint, torus_models
 from engine_oracle import nonzero_keys, truncate_to_strict
 from hodge_oracle import rank
 from bvhy import linalg, models, serialize
@@ -14,8 +15,7 @@ from bvhy.graded import Bidegree
 from bvhy.hodge import check_transfer_input
 from bvhy.models import (SearchExhausted, build_skew_gram_model,
                          build_torus_model, build_trivial_model,
-                         builtin_footprints, builtin_models, search_nonformal,
-                         torus_models)
+                         builtin_models, search_nonformal)
 
 F = Fraction
 
@@ -69,7 +69,7 @@ def test_builtin_model_expectations_reverified():
             (m.name, [i.to_dict() for r in reports for i in r.failures()])
         if m.n is not None:
             # of the torus models, only those with n = 1 are of hypersurface type
-            assert is_hypersurface_footprint(m.footprint())[0] == (m.n == 1)
+            assert is_hypersurface_footprint(model_footprint(m))[0] == (m.n == 1)
 
 
 def test_torus_models_selector():

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from tree_oracle import canonicalize, delta_trees, internal_edge_count
+from tree_oracle import (bidegree_shift, canonicalize, delta_trees,
+                         internal_edge_count)
 from bvhy.graded import Bidegree
 from bvhy.trees import (DecoratedTree, br, delta, enumerate_trees, leaf, mul,
-                        parse_tree, splits, tree_bidegree, unparse_tree)
+                        parse_tree, splits, unparse_tree)
 
 F = Fraction
 
@@ -69,11 +70,11 @@ def test_trees_compare_and_hash_by_structure():
 
 def test_counts_and_bidegree_examples():
     t = parse_tree("(mul (mul 1 2) 3)")        # k=3, two products
-    assert tree_bidegree(t) == Bidegree(0, -1)
+    assert bidegree_shift(t) == Bidegree(0, -1)
     t = parse_tree("(mul (br 1 2) (br 3 4))")  # k=4, l=2 strict
-    assert tree_bidegree(t) == Bidegree(-2, -2)
+    assert bidegree_shift(t) == Bidegree(-2, -2)
     d = parse_tree("(del (mul 1 2))")
-    assert d.count("del") == 1 and tree_bidegree(d) == Bidegree(-1, -1)
+    assert d.count("del") == 1 and bidegree_shift(d) == Bidegree(-1, -1)
 
 
 def test_trivalent_vertex_and_edge_counts():

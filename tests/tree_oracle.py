@@ -1,5 +1,6 @@
-"""Test-only tree helpers: canonical forms of arbitrary planar trees and
-the enumeration of delta-decorated trees.
+"""Test-only tree helpers: canonical forms of arbitrary planar trees, the
+bidegree a tree's operation shifts by, and the enumeration of
+delta-decorated trees.
 
 The library enumerates trivalent trees only (``bvhy.trees``); delta trees
 enter the theory through strong trivialization, which the library checks
@@ -10,7 +11,8 @@ import itertools
 from fractions import Fraction
 from typing import List, Tuple
 
-from bvhy.trees import DEL, DecoratedTree, enumerate_trees
+from bvhy.graded import Bidegree
+from bvhy.trees import BR, DEL, DecoratedTree, enumerate_trees
 
 
 def canonicalize(t: DecoratedTree) -> Tuple[DecoratedTree, Fraction]:
@@ -35,11 +37,19 @@ def canonicalize(t: DecoratedTree) -> Tuple[DecoratedTree, Fraction]:
 
 
 def internal_edge_count(t: DecoratedTree) -> int:
-    """Edges whose both endpoints are decorated vertices, counted by plain
-    recursion (``bvhy.trees.tree_bidegree`` counts them in its own walk)."""
+    """Edges whose both endpoints are decorated vertices."""
     if t.is_leaf:
         return 0
     return sum((not c.is_leaf) + internal_edge_count(c) for c in t.children)
+
+
+def bidegree_shift(t: DecoratedTree) -> Bidegree:
+    """Bidegree of the operation the tree induces on cohomology: each
+    bracket or delta contributes (-1,0), each internal edge (0,-1).
+
+    For a trivalent tree with k leaves and l brackets this is (-l, -k+2).
+    """
+    return Bidegree(-t.count(BR) - t.count(DEL), -internal_edge_count(t))
 
 
 def _node_paths(t: DecoratedTree) -> List[Tuple[int, ...]]:
