@@ -12,18 +12,33 @@ so that the order-2 compatibility checked in ``check_bv_axioms`` is
 automatically the right one.  ``bracket`` expands it bilinearly over
 ``brackets``, its nonzero values on basis pairs.
 
-The axiom checks use plain ``{name: Fraction}`` columns.  The trilinear
-ones visit only the tuples reached by one support index, built with the
-algebra: ``partners[u]``, the ``v`` with ``(u, v)`` a product key, in key
-order (keys are closed under swapping, so it is the left index too), the
-``d`` and ``delta`` columns, and ``brackets``.  Any other tuple satisfies
-the identity under test as 0 = 0.
+The algebra keeps plain ``{name: Fraction}`` columns.  The three
+trilinear axiom checks run on integer copies made once per
+``check_bv_axioms`` call by ``_over_lcm``: every product constant as its
+numerator over the lcm of all product denominators, and ``d`` and
+``brackets`` each over their own lcm.  Each identity is homogeneous in these
+tables (associativity of degree 2 in the product on both sides, the
+derivation and Leibniz rules of degree 1 in the product and 1 in ``d`` or
+the bracket in every term), so comparing integer sides decides exactly what
+comparing rational sides would.  Their signs are the ints 1 and -1:
+``koszul_sign`` returns a ``Fraction``, which would turn the sums back into
+fractions.  The commutativity item takes its sign the same way, which saves
+building a ``Fraction`` per product constant.
+
+The trilinear checks visit only the tuples reached by one support index,
+built with the algebra: ``partners[u]``, the ``v`` with ``(u, v)`` a
+product key, in key order (keys are closed under swapping, so it is the
+left index too), the ``d`` and ``delta`` columns, and ``brackets``.  Any
+other tuple satisfies the identity under test as 0 = 0.  Once the unit law
+and graded commutativity have passed, associativity also skips every
+triple that contains the unit, where it then holds.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Tuple
 
 from .graded import Bidegree, BigradedSpace, Element, GradedMap, koszul_sign
@@ -130,6 +145,14 @@ def _apply(cols: Dict[str, Vector], vec: Vector) -> Vector:
     return acc
 
 
+def _over_lcm(table: Dict) -> Dict:
+    """``table``'s columns as integers: each constant times the lcm of all
+    the table's denominators, keys and column order unchanged."""
+    den = lcm(*[v.denominator for col in table.values() for v in col.values()])
+    return {key: {t: v.numerator * (den // v.denominator)
+                  for t, v in col.items()} for key, col in table.items()}
+
+
 def _nonzero(vec: Vector) -> Vector:
     return {n: v for n, v in vec.items() if v != 0}
 
@@ -179,6 +202,8 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     - associativity: the pairs ``(x, y)`` of product keys, each key followed
       by its mirror, and for each the ``z`` in ``partners[y]`` or in
       ``partners[w]`` for ``w`` in the support of ``xy``, in basis order;
+      once the unit law and graded commutativity have passed, no tuple
+      that contains the unit;
     - derivation: the product keys, then both orders of each pair
       ``_reached`` from ``d``;
     - order two: the ordered triples where ``[x, yz]``, ``[x, y] z`` or
@@ -190,12 +215,10 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     report = CheckReport("bv-axioms")
     space = a.space
 
-    report.add("d has shift (0,1)",
-               a.d.shift == Bidegree(0, 1) and not a.d.validate_shift(),
-               a.d.validate_shift() or None)
-    report.add("delta has shift (-1,0)",
-               a.delta.shift == Bidegree(-1, 0) and not a.delta.validate_shift(),
-               a.delta.validate_shift() or None)
+    for name, m, shift in (("d has shift (0,1)", a.d, Bidegree(0, 1)),
+                           ("delta has shift (-1,0)", a.delta, Bidegree(-1, 0))):
+        bad = m.validate_shift()
+        report.add(name, m.shift == shift and not bad, bad or None)
 
     report.add_zero("d^2 = 0", a.d.compose(a.d))
     report.add_zero("delta^2 = 0", a.delta.compose(a.delta))
@@ -204,44 +227,58 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
 
     witness = next(((a.unit, n) for n in space.names
                     if a.product.get((a.unit, n)) != {n: 1}), None)
-    report.add("unit law", witness is None, witness)
+    unit_law = witness is None
+    report.add("unit law", unit_law, witness)
 
     report.add("delta(unit) = 0", not a.delta.entries.get(a.unit), a.unit)
 
     total = {n: space.bidegree[n].total for n in space.names}
     witness = next(((x, y) for (x, y), col in a.product.items()
-                    if col != {t: koszul_sign(total[x], total[y]) * v
+                    if col != {t: -v if total[x] * total[y] % 2 else v
                                for t, v in a.product.get((y, x), {}).items()}),
                    None)
     # squares of odd elements must vanish
     witness = witness or next(((n, n) for n in space.names
                                if total[n] % 2 and a.product.get((n, n))), None)
-    report.add("graded commutativity", witness is None, witness)
+    commutative = witness is None
+    report.add("graded commutativity", commutative, witness)
 
-    report.add("associativity", *_check_associativity(a))
-    report.add("d is a derivation of the product", *_check_derivation(a))
-    report.add("delta has order <= 2 (bracket Leibniz)", *_check_order_two(a))
+    product = _over_lcm(a.product)
+    report.add("associativity", *_check_associativity(
+        a, product, skip_unit=unit_law and commutative))
+    report.add("d is a derivation of the product",
+               *_check_derivation(a, product, _over_lcm(a.d.entries)))
+    report.add("delta has order <= 2 (bracket Leibniz)",
+               *_check_order_two(a, product, _over_lcm(a.brackets)))
     return report
 
 
-def _check_associativity(a: BVAlgebra):
-    product, partners, index = a.product, a.partners, a.space.index
+def _check_associativity(a: BVAlgebra, product: Dict, skip_unit: bool):
+    """``product`` is ``_over_lcm(a.product)``; with ``skip_unit``, no
+    triple that contains the unit is visited."""
+    partners, index = a.partners, a.space.index
+    unit = a.unit if skip_unit else None
     for (x, y) in dict.fromkeys(p for x, y in product for p in ((x, y), (y, x))):
-        lhs: Dict[str, Vector] = {}    # z -> (xy) z
+        if unit in (x, y):
+            continue
+        lhs: Dict[str, Dict[str, int]] = {}    # z -> (xy) z
         for w, c in product[(x, y)].items():
             for z in partners.get(w, ()):
-                _add_into(lhs.setdefault(z, {}), product[(w, z)], c)
-        rhs: Dict[str, Vector] = {}    # z -> x (yz)
+                if z != unit:
+                    _add_into(lhs.setdefault(z, {}), product[(w, z)], c)
+        rhs: Dict[str, Dict[str, int]] = {}    # z -> x (yz)
         for z in partners.get(y, ()):
-            rhs[z] = _left(product, x, product[(y, z)])
+            if z != unit:
+                rhs[z] = _left(product, x, product[(y, z)])
         for z in sorted(lhs.keys() | rhs.keys(), key=index.__getitem__):
             if _differ(lhs.get(z, {}), rhs.get(z, {})):
                 return False, (x, y, z)
     return True, None
 
 
-def _check_derivation(a: BVAlgebra):
-    product, cols = a.product, a.d.entries
+def _check_derivation(a: BVAlgebra, product: Dict, cols: Dict):
+    """``product`` and ``cols`` are ``_over_lcm`` of ``a.product`` and
+    ``a.d.entries``."""
     pairs = dict.fromkeys(product)
     for (x, v) in _reached(a, cols):
         pairs[(x, v)] = pairs[(v, x)] = None
@@ -249,22 +286,23 @@ def _check_derivation(a: BVAlgebra):
         lhs = _apply(cols, product.get((x, y), {}))
         rhs = _right(product, cols.get(x, {}), y)
         _add_into(rhs, _left(product, x, cols.get(y, {})),
-                  koszul_sign(1, a.space.bidegree[x].total))
+                  -1 if a.space.bidegree[x].total % 2 else 1)
         if _differ(lhs, rhs):
             return False, (x, y)
     return True, None
 
 
-def _check_order_two(a: BVAlgebra):
+def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict):
     """Leibniz rule for the derived bracket:
 
         [x, yz] = [x,y] z + (-1)^((|x|+1)|y|) y [x,z]
 
     equivalent to the seven-term order-2 identity given commutativity.
-    The live triples come from joining ``brackets`` with the product, so
-    with ``delta = 0`` there are none.
+    ``product`` and ``brackets`` are ``_over_lcm`` of ``a.product`` and
+    ``a.brackets``.  The live triples come from joining ``brackets`` with
+    the product, so with ``delta = 0`` there are none.
     """
-    space, product, brackets, partners = a.space, a.product, a.brackets, a.partners
+    space, partners = a.space, a.partners
     bracketed: Dict[str, List[str]] = {}
     for (x, w) in brackets:
         bracketed.setdefault(w, []).append(x)
@@ -293,7 +331,7 @@ def _check_order_two(a: BVAlgebra):
         lhs = _left(brackets, x, product.get((y, z), {}))
         rhs = _right(product, brackets.get((x, y), {}), z)
         _add_into(rhs, _left(product, y, brackets.get((x, z), {})),
-                  koszul_sign(parity[x] + 1, parity[y]))
+                  -1 if (parity[x] + 1) * parity[y] % 2 else 1)
         if _differ(lhs, rhs):
             return False, (x, y, z)
     return True, None

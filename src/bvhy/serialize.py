@@ -44,6 +44,21 @@ def parse_scalar(text, location: str) -> Fraction:
     raise SchemaError(f"invalid rational scalar {text!r}", location)
 
 
+def _scalar_reader():
+    """``parse_scalar`` memoized by ``str(text)``, on which alone a value
+    depends, for the rows of one document; a text that fails is not
+    stored, so it raises again at its own location."""
+    memo: Dict[str, Fraction] = {}
+
+    def read(text, location: str) -> Fraction:
+        key = str(text)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = parse_scalar(text, location)
+        return value
+    return read
+
+
 def _require(cond: bool, message: str, location: str) -> None:
     if not cond:
         raise SchemaError(message, location)
@@ -79,7 +94,8 @@ def _rows(doc: dict, key: str) -> list:
     return rows
 
 
-def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree) -> GradedMap:
+def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree,
+                 read) -> GradedMap:
     out = GradedMap.zero(space, space, shift)
     seen: set = set()
     for i, row in enumerate(_rows(doc, key)):
@@ -89,7 +105,7 @@ def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree) -> Graded
         src, tgt, val = row
         _require_name(space, src, loc)
         _require_name(space, tgt, loc)
-        val = parse_scalar(val, loc)
+        val = read(val, loc)
         _require_new(seen, (src, tgt), loc)
         out.set_entry(src, tgt, val)
     bad = out.validate_shift()
@@ -124,8 +140,9 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
     _require(isinstance(unit, str) and unit in space.bidegree,
              f"unit {unit!r} is not a basis element", "unit")
 
-    d = _map_entries(doc, "d", space, Bidegree(0, 1))
-    delta = _map_entries(doc, "delta", space, Bidegree(-1, 0))
+    read = _scalar_reader()
+    d = _map_entries(doc, "d", space, Bidegree(0, 1), read)
+    delta = _map_entries(doc, "delta", space, Bidegree(-1, 0), read)
 
     product = {}
     seen: set = set()
@@ -140,7 +157,7 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
         _require(deg[x] + deg[y] == deg[tgt],
                  f"target {tgt!r} at {tuple(deg[tgt])} breaks bidegree "
                  f"additivity: {tuple(deg[x])} + {tuple(deg[y])}", loc)
-        val = parse_scalar(val, loc)
+        val = read(val, loc)
         _require_new(seen, (x, y, tgt), loc)
         product.setdefault((x, y), {})[tgt] = val
 
@@ -159,6 +176,7 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
     _require(isinstance(raw, list), "gram must be a list of entries", "gram")
     entries = []
     seen: set = set()
+    read = _scalar_reader()
     for i, row in enumerate(raw):
         loc = f"gram[{i}]"
         _require(isinstance(row, list) and len(row) == 3,
@@ -166,7 +184,7 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
         x, y, val = row
         for nm in (x, y):
             _require_name(space, nm, loc)
-        val = parse_scalar(val, loc)
+        val = read(val, loc)
         # the form is symmetric, so [x, y] and [y, x] set the same entry
         _require_new(seen, tuple(sorted((x, y))), loc)
         entries.append((x, y, val))

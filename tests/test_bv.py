@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 import bv_oracle
-from bvhy import bv
 from bvhy.bv import BVAlgebra, check_bv_axioms
-from bvhy.graded import Bidegree, GradedMap, koszul_sign
+from bvhy.graded import Bidegree, BigradedSpace, GradedMap, koszul_sign
 from bvhy.models import build_torus_model, build_trivial_model, builtin_models
 
 F = Fraction
@@ -155,8 +154,37 @@ def _mutated(a, field):
                      m if field == "delta" else a.delta, a.product, a.unit)
 
 
+def _rescaled_heisenberg():
+    """Exterior algebra on x1 (1,0), x2 (0,1), x3 (1,0) with d x3 = x1 x2
+    (the Chevalley-Eilenberg algebra of the Heisenberg Lie algebra), each
+    monomial x_S replaced by mu_S x_S, so that its product and d constants
+    are not integers."""
+    ext = build_trivial_model(3).algebra
+    gens = {"1": Bidegree(1, 0), "2": Bidegree(0, 1), "3": Bidegree(1, 0)}
+    space = BigradedSpace([(n, Bidegree(sum(gens[g].p for g in n[1:]),
+                                        sum(gens[g].q for g in n[1:])))
+                           for n in ext.space.names])
+    mu = dict(zip(space.names, (F(1), F(2), F(1, 3), F(3, 2), F(5), F(1, 7),
+                                F(4, 3), F(2, 5))))
+    product = {(x, y): {t: v * mu[x] * mu[y] / mu[t] for t, v in col.items()}
+               for (x, y), col in ext.product.items()}
+    d = GradedMap(space, space, Bidegree(0, 1),
+                  {"x3": {"x12": mu["x3"] / mu["x12"]}})
+    return BVAlgebra(space, d, GradedMap.zero(space, space, Bidegree(-1, 0)),
+                     product, "x")
+
+
+def test_rescaled_exterior_algebra_has_non_integer_constants():
+    a = _rescaled_heisenberg()
+    assert check_bv_axioms(a).passed
+    for table in (a.product, a.d.entries):
+        assert max(v.denominator for col in table.values()
+                   for v in col.values()) > 1
+
+
 _BASE = {m.name: m.algebra for m in builtin_models()}
 _BASE["trivial(2)"] = build_trivial_model(2).algebra
+_BASE["heisenberg-rescaled"] = _rescaled_heisenberg()
 _VARIANTS = {f"{name}-{field}": (name, field,
                                  a if field == "none" else _mutated(a, field))
              for name, a in _BASE.items()
@@ -164,10 +192,12 @@ _VARIANTS = {f"{name}-{field}": (name, field,
 # trivial(n) has no pair of basis elements a d of shift (0,1) could join
 _VARIANTS = {k: v for k, v in _VARIANTS.items() if v[2] is not None}
 
+# the report item of each trilinear check, and its reference checker
 _CHECKS = {
-    "associativity": (bv._check_associativity, bv_oracle.associativity),
-    "derivation": (bv._check_derivation, bv_oracle.derivation),
-    "order two": (bv._check_order_two, bv_oracle.order_two),
+    "associativity": ("associativity", bv_oracle.associativity),
+    "derivation": ("d is a derivation of the product", bv_oracle.derivation),
+    "order two": ("delta has order <= 2 (bracket Leibniz)",
+                  bv_oracle.order_two),
 }
 # associativity reads only the product, derivation also d, order two also
 # delta; a check the mutation does not reach sees the unmutated model's inputs
@@ -175,12 +205,20 @@ _READS = {"none": list(_CHECKS), "product": list(_CHECKS),
           "d": ["derivation"], "delta": ["order two"]}
 
 
+def _indexed(a):
+    """``(passed, witness)`` of each trilinear item of ``check_bv_axioms``,
+    which runs them on integer tables and may skip unit triples."""
+    report = check_bv_axioms(a)
+    return {check: (_item(report, name).passed, _item(report, name).witness)
+            for check, (name, _reference) in _CHECKS.items()}
+
+
 @pytest.mark.parametrize("variant", list(_VARIANTS))
 def test_indexed_checks_match_reference_checkers(variant):
     _name, field, a = _VARIANTS[variant]
+    indexed = _indexed(a)
     for check in _READS[field]:
-        indexed, reference = _CHECKS[check]
-        assert indexed(a) == reference(a), check
+        assert indexed[check] == _CHECKS[check][1](a), check
 
 
 @pytest.mark.parametrize("variant", [v for v, (name, _f, _a) in _VARIANTS.items()
@@ -190,11 +228,37 @@ def test_indexed_verdicts_match_unpruned_loop(variant):
     if name == "torus(1,1)":
         # order two then compares nonzero brackets, not only 0 = 0
         assert a.brackets
-    verdicts = tuple(indexed(a)[0] for indexed, _ in _CHECKS.values())
+    verdicts = tuple(passed for passed, _witness in _indexed(a).values())
     assert verdicts == bv_oracle.unpruned(a)
 
 
 def test_mutations_reach_every_trilinear_failure():
     failed = {check for _name, field, a in _VARIANTS.values()
-              for check in _READS[field] if not _CHECKS[check][0](a)[0]}
+              for check in _READS[field] if not _indexed(a)[check][0]}
     assert failed == set(_CHECKS)
+
+
+@pytest.mark.parametrize("broken", ["unit law", "graded commutativity"])
+def test_unit_triples_are_checked_when_a_prerequisite_fails(broken):
+    a = build_trivial_model(2).algebra
+    product = {k: dict(v) for k, v in a.product.items()}
+    product[("x1", "x")] = {"x1": F(2)}
+    if broken == "unit law":
+        # the left unit row too, so that commutativity still holds
+        product[("x", "x1")] = {"x1": F(2)}
+    a = BVAlgebra(a.space, a.d, a.delta, product, "x")
+    report = check_bv_axioms(a)
+    assert [i.name for i in report.failures()] == [broken, "associativity"]
+    assoc = _item(report, "associativity")
+    assert (assoc.passed, assoc.witness) == bv_oracle.associativity(a)
+    assert "x" in assoc.witness
+
+
+def test_unit_skip_keeps_the_reference_witness():
+    a = _mutated(_rescaled_heisenberg(), "product")
+    report = check_bv_axioms(a)
+    assert _item(report, "unit law").passed
+    assert _item(report, "graded commutativity").passed
+    assoc = _item(report, "associativity")
+    assert not assoc.passed and "x" not in assoc.witness
+    assert (assoc.passed, assoc.witness) == bv_oracle.associativity(a)

@@ -31,12 +31,6 @@ def test_op_bidegree_values_and_errors():
         op_bidegree(4, -1)
 
 
-def test_minimal_higher_op_degree_closed_form():
-    for k in range(3, 65):
-        assert min(op_bidegree(k, l).total for l in range(0, k - 2)) == \
-            -2 * k + 5
-
-
 def test_hypersurface_footprint_detection():
     k3 = Footprint(2, {Bidegree(0, 0): 1, Bidegree(1, 1): 20,
                        Bidegree(2, 0): 1, Bidegree(0, 2): 1,

@@ -97,6 +97,21 @@ def test_schema_errors_carry_locations(mutate, fragment):
     assert fragment in str(err.value)
 
 
+def test_repeated_scalar_texts_keep_values_and_error_locations():
+    doc = _minimal_doc()
+    doc["product"][1][3] = 1          # a JSON number with the text "1"
+    doc["product"].append(["x", "x", "x", "3/6"])
+    algebra, _ = serialize.algebra_from_json(doc)
+    assert algebra.product[("e", "x")] == {"x": F(1)}
+    assert algebra.product[("x", "x")] == {"x": F(1, 2)}
+    # an exponent is rejected at the first row that carries it
+    doc["product"][3][3] = "1e3"
+    doc["product"].append(["y", "e", "y", "1e3"])
+    with pytest.raises(SchemaError) as err:
+        serialize.algebra_from_json(doc)
+    assert err.value.location == "product[3]"
+
+
 def test_footprint_conventions():
     doc = {"schema": 1, "n": 3, "convention": "polyvector",
            "occupied": [{"p": 1, "q": 1, "dim": 2}]}
