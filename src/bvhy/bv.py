@@ -320,11 +320,16 @@ def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict):
     for key in [*product, *_reached(a, a.delta.entries)]:
         rank.setdefault(key, len(rank))
 
+    # the step depends on the triple's names only, not on their order
+    steps: Dict[Tuple[str, ...], Tuple[int, int]] = {}
+
     def first_step(t):
-        s = sorted(t)
-        return min((rank[(s[i], s[j])], space.index[s[k]])
-                   for i, j, k in itertools.permutations(range(3))
-                   if (s[i], s[j]) in rank)
+        s = tuple(sorted(t))
+        if s not in steps:
+            steps[s] = min((rank[(s[i], s[j])], space.index[s[k]])
+                           for i, j, k in itertools.permutations(range(3))
+                           if (s[i], s[j]) in rank)
+        return steps[s]
 
     parity = {n: space.bidegree[n].total % 2 for n in space.names}
     for (x, y, z) in sorted(live, key=lambda t: (first_step(t), t)):

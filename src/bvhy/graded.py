@@ -150,11 +150,6 @@ class GradedMap:
                         self.entries.setdefault(src, {})[tgt] = c
 
     @classmethod
-    def identity(cls, space: BigradedSpace) -> "GradedMap":
-        return cls(space, space, Bidegree(0, 0),
-                   {n: {n: Fraction(1)} for n in space.names})
-
-    @classmethod
     def zero(cls, source: BigradedSpace, target: BigradedSpace,
              shift: Bidegree) -> "GradedMap":
         return cls(source, target, shift, {})
@@ -247,29 +242,35 @@ class GradedMap:
                     bad.append((src, tgt))
         return bad
 
-    def block(self, deg: Bidegree):
+    def block(self, deg: Bidegree) -> Tuple[List[List[int]], int]:
         """Dense block at source bidegree ``deg`` (rows: target names at
-        deg+shift, cols: source names at deg), plus the two name lists."""
+        deg+shift, cols: source names at deg) as integer rows over the lcm
+        of its denominators, a ``linalg.Block``."""
         deg = Bidegree(*deg)
+        row_of = {t: i for i, t in
+                  enumerate(self.target.names_at(deg + self.shift))}
         src_names = self.source.names_at(deg)
-        tgt_names = self.target.names_at(deg + self.shift)
-        cols = [self.entries.get(s, {}) for s in src_names]
-        zero = Fraction(0)
-        block = [[col.get(t, zero) for col in cols] for t in tgt_names]
-        return block, src_names, tgt_names
+        found = [(row_of[t], j, v) for j, s in enumerate(src_names)
+                 for t, v in self.entries.get(s, {}).items() if t in row_of]
+        den = lcm(*[v.denominator for _i, _j, v in found])
+        rows = [[0] * len(src_names) for _ in row_of]
+        for i, j, v in found:
+            rows[i][j] = v.numerator * (den // v.denominator)
+        return rows, den
 
     @classmethod
     def from_blocks(cls, source: BigradedSpace, target: BigradedSpace,
                     shift: Bidegree,
-                    blocks: Dict[Bidegree, List[List[Scalar]]]) -> "GradedMap":
-        """The inverse of ``block``: the map whose dense block at each
-        source bidegree ``deg`` of ``blocks`` is ``blocks[deg]``, laid out
-        as ``block`` returns it; every other block is zero."""
+                    blocks: Dict[Bidegree, Tuple[List[List[int]], int]]
+                    ) -> "GradedMap":
+        """The inverse of ``block``: the map whose block at each source
+        bidegree ``deg`` of ``blocks`` is ``blocks[deg]``; every other
+        block is zero."""
         out = cls(source, target, shift)
-        for deg, block in blocks.items():
+        for deg, (rows, den) in blocks.items():
             tgt_names = target.names_at(deg + out.shift)
-            for j, src in enumerate(source.names_at(deg)):
-                col = {t: row[j] for t, row in zip(tgt_names, block) if row[j]}
-                if col:
-                    out.entries[src] = col
+            for src, col in zip(source.names_at(deg), zip(*rows)):
+                if any(col):
+                    out.entries[src] = {t: Fraction(x, den)
+                                        for t, x in zip(tgt_names, col) if x}
         return out

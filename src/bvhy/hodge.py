@@ -1,15 +1,18 @@
 """Transfer data from finite-dimensional Hodge theory.
 
 Given an inner product (block Gram matrices per bidegree) we form the
-adjoint differential, the Laplacian L = d d* + d* d, and then, in one
-pass over the bidegrees on dense blocks, the harmonic inclusion ``iota``,
-the projection ``pi`` and the exact Green operator G (inverse of L on the
-orthogonal complement of its kernel); ``h = d* G``.  Every map is written
-from its blocks by ``GradedMap.from_blocks``.  All five homotopy-retract
-identities and the three trivialization composites are checked with exact
-equality.  ``check_transfer_input`` is the one pipeline that decides
-whether an algebra is a valid transfer input: BV axioms, then transfer
-data, side conditions and strong trivialization.
+adjoint differential d* and, in one pass over the bidegrees on dense
+integer blocks (``linalg.Block``), the Laplacian block L = d d* + d* d.
+One elimination of ``[L | I]`` gives the kernel of L, which names the
+cohomology and is the harmonic inclusion ``iota``, and a generalised
+inverse of L; the projection ``pi`` and the exact Green operator G
+(inverse of L on the orthogonal complement of its kernel) follow by block
+products, and ``h = d* G``.  Every map is written from its blocks by
+``GradedMap.from_blocks``.  The five homotopy-retract identities are
+checked as exact sums of block products, and the three trivialization
+composites by composing maps.  ``check_transfer_input`` is the one
+pipeline that decides whether an algebra is a valid transfer input: BV
+axioms, then transfer data, side conditions and strong trivialization.
 """
 
 from __future__ import annotations
@@ -26,21 +29,24 @@ from .reporting import CheckReport
 class InnerProduct:
     """Block-diagonal symmetric positive-definite Gram form over the
     rationals; one block per occupied bidegree, rows/cols in basis order.
-    A bidegree missing from ``blocks`` gets the identity block."""
+    A bidegree missing from ``blocks`` gets the identity block.  The
+    blocks are kept as integer ``linalg.Block``s."""
 
     def __init__(self, space: BigradedSpace,
                  blocks: Optional[Dict[Bidegree, linalg.Matrix]] = None):
         self.space = space
         blocks = blocks or {}
-        self.blocks: Dict[Bidegree, linalg.Matrix] = {
-            deg: [row[:] for row in blocks[deg]] if deg in blocks
-            else linalg.identity(len(space.names_at(deg)))
-            for deg in space.occupied_bidegrees()}
-        for deg, block in self.blocks.items():
+        self.blocks: Dict[Bidegree, linalg.Block] = {}
+        for deg in space.occupied_bidegrees():
             n = len(space.names_at(deg))
+            if deg not in blocks:
+                self.blocks[deg] = linalg.scalar(n, 1)
+                continue
+            block = blocks[deg]
             if len(block) != n or any(len(row) != n for row in block):
                 raise ValueError(f"gram block at {deg} has wrong shape")
-            if not linalg.is_positive_definite(block):
+            self.blocks[deg] = linalg.to_block(block)
+            if not linalg.is_positive_definite(self.blocks[deg]):
                 raise ValueError(
                     f"gram block at {deg} is not symmetric positive-definite")
 
@@ -63,7 +69,7 @@ class InnerProduct:
             blocks[da][i][j] = blocks[da][j][i] = Fraction(v)
         return cls(space, blocks)
 
-    def block(self, deg: Bidegree) -> linalg.Matrix:
+    def block(self, deg: Bidegree) -> linalg.Block:
         return self.blocks[Bidegree(*deg)]
 
 
@@ -79,18 +85,49 @@ class TransferData:
         self.green = green   # B -> B, shift (0,0)
 
 
-def adjoint_differential(a: BVAlgebra, ip: InnerProduct) -> GradedMap:
-    """d* with <d x, y> = <x, d* y>, built blockwise as G^-1 d^T G'."""
-    blocks = {}
-    for deg in a.space.occupied_bidegrees():
-        up = deg + Bidegree(0, 1)
-        if a.space.names_at(up):
-            # d*: (p,q+1) -> (p,q)
-            blocks[up] = linalg.mat_mul(
-                linalg.inverse(ip.block(deg)),
-                linalg.mat_mul(linalg.transpose(a.d.block(deg)[0]),
-                               ip.block(up)))
-    return GradedMap.from_blocks(a.space, a.space, Bidegree(0, -1), blocks)
+# A map as its dense blocks: its shift, and a Block per source bidegree;
+# a missing block is zero.
+BlockMap = Tuple[Bidegree, Dict[Bidegree, linalg.Block]]
+
+
+def _blocks(m: GradedMap) -> BlockMap:
+    return m.shift, {deg: m.block(deg) for deg in m.source.occupied_bidegrees()
+                     if any(m.entries.get(s) for s in m.source.names_at(deg))}
+
+
+def _compose(f: BlockMap, g: BlockMap) -> BlockMap:
+    """f after g, one block product per source bidegree of g; where f has
+    no block at the middle bidegree, the product is zero and left out."""
+    (fshift, fblocks), (gshift, gblocks) = f, g
+    return fshift + gshift, {deg: linalg.mul(fblocks[mid], block)
+                             for deg, block in gblocks.items()
+                             if (mid := deg + gshift) in fblocks}
+
+
+def _sum(*maps: BlockMap) -> BlockMap:
+    """The sum of maps of one shift, block by block."""
+    terms: Dict[Bidegree, List[linalg.Block]] = {}
+    for _shift, blocks in maps:
+        for deg, block in blocks.items():
+            terms.setdefault(deg, []).append(block)
+    return maps[0][0], {deg: linalg.add(t) for deg, t in terms.items()}
+
+
+def _scalar(space: BigradedSpace, c: int) -> BlockMap:
+    """``c`` times the identity of ``space``."""
+    return Bidegree(0, 0), {deg: linalg.scalar(len(space.names_at(deg)), c)
+                            for deg in space.occupied_bidegrees()}
+
+
+def adjoint_differential(a: BVAlgebra, ip: InnerProduct) -> BlockMap:
+    """d*, with <d x, y> = <x, d* y>: for each nonzero block of d from
+    ``deg`` to ``up``, the block G^-1 d^T G' from ``up`` to ``deg``."""
+    shift, blocks = _blocks(a.d)
+    return -shift, {
+        deg + shift: linalg.mul(
+            linalg.inverse(ip.block(deg)),
+            linalg.mul((linalg.transpose(rows), den), ip.block(deg + shift)))
+        for deg, (rows, den) in blocks.items()}
 
 
 def _harmonic_name(names: List[str], vec: List[Fraction], deg: Bidegree,
@@ -102,53 +139,66 @@ def _harmonic_name(names: List[str], vec: List[Fraction], deg: Bidegree,
 
 
 def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> TransferData:
-    """At each bidegree, the rows of K span the kernel of the Laplacian
-    block L and name the cohomology; iota is K^T, pi = (K G K^T)^-1 K G,
-    so pi iota = id; P = K^T pi projects orthogonally onto ker L, and the
-    Green block (L + P)^-1 - P has L green = green L = id - P."""
+    """At each bidegree, on integer blocks: the Laplacian block
+    L = d d* + d* d, then one elimination of [L | I] that gives both the
+    kernel of L, whose basis rows K name the cohomology, and a generalised
+    inverse L# (L L# L = L).  iota is K^T and pi = (K S K^T)^-1 K S for
+    the Gram block S, so pi iota = id; P = iota pi projects orthogonally
+    onto ker L.  Since P L = L P = 0, the Green block (I - P) L# (I - P)
+    is the one G with L G = G L = id - P and G P = 0.  The homotopy is
+    h = d* G."""
     space = a.space
     if ip is None:
         ip = InnerProduct(space)
-    dstar = adjoint_differential(a, ip)
-    lap = a.d.compose(dstar) + dstar.compose(a.d)
+    d, dstar = _blocks(a.d), adjoint_differential(a, ip)
+    lap = _sum(_scalar(space, 0), _compose(d, dstar), _compose(dstar, d))[1]
     hbasis: List[Tuple[str, Bidegree]] = []
     iota_blocks, pi_blocks, green_blocks = {}, {}, {}
     for deg in space.occupied_bidegrees():
         names = space.names_at(deg)
-        lblock = lap.block(deg)[0]
-        kern = linalg.kernel_basis(lblock)
+        kern, green = linalg.kernel_and_inverse(lap[deg])
         hbasis += [(_harmonic_name(names, vec, deg, i), deg)
                    for i, vec in enumerate(kern)]
         if kern:
-            iota_blocks[deg] = linalg.transpose(kern)
-            ktg = linalg.mat_mul(kern, ip.block(deg))
-            pi_blocks[deg] = linalg.mat_mul(
-                linalg.inverse(linalg.mat_mul(ktg, iota_blocks[deg])), ktg)
-            proj = linalg.mat_mul(iota_blocks[deg], pi_blocks[deg])
-        else:
-            proj = linalg.zeros(len(names), len(names))
-        # L + P is invertible; its inverse restricted off the kernel is G
-        green_blocks[deg] = linalg.mat_sub(
-            linalg.inverse(linalg.mat_add(lblock, proj)), proj)
+            k, kden = linalg.to_block(kern)
+            kt = iota_blocks[deg] = linalg.transpose(k), kden
+            ktg = linalg.mul((k, kden), ip.block(deg))
+            pi = pi_blocks[deg] = linalg.mul(
+                linalg.inverse(linalg.mul(ktg, kt)), ktg)
+            # (P - I) L# (P - I) = (I - P) L# (I - P)
+            off = linalg.add([linalg.mul(kt, pi), linalg.scalar(len(names), -1)])
+            green = linalg.mul(off, linalg.mul(green, off))
+        green_blocks[deg] = green
 
     cohomology = BigradedSpace(hbasis)
-    iota = GradedMap.from_blocks(cohomology, space, Bidegree(0, 0), iota_blocks)
-    pi = GradedMap.from_blocks(space, cohomology, Bidegree(0, 0), pi_blocks)
-    green = GradedMap.from_blocks(space, space, Bidegree(0, 0), green_blocks)
-    return TransferData(cohomology, iota, pi, dstar.compose(green), green)
+    green = Bidegree(0, 0), green_blocks
+    return TransferData(
+        cohomology,
+        GradedMap.from_blocks(cohomology, space, Bidegree(0, 0), iota_blocks),
+        GradedMap.from_blocks(space, cohomology, Bidegree(0, 0), pi_blocks),
+        GradedMap.from_blocks(space, space, *_compose(dstar, green)),
+        GradedMap.from_blocks(space, space, *green))
 
 
 def check_side_conditions(td: TransferData, a: BVAlgebra) -> CheckReport:
-    """The two retract identities and the three side conditions, exactly."""
+    """The two retract identities and the three side conditions, exactly.
+
+    Each identity is a sum of block products per source bidegree, in
+    integers over one denominator; the map of its residual blocks is the
+    item's witness."""
+    space, coh = a.space, td.cohomology
+    d, h, iota, pi = (_blocks(m) for m in (a.d, td.h, td.iota, td.pi))
     report = CheckReport("side-conditions")
-    report.add_zero("pi iota = id", td.pi.compose(td.iota)
-                    - GradedMap.identity(td.cohomology))
-    report.add_zero("d h + h d = id - iota pi",
-                    a.d.compose(td.h) + td.h.compose(a.d)
-                    - GradedMap.identity(a.space) + td.iota.compose(td.pi))
-    report.add_zero("h iota = 0", td.h.compose(td.iota))
-    report.add_zero("h h = 0", td.h.compose(td.h))
-    report.add_zero("pi h = 0", td.pi.compose(td.h))
+    for name, source, target, residual in (
+            ("pi iota = id", coh, coh,
+             _sum(_compose(pi, iota), _scalar(coh, -1))),
+            ("d h + h d = id - iota pi", space, space,
+             _sum(_compose(d, h), _compose(h, d), _scalar(space, -1),
+                  _compose(iota, pi))),
+            ("h iota = 0", coh, space, _compose(h, iota)),
+            ("h h = 0", space, space, _compose(h, h)),
+            ("pi h = 0", space, coh, _compose(pi, h))):
+        report.add_zero(name, GradedMap.from_blocks(source, target, *residual))
     return report
 
 

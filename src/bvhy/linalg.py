@@ -1,74 +1,86 @@
-"""Dense exact-rational linear algebra on small matrices.
+"""Dense exact linear algebra on small integer blocks.
 
-Matrices are lists of rows, entries are ``fractions.Fraction``.  The
-products and eliminations scale each row to integers over the lcm of its
-denominators, work in Python ints, and build one exact ``Fraction`` per
-output entry at the end.  One Gauss-Jordan elimination serves both
-``kernel_basis``, which reads the kernel off its pivot rows, and
-``inverse``.  Everything here is exact; there are no tolerances anywhere
-in the package.
+A ``Block`` is a matrix held as integer rows over one positive common
+denominator, so that products, sums and eliminations work in Python ints
+and a chain of them builds no ``Fraction``; ``GradedMap.from_blocks``
+makes the exact rational entries of a map from its blocks.  One
+Gauss-Jordan elimination of ``[A | I]`` serves ``kernel_and_inverse``,
+which reads the kernel off its pivot rows and a generalised inverse off
+its right half, and ``inverse``.  Everything here is exact; there are no
+tolerances anywhere in the package.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import List, Tuple
 
 Matrix = List[List[Fraction]]
+# integer rows over one positive denominator
+Block = Tuple[List[List[int]], int]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Matrix:
-    m = zeros(n, n)
+    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+
+
+def scalar(n: int, c: int) -> Block:
+    """``c`` times the n x n identity."""
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
-        m[i][i] = ONE
-    return m
+        rows[i][i] = c
+    return rows, 1
 
 
-def _int_row(row) -> Tuple[List[int], int]:
-    """``row`` as integer numerators over the lcm of its denominators."""
-    den = lcm(*[x.denominator for x in row])
-    return [x.numerator * (den // x.denominator) for x in row], den
+def transpose(a):
+    return [list(col) for col in zip(*a)] if a else []
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
+def to_block(a: Matrix) -> Block:
+    """``a`` as integer numerators over the lcm of its denominators."""
+    den = lcm(*[x.denominator for row in a for x in row])
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in a], den
+
+
+def _reduced(rows: List[List[int]], den: int) -> Block:
+    g = gcd(den, *[gcd(*row) for row in rows])
+    if g > 1:
+        return [[x // g for x in row] if any(row) else row
+                for row in rows], den // g
+    return rows, den
+
+
+def mul(a: Block, b: Block) -> Block:
+    (arows, aden), (brows, bden) = a, b
+    if arows and len(arows[0]) != len(brows):
         raise ValueError("matrix dimension mismatch in product")
-    cols = len(b[0]) if b else 0
-    # b over one common denominator, each row as its nonzero (column, numerator)
-    bden = lcm(*[x.denominator for row in b for x in row])
-    bnz = [[(j, x.numerator * (bden // x.denominator))
-            for j, x in enumerate(row) if x] for row in b]
+    cols = len(brows[0]) if brows else 0
+    # each row of b as its nonzero (column, numerator) pairs
+    bnz = [[(j, row[j]) for j in compress(range(cols), row)] for row in brows]
     out = []
-    for row in a:
-        nums, aden = _int_row(row)
+    for row in arows:
         acc = [0] * cols
-        for x, bk in zip(nums, bnz):
-            if x:
-                for j, y in bk:
-                    acc[j] += x * y
-        den = aden * bden
-        out.append([Fraction(v, den) if v else ZERO for v in acc])
-    return out
+        for x, bk in compress(zip(row, bnz), row):
+            for j, y in bk:
+                acc[j] += x * y
+        out.append(acc)
+    return _reduced(out, aden * bden)
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
+def add(terms: List[Block]) -> Block:
+    """The sum of one or more blocks of one shape."""
+    den = lcm(*[d for _rows, d in terms])
+    out = [[0] * len(row) for row in terms[0][0]]
+    for rows, d in terms:
+        s = den // d
+        for acc, row in zip(out, rows):
+            for j in compress(range(len(row)), row):
+                acc[j] += s * row[j]
+    return _reduced(out, den)
 
 
 def _eliminate(m: List[List[int]], ncols: int) -> List[int]:
@@ -110,61 +122,72 @@ def _eliminate(m: List[List[int]], ncols: int) -> List[int]:
     return pivots
 
 
-def kernel_basis(a: Matrix) -> List[List[Fraction]]:
-    """Basis of the right kernel {v : a v = 0}, as a list of column vectors:
-    one per free column of the reduced rows, read off the pivot rows."""
-    if not a:
-        return []
-    m = [_int_row(row)[0] for row in a]
-    cols = len(m[0])
-    pivots = _eliminate(m, cols)
+def kernel_and_inverse(a: Block) -> Tuple[List[List[Fraction]], Block]:
+    """From one elimination of ``[a | I]``: a basis of the right kernel
+    {v : a v = 0}, one column vector per free column, read off the pivot
+    rows; and a generalised inverse X with a X a = a.
+
+    A pivot row of the reduced rows is ``[R | E]``: R has the pivot p in
+    its pivot column c, and E records the row operations.  X takes
+    ``E / p`` as its row c, and is zero in the free rows.  Then X a is the
+    reduced row echelon form of a, and I - X a maps into the kernel, so
+    a X a = a.  With an empty kernel, X is the inverse."""
+    rows, den = a
+    m, n = len(rows), len(rows[0]) if rows else 0
+    # [a | I] with every row scaled by den
+    aug = [row + [den if j == i else 0 for j in range(m)]
+           for i, row in enumerate(rows)]
+    pivots = _eliminate(aug, n)
     pivot_set = set(pivots)
     basis = []
-    free = [c for c in range(cols) if c not in pivot_set]
-    for fc in free:
-        v = [ZERO] * cols
+    for fc in (c for c in range(n) if c not in pivot_set):
+        v = [ZERO] * n
         v[fc] = ONE
-        for row, pc in zip(m, pivots):
+        for row, pc in zip(aug, pivots):
             v[pc] = Fraction(-row[fc], row[pc])
         basis.append(v)
-    return basis
+    xden = lcm(*[row[c] for row, c in zip(aug, pivots)])
+    x = [[0] * m for _ in range(n)]
+    for row, c in zip(aug, pivots):
+        s = xden // row[c]
+        x[c] = [s * y for y in row[n:]]
+    return basis, _reduced(x, xden)
 
 
-def inverse(a: Matrix) -> Matrix:
-    n = len(a)
-    # [A | I] with row i scaled by its lcm d_i is [D A | D]; its rref is
-    # still [I | A^-1]
-    aug = []
-    for i, row in enumerate(a):
-        nums, den = _int_row(row)
-        unit = [0] * n
-        unit[i] = den
-        aug.append(nums + unit)
-    pivots = _eliminate(aug, n)
-    if pivots != list(range(n)):
+def inverse(a: Block) -> Block:
+    """The inverse of the square block ``a``."""
+    kernel, x = kernel_and_inverse(a)
+    if kernel:
         raise ValueError("matrix is singular")
-    return [[Fraction(x, row[r]) if x else ZERO for x in row[n:]]
-            for r, row in enumerate(aug)]
+    return x
 
 
-def is_symmetric(a: Matrix) -> bool:
+def is_symmetric(a) -> bool:
     n = len(a)
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def is_positive_definite(a: Matrix) -> bool:
-    """Exact test via LDL pivots: symmetric and all pivots positive."""
-    if not is_symmetric(a):
+def is_positive_definite(a: Block) -> bool:
+    """Exact test by Sylvester's criterion: symmetric, and every pivot of
+    an elimination without row exchanges positive.  The elimination is
+    fraction-free on the integer rows; each step scales a row by a
+    positive factor only, which keeps the signs of the pivots."""
+    m = list(a[0])
+    if not is_symmetric(m):
         return False
-    n = len(a)
-    m = [row[:] for row in a]
+    n = len(m)
     for k in range(n):
-        if m[k][k] <= 0:
+        rk = m[k]
+        pv = rk[k]
+        if pv <= 0:
             return False
         for i in range(k + 1, n):
-            if m[i][k] == 0:
+            f = m[i][k]
+            if not f:
                 continue
-            f = m[i][k] / m[k][k]
-            for j in range(k, n):
-                m[i][j] -= f * m[k][j]
+            g = gcd(pv, f)
+            s, f = pv // g, f // g
+            row = [s * x - f * y for x, y in zip(m[i], rk)]
+            g = gcd(*row)
+            m[i] = [x // g for x in row] if g > 1 else row
     return True

@@ -211,12 +211,12 @@ def algebra_to_json(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> dict:
         gram = []
         for deg in a.space.occupied_bidegrees():
             names = a.space.names_at(deg)
-            block = ip.block(deg)
+            rows, den = ip.block(deg)
             for i in range(len(names)):
                 for j in range(i, len(names)):
-                    if block[i][j] != (1 if i == j else 0):
-                        gram.append([names[i], names[j],
-                                     scalar_to_str(block[i][j])])
+                    if rows[i][j] != (den if i == j else 0):
+                        gram.append([names[i], names[j], scalar_to_str(
+                            Fraction(rows[i][j], den))])
         if gram:
             doc["gram"] = sorted(gram)
     return doc

@@ -1,10 +1,12 @@
 """Reference Hodge kernels for the oracle tests in ``test_hodge_oracle.py``.
 
 These are the ``Fraction``-arithmetic versions of the row reduction
-behind ``linalg.kernel_basis`` and ``linalg.inverse``, of
-``linalg.mat_mul``, ``GradedMap.compose`` and
-``hodge.build_transfer_data`` that ``bvhy`` used before its kernels
-eliminated and accumulated in integers over common denominators.  Every
+behind ``linalg.kernel_and_inverse`` and ``linalg.inverse``, of
+``linalg.mul``, ``linalg.is_positive_definite``, ``GradedMap.compose``
+and ``hodge.build_transfer_data`` that ``bvhy`` used before its kernels
+eliminated and accumulated in integers over common denominators, with the
+Green block as ``(L + P)^-1 - P``.  ``check_side_conditions`` composes
+whole maps, as ``bvhy`` did before it summed block products.  Every
 entry is combined as a ``Fraction``; the library must return the same
 exact values.  ``rank`` is the test suite's rank oracle.
 """
@@ -14,6 +16,7 @@ from typing import Dict, List, Tuple
 
 from bvhy.graded import Bidegree, BigradedSpace, GradedMap
 from bvhy.hodge import InnerProduct, TransferData
+from bvhy.reporting import CheckReport
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,6 +114,42 @@ def inverse(a):
     return [row[n:] for row in red]
 
 
+def is_positive_definite(a) -> bool:
+    """Exact test via LDL pivots: symmetric and all pivots positive."""
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i + 1, n)):
+        return False
+    m = [row[:] for row in a]
+    for k in range(n):
+        if m[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            if m[i][k] == 0:
+                continue
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return True
+
+
+def to_matrix(b):
+    """The ``Fraction`` matrix of a ``linalg.Block``."""
+    rows, den = b
+    return [[Fraction(x, den) for x in row] for row in rows]
+
+
+def dense_block(m: GradedMap, deg):
+    """Dense ``Fraction`` block of ``m`` at source bidegree ``deg`` (rows:
+    target names at deg+shift, cols: source names at deg), plus the two
+    name lists."""
+    deg = Bidegree(*deg)
+    src_names = m.source.names_at(deg)
+    tgt_names = m.target.names_at(deg + m.shift)
+    cols = [m.entries.get(s, {}) for s in src_names]
+    return ([[col.get(t, ZERO) for col in cols] for t in tgt_names],
+            src_names, tgt_names)
+
+
 def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     """f after g, accumulated entry by entry in Fractions."""
     if g.target.names != f.source.names:
@@ -131,11 +170,11 @@ def _adjoint_differential(a, ip):
     space = a.space
     dstar = GradedMap.zero(space, space, Bidegree(0, -1))
     for deg in space.occupied_bidegrees():
-        block, src_names, tgt_names = a.d.block(deg)
+        block, src_names, tgt_names = dense_block(a.d, deg)
         if not src_names or not tgt_names:
             continue
-        g_low = ip.block(deg)
-        g_high = ip.block(deg + Bidegree(0, 1))
+        g_low = to_matrix(ip.block(deg))
+        g_high = to_matrix(ip.block(deg + Bidegree(0, 1)))
         m = mat_mul(inverse(g_low), mat_mul(transpose(block), g_high))
         for j, src in enumerate(tgt_names):
             for i, tgt in enumerate(src_names):
@@ -159,11 +198,11 @@ def _harmonic_decomposition(a, ip):
     for deg in space.occupied_bidegrees():
         names = space.names_at(deg)
         n = len(names)
-        lblock, _, _ = lap.block(deg)
+        lblock, _, _ = dense_block(lap, deg)
         kern = kernel_basis(lblock)
         harmonic[deg] = [(_harmonic_name(names, vec, deg, i), vec)
                          for i, vec in enumerate(kern)]
-        g = ip.block(deg)
+        g = to_matrix(ip.block(deg))
         if kern:
             k = transpose(kern)
             ktg = mat_mul(transpose(k), g)
@@ -201,10 +240,30 @@ def build_transfer_data(a, ip=None) -> TransferData:
                 if c != 0:
                     iota.set_entry(label, names[i], c)
         k = transpose([vec for _l, vec in cols])
-        ktg = mat_mul(transpose(k), ip.block(deg))
+        ktg = mat_mul(transpose(k), to_matrix(ip.block(deg)))
         gram = mat_mul(ktg, k)
         pmat = mat_mul(inverse(gram), ktg)
         for j, src in enumerate(names):
             for i, (label, _v) in enumerate(cols):
                 pi.set_entry(src, label, pmat[i][j])
     return TransferData(cohomology, iota, pi, compose(dstar, green), green)
+
+
+def identity_map(space: BigradedSpace) -> GradedMap:
+    return GradedMap(space, space, Bidegree(0, 0),
+                     {n: {n: ONE} for n in space.names})
+
+
+def check_side_conditions(td: TransferData, a) -> CheckReport:
+    """The two retract identities and the three side conditions, on whole
+    composed maps."""
+    report = CheckReport("side-conditions")
+    report.add_zero("pi iota = id", td.pi.compose(td.iota)
+                    - identity_map(td.cohomology))
+    report.add_zero("d h + h d = id - iota pi",
+                    a.d.compose(td.h) + td.h.compose(a.d)
+                    - identity_map(a.space) + td.iota.compose(td.pi))
+    report.add_zero("h iota = 0", td.h.compose(td.iota))
+    report.add_zero("h h = 0", td.h.compose(td.h))
+    report.add_zero("pi h = 0", td.pi.compose(td.h))
+    return report

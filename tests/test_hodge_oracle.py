@@ -1,8 +1,10 @@
-"""The integer kernels of ``linalg``, ``GradedMap.compose`` and
-``build_transfer_data`` against the Fraction references in
-``hodge_oracle.py``: every value must be the same exact rational."""
+"""The integer kernels of ``linalg``, ``GradedMap.compose``,
+``build_transfer_data`` and ``check_side_conditions`` against the
+references in ``hodge_oracle.py``: every value, verdict and witness must
+be the same."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,8 @@ import hodge_oracle
 from bvhy import linalg
 from bvhy.bv import BVAlgebra
 from bvhy.graded import Bidegree, BigradedSpace, GradedMap
-from bvhy.hodge import InnerProduct, build_transfer_data
+from bvhy.hodge import (InnerProduct, TransferData, build_transfer_data,
+                        check_side_conditions)
 
 F = Fraction
 POOL = (0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4), F(7, 6))
@@ -43,8 +46,12 @@ def test_kernels_match_fraction_reference():
         a = _random_matrix(rng, rows, cols)
         b = _random_matrix(rng, cols, rng.randint(1, 6))
         red, pivots = hodge_oracle.rref(a)
-        assert linalg.kernel_basis(a) == hodge_oracle.kernel_basis(a)
-        assert linalg.mat_mul(a, b) == hodge_oracle.mat_mul(a, b)
+        kernel, ginv = linalg.kernel_and_inverse(linalg.to_block(a))
+        assert kernel == hodge_oracle.kernel_basis(a)
+        ginv = hodge_oracle.to_matrix(ginv)
+        assert hodge_oracle.mat_mul(hodge_oracle.mat_mul(a, ginv), a) == a
+        product = linalg.mul(linalg.to_block(a), linalg.to_block(b))
+        assert hodge_oracle.to_matrix(product) == hodge_oracle.mat_mul(a, b)
         seen["deficient"] += len(pivots) < min(rows, cols)
         seen["zero row"] += any(not any(row) for row in a)
         seen["non-integer"] += any(x.denominator > 1 for row in red for x in row)
@@ -54,10 +61,11 @@ def test_kernels_match_fraction_reference():
         except ValueError:
             seen["singular"] += 1
             with pytest.raises(ValueError):
-                linalg.inverse(square)
+                linalg.inverse(linalg.to_block(square))
         else:
             seen["inverse"] += 1
-            assert linalg.inverse(square) == expected
+            inverse = linalg.inverse(linalg.to_block(square))
+            assert hodge_oracle.to_matrix(inverse) == expected
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -84,11 +92,35 @@ def _td_values(td):
             [m.nonzero_entries() for m in (td.iota, td.pi, td.h, td.green)])
 
 
+def _green_kinds(td, space):
+    """The Green blocks of ``td`` by the kind of Laplacian block they
+    invert: kernel empty (L invertible, P = 0), full (L = 0), or proper
+    with a non-integer or an integer Green block."""
+    kinds = Counter()
+    for deg in space.occupied_bidegrees():
+        n, k = len(space.names_at(deg)), len(td.cohomology.names_at(deg))
+        rows, den = td.green.block(deg)
+        if k == 0:
+            kinds["empty kernel"] += 1
+        elif k == n:
+            kinds["full kernel"] += 1
+        elif any(x % den for row in rows for x in row):
+            kinds["proper kernel, non-integer G"] += 1
+        else:
+            kinds["proper kernel, integer G"] += 1
+    return kinds
+
+
 def test_transfer_data_matches_reference_on_builtin_models(models):
+    kinds = Counter()
     for m in models:
-        assert _td_values(build_transfer_data(m.algebra, m.inner_product)) \
-            == _td_values(hodge_oracle.build_transfer_data(
-                m.algebra, m.inner_product)), m.name
+        td = build_transfer_data(m.algebra, m.inner_product)
+        assert _td_values(td) == _td_values(hodge_oracle.build_transfer_data(
+            m.algebra, m.inner_product)), m.name
+        kinds += _green_kinds(td, m.algebra.space)
+    # every kind of Green block the elimination can meet was compared
+    for kind in ("empty kernel", "full kernel", "proper kernel, non-integer G"):
+        assert kinds[kind] >= 1, kinds
 
 
 def _two_term_complex(rng, n):
@@ -130,3 +162,42 @@ def test_transfer_data_matches_reference_on_tridiagonal_gram(seed):
         hodge_oracle.build_transfer_data(algebra, ip))
     # a nonzero, non-integer homotopy: the comparison is not 0 == 0
     assert any(v.denominator > 1 for _s, _t, v in td.h.nonzero_entries())
+    kinds = _green_kinds(td, algebra.space)
+    assert kinds["full kernel"] == 1, kinds
+    assert kinds["proper kernel, non-integer G"] == 2, kinds
+
+
+def _tampered(td, which):
+    """``td`` with the first nonzero entry of its map ``which`` (h, pi or
+    iota) moved by 1."""
+    maps = {"iota": td.iota, "pi": td.pi, "h": td.h}
+    m = maps[which]
+    maps[which] = GradedMap(m.source, m.target, m.shift,
+                            {s: dict(col) for s, col in m.entries.items()})
+    src, tgt, v = m.nonzero_entries()[0]
+    maps[which].set_entry(src, tgt, v + 1)
+    return TransferData(td.cohomology, maps["iota"], maps["pi"], maps["h"],
+                        td.green)
+
+
+def test_side_conditions_match_reference(models):
+    """Verdicts and witnesses of every item equal the reference's, on
+    valid transfer data and on data with one entry of h, pi or iota
+    perturbed; each perturbation fails at least one item."""
+    cases = [(m.name, m.algebra, m.inner_product) for m in models]
+    cases += [(f"tridiagonal {seed}",
+               *_two_term_complex(random.Random(seed), 7 + seed))
+              for seed in (0, 1, 2)]
+    checked = Counter()
+    for name, algebra, ip in cases:
+        td = build_transfer_data(algebra, ip)
+        variants = [("valid", td)] + [
+            (which, _tampered(td, which)) for which in ("h", "pi", "iota")
+            if not getattr(td, which).is_zero]
+        for which, data in variants:
+            report = check_side_conditions(data, algebra)
+            assert report.to_dict() == hodge_oracle.check_side_conditions(
+                data, algebra).to_dict(), (name, which)
+            assert report.passed == (which == "valid"), (name, which)
+            checked[which] += 1
+    assert checked == Counter(valid=9, h=6, pi=9, iota=9), checked

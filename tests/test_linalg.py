@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hodge_oracle import rank
+import hodge_oracle
+from hodge_oracle import rank, to_matrix
 from bvhy import linalg
 
 F = Fraction
@@ -15,10 +16,21 @@ def _random_matrix(rng, rows, cols, pool=(-2, -1, 0, 0, 1, 2, F(1, 2))):
     return [[F(rng.choice(pool)) for _ in range(cols)] for _ in range(rows)]
 
 
+def _mul(a, b):
+    return to_matrix(linalg.mul(linalg.to_block(a), linalg.to_block(b)))
+
+
+def _pd(a):
+    return linalg.is_positive_definite(linalg.to_block(a))
+
+
 def test_rref_known_matrix():
     # reduces to [[1, 2], [0, 0]]: pivot column 0, free column 1
     m = [[F(2), F(4)], [F(1), F(2)]]
-    assert linalg.kernel_basis(m) == [[F(-2), F(1)]]
+    kernel, x = linalg.kernel_and_inverse(linalg.to_block(m))
+    assert kernel == [[F(-2), F(1)]]
+    # the pivot row [1, 2 | 1/2, 0] gives row 0 of X; the free row is zero
+    assert to_matrix(x) == [[F(1, 2), F(0)], [F(0), F(0)]]
 
 
 def test_rank_of_constructed_low_rank_products():
@@ -27,7 +39,7 @@ def test_rank_of_constructed_low_rank_products():
         r = rng.randint(0, 3)
         a = _random_matrix(rng, 5, r, pool=(1, 2, -1))
         b = _random_matrix(rng, r, 4, pool=(1, -2, 3))
-        prod = linalg.mat_mul(a, b) if r else linalg.zeros(5, 4)
+        prod = _mul(a, b) if r else hodge_oracle.zeros(5, 4)
         assert rank(prod) <= r
     # a full-rank square example has full rank exactly
     assert rank([[F(1), F(1)], [F(0), F(3)]]) == 2
@@ -37,12 +49,13 @@ def test_kernel_basis_annihilates_and_has_right_dimension():
     rng = random.Random(11)
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        kern = linalg.kernel_basis(m)
+        kern, x = linalg.kernel_and_inverse(linalg.to_block(m))
         cols = len(m[0])
         assert len(kern) == cols - rank(m)
         for v in kern:
             image = [sum(row[j] * v[j] for j in range(cols)) for row in m]
             assert all(x == 0 for x in image)
+        assert _mul(_mul(m, to_matrix(x)), m) == m
 
 
 def test_inverse_round_trip_and_singular_error():
@@ -51,14 +64,14 @@ def test_inverse_round_trip_and_singular_error():
     while found < 10:
         m = _random_matrix(rng, 3, 3)
         try:
-            inv = linalg.inverse(m)
+            inv = to_matrix(linalg.inverse(linalg.to_block(m)))
         except ValueError:
             continue
         found += 1
-        assert linalg.mat_mul(m, inv) == linalg.identity(3)
-        assert linalg.mat_mul(inv, m) == linalg.identity(3)
+        assert _mul(m, inv) == linalg.identity(3)
+        assert _mul(inv, m) == linalg.identity(3)
     with pytest.raises(ValueError):
-        linalg.inverse([[F(1), F(2)], [F(2), F(4)]])
+        linalg.inverse(linalg.to_block([[F(1), F(2)], [F(2), F(4)]]))
 
 
 def test_transpose_and_symmetry():
@@ -70,16 +83,31 @@ def test_transpose_and_symmetry():
 
 
 def test_positive_definiteness_exact():
-    assert linalg.is_positive_definite([[F(2), F(1)], [F(1), F(1)]])
-    assert linalg.is_positive_definite([[F(3), F(1)], [F(1), F(2)]])
+    assert _pd([[F(2), F(1)], [F(1), F(1)]])
+    assert _pd([[F(3), F(1)], [F(1), F(2)]])
     # symmetric but indefinite
-    assert not linalg.is_positive_definite([[F(1), F(2)], [F(2), F(1)]])
+    assert not _pd([[F(1), F(2)], [F(2), F(1)]])
     # positive semi-definite only
-    assert not linalg.is_positive_definite([[F(1), F(1)], [F(1), F(1)]])
+    assert not _pd([[F(1), F(1)], [F(1), F(1)]])
     # not symmetric
-    assert not linalg.is_positive_definite([[F(1), F(2)], [F(0), F(1)]])
+    assert not _pd([[F(1), F(2)], [F(0), F(1)]])
+    # the integer test agrees with the Fraction LDL reference on random
+    # symmetric forms near the boundary: B^T B plus a small diagonal shift
+    rng = random.Random(3)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        b = _random_matrix(rng, rng.randint(1, n + 1), n)
+        shift = F(rng.choice((-1, 0, 1, 1)), rng.choice((1, 3)))
+        g = [[x + (shift if i == j else 0) for j, x in enumerate(row)]
+             for i, row in enumerate(_mul(linalg.transpose(b), b))]
+        expected = hodge_oracle.is_positive_definite(g)
+        assert _pd(g) == expected
+        seen[expected] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_mat_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        linalg.mat_mul([[F(1), F(2)]], [[F(1), F(2)]])
+        linalg.mul(linalg.to_block([[F(1), F(2)]]),
+                   linalg.to_block([[F(1), F(2)]]))
