@@ -32,11 +32,23 @@ left index too), the ``d`` and ``delta`` columns, and ``brackets``.  Any
 other tuple satisfies the identity under test as 0 = 0.  Once the unit law
 and graded commutativity have passed, associativity also skips every
 triple that contains the unit, where it then holds.
+
+Once graded commutativity has passed (odd squares included), one tuple per
+symmetry orbit decides the associativity and derivation verdicts.  For any
+graded-commutative product the associators satisfy ``A(z, y, x) = ±A(x, y,
+z)`` and ``±A(x, y, z) ± A(y, z, x) ± A(z, x, y) = 0``, so the orders whose
+last name has the largest basis index decide all six, repeated names
+included; and ``D(y, x) = ±D(x, y)``, so the pairs with ``index[x] <=
+index[y]`` decide.  The ordered scan that ``check_bv_axioms`` describes
+runs only when that verdict is a failure, to name its first failing tuple
+as the witness; finding none is a ``RuntimeError``.  When commutativity
+fails, only the ordered scans run.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
@@ -91,11 +103,13 @@ def _symmetrize(space: BigradedSpace, product: ProductTable) -> ProductTable:
     If both orders are present they are kept as given; any inconsistency is
     surfaced by the commutativity item of ``check_bv_axioms``.
     """
+    deg = space.bidegree
     table: ProductTable = {}
     for (a, b), col in product.items():
+        (pa, qa), (pb, qb) = deg[a], deg[b]
         cleaned = {t: v for t, v in col.items() if v != 0}
         for t in cleaned:
-            if space.bidegree[a] + space.bidegree[b] != space.bidegree[t]:
+            if deg[t] != (pa + pb, qa + qb):
                 raise ValueError(f"product {a!r} {b!r} -> {t!r} breaks "
                                  f"bidegree additivity")
         if cleaned:
@@ -103,8 +117,8 @@ def _symmetrize(space: BigradedSpace, product: ProductTable) -> ProductTable:
     for (a, b) in list(table):
         if (b, a) in table or a == b:
             continue
-        sign = koszul_sign(space.bidegree[a].total, space.bidegree[b].total)
-        table[(b, a)] = {t: sign * v for t, v in table[(a, b)].items()}
+        odd = deg[a].total * deg[b].total % 2
+        table[(b, a)] = {t: -v if odd else v for t, v in table[(a, b)].items()}
     return table
 
 
@@ -195,9 +209,9 @@ def _bracket_table(a: BVAlgebra) -> ProductTable:
 def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     """Exact verification of all dg BV-algebra axioms.
 
-    Each trilinear item reports its first failing tuple.  They visit, in
-    this order, only the tuples the support index reaches (see the module
-    docstring):
+    Each trilinear item reports its first failing tuple.  In this order,
+    and over only the tuples the support index reaches (see the module
+    docstring), the ordered scans are:
 
     - associativity: the pairs ``(x, y)`` of product keys, each key followed
       by its mirror, and for each the ``z`` in ``partners[y]`` or in
@@ -211,6 +225,10 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
       the product keys, then the pairs ``_reached`` from ``delta``, and a
       third name over the basis; a triple comes at the first such step whose
       sorted names are its own, and triples of one step in sorted order.
+
+    Once graded commutativity has passed, associativity and the derivation
+    rule take their verdicts from one tuple per symmetry orbit instead, and
+    run these ordered scans only on a failure (see the module docstring).
     """
     report = CheckReport("bv-axioms")
     space = a.space
@@ -245,51 +263,129 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
 
     product = _over_lcm(a.product)
     report.add("associativity", *_check_associativity(
-        a, product, skip_unit=unit_law and commutative))
-    report.add("d is a derivation of the product",
-               *_check_derivation(a, product, _over_lcm(a.d.entries)))
+        a, product, unit_law, commutative))
+    report.add("d is a derivation of the product", *_check_derivation(
+        a, product, _over_lcm(a.d.entries), commutative))
     report.add("delta has order <= 2 (bracket Leibniz)",
                *_check_order_two(a, product, _over_lcm(a.brackets)))
     return report
 
 
-def _check_associativity(a: BVAlgebra, product: Dict, skip_unit: bool):
-    """``product`` is ``_over_lcm(a.product)``; with ``skip_unit``, no
-    triple that contains the unit is visited."""
-    partners, index = a.partners, a.space.index
-    unit = a.unit if skip_unit else None
-    for (x, y) in dict.fromkeys(p for x, y in product for p in ((x, y), (y, x))):
-        if unit in (x, y):
+def _verdict(reduced_passed, first_witness):
+    """``(passed, witness)`` of a trilinear item.  ``reduced_passed`` is
+    the reduced scan's verdict, None when graded commutativity failed;
+    ``first_witness()`` runs the ordered scan and returns its first failing
+    tuple, or None."""
+    if reduced_passed:
+        return True, None
+    witness = first_witness()
+    if witness is None and reduced_passed is not None:
+        raise RuntimeError("the reduced scan fails but the ordered scan "
+                           "finds no witness")
+    return witness is None, witness
+
+
+def _check_associativity(a: BVAlgebra, product: Dict, unit_law: bool,
+                         commutative: bool):
+    """``product`` is ``_over_lcm(a.product)``.  Once the unit law and
+    graded commutativity have passed, no triple that contains the unit is
+    visited."""
+    index, names = a.space.index, a.space.names
+    unit = a.unit if unit_law and commutative else None
+
+    def first_witness():
+        rows = {u: [(z, product[(u, z)]) for z in vs if z != unit]
+                for u, vs in a.partners.items()}
+        for (x, y) in dict.fromkeys(p for x, y in product
+                                    for p in ((x, y), (y, x))):
+            if unit in (x, y):
+                continue
+            acc: Dict[Tuple[str, str], int] = {}    # (xy)z - x(yz)
+            get = acc.get
+            for w, c in product[(x, y)].items():
+                for z, wz in rows.get(w, ()):
+                    for t, v in wz.items():
+                        acc[z, t] = get((z, t), 0) + c * v
+            for z, yz in rows[y]:
+                for w, c in yz.items():
+                    for t, v in product.get((x, w), {}).items():
+                        acc[z, t] = get((z, t), 0) - c * v
+            bad = [index[z] for (z, _t), v in acc.items() if v]
+            if bad:
+                return x, y, names[min(bad)]
+        return None
+
+    reduced = None
+    if commutative:
+        reduced = _representatives_associative(product, index, unit)
+    return _verdict(reduced, first_witness)
+
+
+def _representatives_associative(product: Dict, index: Dict, unit) -> bool:
+    """Whether every associator ``A(x, y, z) = (xy)z - x(yz)`` with
+    ``index[z] >= max(index[x], index[y])`` and no ``unit`` among ``x``,
+    ``y``, ``z`` vanishes, summed one middle name ``y`` at a time into one
+    accumulator keyed ``(x, z, target)``: ``(xy)z`` from the keys ``(x,
+    y)``, ``x(yz)`` from the keys ``(y, z)``.  ``right[u]`` and ``left[v]``
+    are sorted by index, so each cut is a bisect, and exist for the unit
+    too, which may be a factor ``w`` of ``xy`` or ``yz``."""
+    right: Dict[str, List] = {}
+    left: Dict[str, List] = {}
+    for (u, v), col in product.items():
+        if v != unit:
+            right.setdefault(u, []).append((index[v], v, col))
+        if u != unit:
+            left.setdefault(v, []).append((index[u], u, col))
+    for rows in (right, left):
+        for row in rows.values():
+            row.sort(key=lambda r: r[0])
+    for y, yrow in right.items():
+        if y == unit:
             continue
-        lhs: Dict[str, Dict[str, int]] = {}    # z -> (xy) z
-        for w, c in product[(x, y)].items():
-            for z in partners.get(w, ()):
-                if z != unit:
-                    _add_into(lhs.setdefault(z, {}), product[(w, z)], c)
-        rhs: Dict[str, Dict[str, int]] = {}    # z -> x (yz)
-        for z in partners.get(y, ()):
-            if z != unit:
-                rhs[z] = _left(product, x, product[(y, z)])
-        for z in sorted(lhs.keys() | rhs.keys(), key=index.__getitem__):
-            if _differ(lhs.get(z, {}), rhs.get(z, {})):
-                return False, (x, y, z)
-    return True, None
+        iy = index[y]
+        acc: Dict[Tuple[str, str, str], int] = {}
+        get = acc.get
+        for ix, x, xy in left[y]:
+            m = max(ix, iy)
+            for w, c in xy.items():
+                wrow = right.get(w, ())
+                for _iz, z, wz in wrow[bisect_left(wrow, (m,)):]:
+                    for t, v in wz.items():
+                        acc[x, z, t] = get((x, z, t), 0) + c * v
+        for iz, z, yz in yrow[bisect_left(yrow, (iy,)):]:
+            for w, c in yz.items():
+                wrow = left.get(w, ())
+                for _ix, x, xw in wrow[:bisect_left(wrow, (iz + 1,))]:
+                    for t, v in xw.items():
+                        acc[x, z, t] = get((x, z, t), 0) - c * v
+        if any(acc.values()):
+            return False
+    return True
 
 
-def _check_derivation(a: BVAlgebra, product: Dict, cols: Dict):
+def _check_derivation(a: BVAlgebra, product: Dict, cols: Dict,
+                      commutative: bool):
     """``product`` and ``cols`` are ``_over_lcm`` of ``a.product`` and
-    ``a.d.entries``."""
+    ``a.d.entries``.  Under graded commutativity ``D(y, x) = ±D(x, y)``,
+    so the pairs with ``index[x] <= index[y]`` decide the verdict."""
     pairs = dict.fromkeys(product)
     for (x, v) in _reached(a, cols):
         pairs[(x, v)] = pairs[(v, x)] = None
-    for (x, y) in pairs:
+    bidegree, index = a.space.bidegree, a.space.index
+
+    def fails(x, y):
         lhs = _apply(cols, product.get((x, y), {}))
         rhs = _right(product, cols.get(x, {}), y)
         _add_into(rhs, _left(product, x, cols.get(y, {})),
-                  -1 if a.space.bidegree[x].total % 2 else 1)
-        if _differ(lhs, rhs):
-            return False, (x, y)
-    return True, None
+                  -1 if bidegree[x].total % 2 else 1)
+        return _differ(lhs, rhs)
+
+    reduced = None
+    if commutative:
+        reduced = not any(fails(x, y) for (x, y) in pairs
+                          if index[x] <= index[y])
+    return _verdict(reduced, lambda: next((p for p in pairs if fails(*p)),
+                                          None))
 
 
 def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict):
@@ -300,8 +396,10 @@ def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict):
     equivalent to the seven-term order-2 identity given commutativity.
     ``product`` and ``brackets`` are ``_over_lcm`` of ``a.product`` and
     ``a.brackets``.  The live triples come from joining ``brackets`` with
-    the product, so with ``delta = 0`` there are none.
+    the product, so with no nonzero bracket there are none.
     """
+    if not brackets:
+        return True, None
     space, partners = a.space, a.partners
     bracketed: Dict[str, List[str]] = {}
     for (x, w) in brackets:

@@ -44,11 +44,11 @@ class InnerProduct:
                 continue
             block = blocks[deg]
             if len(block) != n or any(len(row) != n for row in block):
-                raise ValueError(f"gram block at {deg} has wrong shape")
+                raise ValueError(f"gram block at {tuple(deg)} has wrong shape")
             self.blocks[deg] = linalg.to_block(block)
             if not linalg.is_positive_definite(self.blocks[deg]):
-                raise ValueError(
-                    f"gram block at {deg} is not symmetric positive-definite")
+                raise ValueError(f"gram block at {tuple(deg)} is not "
+                                 f"symmetric positive-definite")
 
     @classmethod
     def from_entries(cls, space: BigradedSpace,

@@ -144,19 +144,23 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
     d = _map_entries(doc, "d", space, Bidegree(0, 1), read)
     delta = _map_entries(doc, "delta", space, Bidegree(-1, 0), read)
 
-    product = {}
+    product: Dict[Tuple[str, str], Dict[str, Fraction]] = {}
     seen: set = set()
-    deg = space.bidegree
+    deg = {n: tuple(b) for n, b in space.bidegree.items()}
     for i, row in enumerate(_rows(doc, "product")):
         loc = f"product[{i}]"
         _require(isinstance(row, list) and len(row) == 4,
                  "expected [x, y, target, scalar]", loc)
         x, y, tgt, val = row
-        for nm in (x, y, tgt):
-            _require_name(space, nm, loc)
-        _require(deg[x] + deg[y] == deg[tgt],
-                 f"target {tgt!r} at {tuple(deg[tgt])} breaks bidegree "
-                 f"additivity: {tuple(deg[x])} + {tuple(deg[y])}", loc)
+        try:
+            (px, qx), (py, qy), dt = deg[x], deg[y], deg[tgt]
+        except (KeyError, TypeError):
+            # an unknown or unhashable name: report the first one
+            for nm in (x, y, tgt):
+                _require_name(space, nm, loc)
+        if (px + py, qx + qy) != dt:
+            raise SchemaError(f"target {tgt!r} at {dt} breaks bidegree "
+                              f"additivity: {deg[x]} + {deg[y]}", loc)
         val = read(val, loc)
         _require_new(seen, (x, y, tgt), loc)
         product.setdefault((x, y), {})[tgt] = val

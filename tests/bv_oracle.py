@@ -7,14 +7,16 @@ basis columns and stops at the first failure.  They return the same
 ``(passed, witness)`` pairs as the library's ``_check_*`` functions, so
 witnesses can be compared too.  ``unpruned`` checks the three identities
 on every basis tuple with ``Element`` arithmetic and the three-term bracket
-formula, and returns the three verdicts.
+formula, and returns the three verdicts.  ``bracket_model`` is a small
+algebra whose derived bracket is nonzero on an exact product.
 """
 
 import itertools
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from bvhy.graded import koszul_sign
+from bvhy.bv import BVAlgebra
+from bvhy.graded import Bidegree, BigradedSpace, GradedMap, koszul_sign
 
 
 def associativity(a):
@@ -179,3 +181,23 @@ def unpruned(a):
             koszul_sign(x.total_degree + 1, y.total_degree))
         for x, y, z in triples)
     return assoc, deriv, order_two
+
+
+def bracket_model(z=(2, 0)):
+    """Nine elements with x y = d r exact, delta r = s and s z = w harmonic,
+    w at z + (1, 1): with z at (2, 0), the strict (3,1) operation is -2[w]
+    on x, y, z."""
+    F = Fraction
+    space = BigradedSpace([
+        ("e", Bidegree(0, 0)), ("x", Bidegree(1, 1)), ("y", Bidegree(1, 1)),
+        ("p", Bidegree(2, 2)), ("r", Bidegree(2, 1)), ("s", Bidegree(1, 1)),
+        ("q", Bidegree(1, 2)), ("z", Bidegree(*z)),
+        ("w", Bidegree(z[0] + 1, z[1] + 1))])
+    d = GradedMap(space, space, Bidegree(0, 1),
+                  {"r": {"p": F(1)}, "s": {"q": F(-1)}})
+    delta = GradedMap(space, space, Bidegree(-1, 0),
+                      {"r": {"s": F(1)}, "p": {"q": F(1)}})
+    product = {("e", n): {n: F(1)} for n in space.names}
+    product[("x", "y")] = {"p": F(1)}
+    product[("s", "z")] = {"w": F(1)}
+    return BVAlgebra(space, d, delta, product, "e")

@@ -74,8 +74,8 @@ def test_product_breaking_bidegree_additivity_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: product[3]:")
-    assert "additivity" in lines[0]
+    assert lines == ["error: product[3]: target 'b' at (0, 1) breaks "
+                     "bidegree additivity: (1, 0) + (1, 0)"]
 
 
 @pytest.mark.parametrize("field", ["p", "q"])
@@ -264,6 +264,20 @@ def test_validate_gram_file_without_gram_key(tmp_path, capsys, gram, code):
         assert captured.out == ""
         assert captured.err.splitlines() == \
             ["error: gram: gram must be a list of entries"]
+
+
+@pytest.mark.parametrize("entries,deg", [
+    ([["e", "x", "1"], ["x", "x", "1"]], "(0, 0)"), ([["y", "y", "-2"]], "(0, 1)")],
+    ids=["singular", "negative"])
+def test_gram_errors_name_the_bidegree_as_a_pair(tmp_path, capsys, entries,
+                                                 deg):
+    path = _write(tmp_path / "algebra.json", dict(_README_ALGEBRA,
+                                                  gram=entries))
+    assert main(["validate", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: gram: gram block at {deg} is not symmetric positive-definite"]
 
 
 @pytest.mark.parametrize("field,value", [("d", None), ("delta", 1),

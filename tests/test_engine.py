@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import engine_oracle
+from bv_oracle import bracket_model
 from engine_oracle import (SubtreeEvaluator, bidegree_violations,
                            nonzero_keys, truncate_to_strict)
 from tree_oracle import delta_trees
@@ -221,23 +222,6 @@ def _nilpotent_ce(n, scale):
                      product, "g")
 
 
-def _bracket_model():
-    """Nine elements with x y = d r exact, delta r = s and s z = w harmonic,
-    z at (2,0): the strict (3,1) operation is -2[w] on x, y, z."""
-    space = BigradedSpace([
-        ("e", Bidegree(0, 0)), ("x", Bidegree(1, 1)), ("y", Bidegree(1, 1)),
-        ("p", Bidegree(2, 2)), ("r", Bidegree(2, 1)), ("s", Bidegree(1, 1)),
-        ("q", Bidegree(1, 2)), ("z", Bidegree(2, 0)), ("w", Bidegree(3, 1))])
-    d = GradedMap(space, space, Bidegree(0, 1),
-                  {"r": {"p": F(1)}, "s": {"q": F(-1)}})
-    delta = GradedMap(space, space, Bidegree(-1, 0),
-                      {"r": {"s": F(1)}, "p": {"q": F(1)}})
-    product = {("e", n): {n: F(1)} for n in space.names}
-    product[("x", "y")] = {"p": F(1)}
-    product[("s", "z")] = {"w": F(1)}
-    return BVAlgebra(space, d, delta, product, "e")
-
-
 def _oracle_cases(models):
     for m in list(models) + [search_nonformal(seed=s) for s in (0, 1)]:
         yield m.name, m.algebra, m.transfer_data()
@@ -245,14 +229,14 @@ def _oracle_cases(models):
         a = _nilpotent_ce(n, lambda k: F(2 * k - 1, k - 1))
         assert check_bv_axioms(a).passed
         yield f"ce({n})", a, build_transfer_data(a)
-    a = _bracket_model()
+    a = bracket_model()
     td, reports = check_transfer_input(a)
     assert all(r.passed for r in reports)
     yield "bracket", a, td
 
 
 def test_bracket_model_has_a_nonzero_strict_bracket_entry():
-    a = _bracket_model()
+    a = bracket_model()
     td, reports = check_transfer_input(a)
     assert all(r.passed for r in reports)
     table = build_operation_table(a, td, 5)
