@@ -187,9 +187,12 @@ def _bracket_table(a: BVAlgebra) -> ProductTable:
 
     Only pairs where a term of the three-term formula can be nonzero are
     computed: product keys whose column ``delta`` hits, and both orders
-    of the pairs ``_reached`` from ``delta``.
+    of the pairs ``_reached`` from ``delta``.  With ``delta = 0`` there
+    are none, and no product key is read.
     """
     product, cols = a.product, a.delta.entries
+    if not cols:
+        return {}
     pairs = dict.fromkeys(key for key, col in product.items()
                           if any(cols.get(t) for t in col))
     for (x, w) in _reached(a, cols):

@@ -5,17 +5,25 @@ parse or schema error, or unwritable ``--out``, 3 certificate "not
 certified" (distinct from error).
 
 Each subcommand imports the modules only it runs: ``validate`` loads no
-engine, certificate or model code.
+engine, certificate or model code.  Most of a ``validate`` or
+``transfer`` process is start-up, so the command line is read from one
+table, ``COMMANDS``, rather than by ``argparse``; a usage error is a
+``SchemaError`` like any other, one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import json
 import sys
 import time
 from typing import Optional
+
+try:
+    # the built-in module: hashlib would load OpenSSL too, several ms of
+    # every process's start-up.  CPython 3.12 renamed it _sha2.
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from . import serialize
 from .hodge import check_transfer_input
@@ -30,7 +38,7 @@ def _load_json(path: str):
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+        return json.loads(data.decode("utf-8")), sha256(data).hexdigest()
     except FileNotFoundError:
         raise SchemaError(f"no such file: {path}", path) from None
     except UnicodeDecodeError as exc:
@@ -82,37 +90,38 @@ def _load_and_check(algebra_path: str, gram_path: Optional[str] = None):
             all(r.passed for r in reports))
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(algebra: str, gram: Optional[str]) -> int:
     started = time.monotonic()
-    _, _, inputs, results, ok = _load_and_check(args.algebra, args.gram)
+    _, _, inputs, results, ok = _load_and_check(algebra, gram)
     _emit(_report("validate", inputs, started, results=results, passed=ok))
     return 0 if ok else 1
 
 
-def cmd_transfer(args) -> int:
+def cmd_transfer(algebra: str, max_arity: int, out: Optional[str],
+                 force: bool) -> int:
     from .engine import build_operation_table, check_formal_unit, \
         top_degree_report
     started = time.monotonic()
-    if args.max_arity < 2:
-        raise SchemaError(f"--max-arity {args.max_arity} is below 2, the "
+    if max_arity < 2:
+        raise SchemaError(f"--max-arity {max_arity} is below 2, the "
                           f"arity of the product", "max-arity")
-    if args.max_arity > MAX_ARITY_GUARD and not args.force:
+    if max_arity > MAX_ARITY_GUARD and not force:
         raise SchemaError(
-            f"--max-arity {args.max_arity} exceeds the combinatorial guard "
+            f"--max-arity {max_arity} exceeds the combinatorial guard "
             f"({MAX_ARITY_GUARD}); pass --force to override", "max-arity")
-    algebra, td, inputs, results, ok = _load_and_check(args.algebra)
+    a, td, inputs, results, ok = _load_and_check(algebra)
     if not ok:
         _emit(_report("transfer", inputs, started, results=results,
                       passed=False))
         return 1
 
-    table = build_operation_table(algebra, td, args.max_arity)
+    table = build_operation_table(a, td, max_arity)
     table_doc = serialize.table_to_json(table)
     unit = check_formal_unit(table)
     table_doc["formal_unit"] = unit.to_dict()
     ok = unit.passed
 
-    top = max(algebra.space.occupied_bidegrees(), key=lambda d: (d.total, d.p))
+    top = max(a.space.occupied_bidegrees(), key=lambda d: (d.total, d.p))
     if top.p == top.q:
         top_report = top_degree_report(table, top.p)
         table_doc["top_degree"] = top_report.to_dict()
@@ -122,39 +131,39 @@ def cmd_transfer(args) -> int:
             "skipped": f"top bidegree ({top.p},{top.q}) is not of the form (n,n)"}
 
     # without --out, stdout holds one document: the report, table included
-    extra = {} if args.out else {"table": table_doc}
-    if args.out:
-        _emit(table_doc, args.out)
+    extra = {} if out else {"table": table_doc}
+    if out:
+        _emit(table_doc, out)
     _emit(_report("transfer", inputs, started, results=results, passed=ok,
-                  out=args.out, **extra))
+                  out=out, **extra))
     return 0 if ok else 1
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(footprint: str, assume_top_bottom: bool) -> int:
     from .certify import certify_formality
     started = time.monotonic()
-    doc, digest = _load_json(args.footprint)
+    doc, digest = _load_json(footprint)
     fp = serialize.footprint_from_json(doc)
-    inputs = {args.footprint: digest}
-    cert = certify_formality(fp, assume_top_bottom=args.assume_top_bottom)
+    inputs = {footprint: digest}
+    cert = certify_formality(fp, assume_top_bottom=assume_top_bottom)
     _emit(_report("certify", inputs, started, certificate=cert.to_dict(),
                   verdict=cert.verdict))
     return 0 if cert.formal else 3
 
 
-def cmd_search(args) -> int:
+def cmd_search(seed: int, out: Optional[str]) -> int:
     from .models import SearchExhausted, search_nonformal
     started = time.monotonic()
     try:
-        model = search_nonformal(seed=args.seed)
+        model = search_nonformal(seed=seed)
     except SearchExhausted as exc:
         _emit(_report("search", {}, started, passed=False, error=str(exc)))
         return 1
     doc = serialize.algebra_to_json(model.algebra, model.inner_product)
-    if args.out:
-        _emit(doc, args.out)
+    if out:
+        _emit(doc, out)
     _emit(_report("search", {}, started, passed=True, model=model.name,
-                  witness=model.witness, out=args.out))
+                  witness=model.witness, out=out))
     return 0
 
 
@@ -163,47 +172,91 @@ def _bool_flag(value: str) -> bool:
         return True
     if value.lower() in ("false", "0", "no"):
         return False
-    raise argparse.ArgumentTypeError(f"expected true/false, got {value!r}")
+    raise ValueError(value)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bvhy",
-        description="Homotopy transfer and formality certificates for "
-                    "finite-dimensional dg BV-algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command: (handler, summary, positionals, {option: (converter, default)});
+# an option whose converter is None is a flag, False unless given.  Each
+# positional and option is passed to the handler under its name, dashes
+# turned into underscores.
+COMMANDS = {
+    "validate": (cmd_validate, "check BV axioms and transfer identities",
+                 ("algebra",), {"--gram": (str, None)}),
+    "transfer": (cmd_transfer, "build the transferred operation table",
+                 ("algebra",), {"--max-arity": (int, 4), "--out": (str, None),
+                                "--force": (None, False)}),
+    "certify": (cmd_certify, "run the degree-counting certificate",
+                ("footprint",), {"--assume-top-bottom": (_bool_flag, True)}),
+    "search": (cmd_search, "search for a non-formality witness",
+               (), {"--seed": (int, 0), "--out": (str, None)}),
+}
 
-    p = sub.add_parser("validate", help="check BV axioms and transfer identities")
-    p.add_argument("algebra", help="algebra JSON file")
-    p.add_argument("--gram", help="separate Gram-matrix JSON file")
-    p.set_defaults(func=cmd_validate)
+_METAVARS = {int: "N", _bool_flag: "BOOL"}
 
-    p = sub.add_parser("transfer", help="build the transferred operation table")
-    p.add_argument("algebra", help="algebra JSON file")
-    p.add_argument("--max-arity", type=int, default=4)
-    p.add_argument("--out", help="write the table JSON here; without it "
-                   "the table is the report's \"table\" key")
-    p.add_argument("--force", action="store_true",
-                   help="override the arity guard")
-    p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("certify", help="run the degree-counting certificate")
-    p.add_argument("footprint", help="footprint JSON file")
-    p.add_argument("--assume-top-bottom", type=_bool_flag, default=True,
-                   metavar="BOOL")
-    p.set_defaults(func=cmd_certify)
+def _usage() -> str:
+    lines = ["usage: bvhy COMMAND [ARGS]", ""]
+    for command, (_, summary, positionals, options) in COMMANDS.items():
+        words = [command, *(p.upper() for p in positionals)]
+        words += [f"[{o}]" if convert is None else
+                  f"[{o} {_METAVARS.get(convert, 'FILE')}]"
+                  for o, (convert, _) in options.items()]
+        lines += [f"  {' '.join(words)}", f"      {summary}"]
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("search", help="search for a non-formality witness")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="write the witness algebra JSON here")
-    p.set_defaults(func=cmd_search)
-    return parser
+
+def _parse(argv):
+    """The handler ``argv`` names and its keyword arguments.  Options go
+    before or after the positionals, as ``--opt value`` or ``--opt=value``;
+    any misuse raises ``SchemaError``."""
+    if not argv or argv[0] not in COMMANDS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise SchemaError(f"{got}; expected one of {', '.join(COMMANDS)}",
+                          "command")
+    handler, _, positionals, options = COMMANDS[argv[0]]
+    kwargs = {o[2:].replace("-", "_"): default
+              for o, (_, default) in options.items()}
+    given = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            given.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            raise SchemaError(f"unknown option {name}", argv[0])
+        convert, _ = options[name]
+        if convert is None:
+            if eq:
+                raise SchemaError(f"{name} takes no value", name[2:])
+            value = True
+        else:
+            if not eq:
+                value = next(rest, None)
+                if value is None or value.startswith("--"):
+                    raise SchemaError(f"{name} needs a value", name[2:])
+            try:
+                value = convert(value)
+            except ValueError:
+                raise SchemaError(f"invalid value {value!r} for {name}",
+                                  name[2:]) from None
+        kwargs[name[2:].replace("-", "_")] = value
+    if len(given) != len(positionals):
+        expected = " ".join(p.upper() for p in positionals) or "nothing"
+        raise SchemaError(f"expected {expected}, got {len(given)} "
+                          f"positional arguments", argv[0])
+    kwargs.update(zip(positionals, given))
+    return handler, kwargs
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_usage())
+        return 0
     try:
-        return args.func(args)
+        handler, kwargs = _parse(argv)
+        return handler(**kwargs)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

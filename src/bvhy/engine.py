@@ -10,11 +10,14 @@ Values are plain ``{name: Fraction}`` dicts combined with the helpers of
 leaf-label order.  Applying a map drops zero values, so on strongly
 trivialized models the tables collapse early; ``h`` is applied once per
 table.
+``splits`` is the one split rule: the root of a tree on a sorted label
+set splits it into a left part holding the smallest label and a nonempty
+right part.  It lives here, where it runs in production, so ``transfer``
+never loads ``bvhy.trees``; ``trees.enumerate_trees`` imports it.
 ``build_operation_table`` sums all trees with equal leaf and bracket
-counts at once, bottom-up over the leaf splits of ``trees.splits`` (the
-rule ``enumerate_trees`` builds trees from).  A graft's values depend only
-on the sizes and bracket counts of its subtrees and the vertex kind; leaf
-labels only permute keys.  So each size class gets one product list
+counts at once, bottom-up over these splits.  A graft's values depend
+only on the sizes and bracket counts of its subtrees and the vertex kind;
+leaf labels only permute keys.  So each size class gets one product list
 (``_products``), scattered into every split of that class (``_scatter``).
 ``naive_evaluate_tree`` evaluates one tree on given arguments by direct
 recursion on ``Element``s, with no tables and no caching.  The witness
@@ -27,16 +30,30 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, \
+    Tuple
 
 from .bv import BVAlgebra, Vector, _add_into, _apply, _left, _nonzero
 from .graded import Bidegree, Element, koszul_sign
 from .hodge import TransferData
 from .reporting import CheckReport
-from .trees import BR, MUL, DecoratedTree, splits
 
+if TYPE_CHECKING:
+    from .trees import DecoratedTree
+
+Labels = Tuple[int, ...]
 Constants = Dict[Tuple[str, ...], Vector]
 Items = List[Tuple[Tuple[str, ...], Vector]]
+
+
+def splits(labels: Labels) -> Iterator[Tuple[Labels, Labels]]:
+    """The root splits ``(A, B)`` of a sorted label tuple: ``A`` holds the
+    smallest label, ``B`` is nonempty; by size of ``A``, then
+    lexicographically."""
+    first, rest = labels[0], labels[1:]
+    for r in range(len(rest)):
+        for others in itertools.combinations(rest, r):
+            yield (first, *others), tuple(x for x in rest if x not in others)
 
 
 def _leaves(td: TransferData) -> Constants:
@@ -54,7 +71,7 @@ def _products(a: BVAlgebra, kind: str, left: Items, right: Items,
     if the child is a vertex), as nonzero ``(left key + right key, value)``
     pairs, left-major.  A right vertex child's ``h`` is odd, so it picks
     up a Koszul sign passing over the left value."""
-    table = a.product if kind == MUL else a.brackets
+    table = a.product if kind == "mul" else a.brackets
     if not table:
         return []
     out: Items = []
@@ -133,7 +150,7 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
     brackets.  ``edges[(m, l)]`` holds that sum before ``pi`` for trees on
     leaves 1..m, as the edge above its root sees it.  The root of such a
     tree splits the leaves into A, which holds leaf 1, and B, in the
-    order of ``trees.splits``; the subtree
+    order of ``splits``; the subtree
     sums on A and B are ``edges[(|A|, la)]`` and ``edges[(|B|, lb)]`` up to
     an order-preserving relabelling, so their products are computed once
     per size class ``(|A|, la, |B|, lb, kind)`` and level.
@@ -145,14 +162,14 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
         products: Dict[Tuple[int, int, int, int, str], Items] = {}
         for A, B in splits(tuple(range(1, m + 1))):
             for la, lb, kind in itertools.product(
-                    range(len(A)), range(len(B)), (MUL, BR)):
+                    range(len(A)), range(len(B)), ("mul", "br")):
                 size_class = (len(A), la, len(B), lb, kind)
                 if size_class not in products:
                     products[size_class] = _products(
                         a, kind, edges[(len(A), la)], edges[(len(B), lb)],
                         len(B) > 1)
                 _scatter(products[size_class], A + B,
-                         level[la + lb + (kind == BR)])
+                         level[la + lb + (kind == "br")])
         for l, values in level.items():
             if m < max_arity:
                 edges[(m, l)] = _through(td.h.entries, values.items())

@@ -5,15 +5,14 @@ Leaves carry labels 1..k; internal vertices are decorated ``mul`` or ``br``
 vertex arguments are resolved at evaluation time, where argument degrees
 are known.
 
-``splits`` is the canonical split rule: the root of a tree on a sorted
-label set splits it into a left part holding the smallest label and a
-nonempty right part.  ``enumerate_trees`` lists the trivalent trees (no
-``del`` vertices) built from it, and ``engine.build_operation_table``
-iterates the same rule, so both visit splits in one order.  Canonical
-forms of arbitrary planar trees, delta-tree enumeration and the
-bidegree a tree's operation shifts by (``(-l, -k+2)`` for a trivalent
-tree with k leaves and l brackets) are test oracles and live with the
-tests.
+``enumerate_trees`` lists the trivalent trees (no ``del`` vertices) built
+from ``engine.splits``, the canonical split rule that
+``engine.build_operation_table`` iterates, so both visit splits in one
+order.  The rule lives in ``engine`` so that ``transfer`` runs without
+this module.  Canonical forms of arbitrary planar trees, delta-tree
+enumeration and the bidegree a tree's operation shifts by
+(``(-l, -k+2)`` for a trivalent tree with k leaves and l brackets) are
+test oracles and live with the tests.
 
 Textual syntax, round-tripped bit-exactly by ``parse_tree``/``unparse_tree``:
 
@@ -22,8 +21,9 @@ Textual syntax, round-tripped bit-exactly by ``parse_tree``/``unparse_tree``:
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
+
+from .engine import Labels, splits
 
 LEAF = "leaf"
 MUL = "mul"
@@ -31,8 +31,6 @@ BR = "br"
 DEL = "del"
 
 _BINARY = (MUL, BR)
-
-Labels = Tuple[int, ...]
 
 
 class DecoratedTree:
@@ -144,16 +142,6 @@ def unparse_tree(t: DecoratedTree) -> str:
         return str(t.label)
     inner = " ".join(unparse_tree(c) for c in t.children)
     return f"({t.kind} {inner})"
-
-
-def splits(labels: Labels) -> Iterator[Tuple[Labels, Labels]]:
-    """The root splits ``(A, B)`` of a sorted label tuple: ``A`` holds the
-    smallest label, ``B`` is nonempty; by size of ``A``, then
-    lexicographically."""
-    first, rest = labels[0], labels[1:]
-    for r in range(len(rest)):
-        for others in itertools.combinations(rest, r):
-            yield (first, *others), tuple(x for x in rest if x not in others)
 
 
 def _trivalent_trees(labels: Labels) -> Iterator[DecoratedTree]:

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes 0/1/2/3 and JSON reports."""
 
 import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -444,3 +445,45 @@ def test_validate_witnesses_do_not_depend_on_hash_seed(tmp_path, field, value,
               for r in reports[0]["results"] for i in r["items"]
               if not i["passed"]}
     assert failed[item]
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobnicate"], ["validate"], ["validate", "a.json", "b.json"],
+    ["validate", "a.json", "--bogus"], ["transfer", "a.json", "--out"],
+    ["transfer", "a.json", "--max-arity", "abc"],
+    ["certify", "f.json", "--assume-top-bottom", "maybe"],
+    ["search", "--seed", "x"]],
+    ids=["unknown-command", "missing-positional", "extra-positional",
+         "unknown-option", "option-without-value", "int-not-a-number",
+         "bool-not-a-bool", "seed-not-a-number"])
+def test_usage_errors_exit_2_with_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_option_value_after_equals_sign(tmp_path, capsys):
+    path = _write(tmp_path / "trivial.json",
+                  serialize.algebra_to_json(build_trivial_model(2).algebra))
+    spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+    assert main(["transfer", path, "--max-arity", "3",
+                 "--out", str(spaced)]) == 0
+    assert main(["transfer", "--max-arity=3", f"--out={joined}", path]) == 0
+    assert joined.read_bytes() == spaced.read_bytes()
+
+
+def test_help_names_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(command in out
+               for command in ("validate", "transfer", "certify", "search"))
+
+
+def test_report_inputs_hold_the_sha256_of_the_file_bytes(torus_file, capsys):
+    assert main(["validate", torus_file]) == 0
+    report = json.loads(capsys.readouterr().out)
+    with open(torus_file, "rb") as fh:
+        assert report["inputs"] == {
+            torus_file: hashlib.sha256(fh.read()).hexdigest()}
