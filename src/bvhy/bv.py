@@ -12,48 +12,45 @@ so that the order-2 compatibility checked in ``check_bv_axioms`` is
 automatically the right one.  ``bracket`` expands it bilinearly over
 ``brackets``, its nonzero values on basis pairs.
 
-The algebra keeps plain ``{name: Fraction}`` columns.  The three
-trilinear axiom checks run on integer copies made once per
-``check_bv_axioms`` call by ``_over_lcm``: every product constant as its
-numerator over the lcm of all product denominators, and ``d`` and
-``brackets`` each over their own lcm.  Each identity is homogeneous in these
-tables (associativity of degree 2 in the product on both sides, the
-derivation and Leibniz rules of degree 1 in the product and 1 in ``d`` or
-the bracket in every term), so comparing integer sides decides exactly what
-comparing rational sides would.  Their signs are the ints 1 and -1:
-``koszul_sign`` returns a ``Fraction``, which would turn the sums back into
-fractions.  The commutativity item takes its sign the same way, which saves
-building a ``Fraction`` per product constant.
+The algebra keeps plain ``{name: Fraction}`` columns.  Graded
+commutativity and the three trilinear axiom checks run on integer copies
+made once per ``check_bv_axioms`` call by ``_over_lcm``: every product
+constant as its numerator over the lcm of all product denominators, and
+``d`` and ``brackets`` each over their own lcm.  Each identity is
+homogeneous in these tables (commutativity of degree 1 in the product,
+associativity of degree 2 on both sides, the derivation and Leibniz rules
+of degree 1 in the product and 1 in ``d`` or the bracket in every term),
+so comparing integer sides decides exactly what comparing rational sides
+would.  Their signs are the ints 1 and -1: ``koszul_sign`` returns a
+``Fraction``, which would turn the sums back into fractions.
 
 The trilinear checks visit only the tuples reached by one support index,
 built with the algebra: ``partners[u]``, the ``v`` with ``(u, v)`` a
 product key, in key order (keys are closed under swapping, so it is the
 left index too), the ``d`` and ``delta`` columns, and ``brackets``.  Any
-other tuple satisfies the identity under test as 0 = 0.  Once the unit law
-and graded commutativity have passed, associativity also skips every
-triple that contains the unit, where it then holds.
+other tuple satisfies the identity under test as 0 = 0.
 
-Once graded commutativity has passed (odd squares included), one tuple per
-symmetry orbit decides the associativity and derivation verdicts.  For any
-graded-commutative product the associators satisfy ``A(z, y, x) = ±A(x, y,
-z)`` and ``±A(x, y, z) ± A(y, z, x) ± A(z, x, y) = 0``, so the orders whose
-last name has the largest basis index decide all six, repeated names
-included; and ``D(y, x) = ±D(x, y)``, so the pairs with ``index[x] <=
-index[y]`` decide.  The ordered scan that ``check_bv_axioms`` describes
-runs only when that verdict is a failure, to name its first failing tuple
-as the witness; finding none is a ``RuntimeError``.  When commutativity
-fails, only the ordered scans run.
+Each trilinear item scans its tuples once, in basis-index order, and its
+witness is the first failing tuple of that scan, so these witnesses are
+properties of the algebra, not of the order of a document's rows.  Once
+graded commutativity has passed (odd squares included), each scan keeps
+one tuple per symmetry orbit.  For a graded-commutative product the
+associators satisfy ``A(z, y, x) = ±A(x, y, z)`` and ``±A(x, y, z) ±
+A(y, z, x) ± A(z, x, y) = 0``, so the orders whose last name has the
+largest basis index decide all six, repeated names included; the
+derivation defect has ``D(y, x) = ±D(x, y)``; and the Leibniz defect has
+``L(x, z, y) = (-1)^(|y||z|) L(x, y, z)``.  When commutativity fails, the
+same scans run with no cut.
 """
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .graded import Bidegree, BigradedSpace, Element, GradedMap, koszul_sign
+from .graded import Bidegree, BigradedSpace, Element, GradedMap
 from .reporting import CheckReport
 
 Vector = Dict[str, Fraction]
@@ -171,15 +168,23 @@ def _nonzero(vec: Vector) -> Vector:
     return {n: v for n, v in vec.items() if v != 0}
 
 
-def _differ(u: Vector, v: Vector) -> bool:
-    return u != v and _nonzero(u) != _nonzero(v)
-
-
 def _reached(a: BVAlgebra, cols: Dict[str, Vector]) -> List[Tuple[str, str]]:
     """``(x, v)`` for ``x`` in basis order, ``s`` in the support of
     ``cols[x]`` and ``v`` in ``partners[s]``."""
     return [(x, v) for x in a.space.names for s in cols.get(x, ())
             for v in a.partners.get(s, ())]
+
+
+def _defect(a: BVAlgebra, product: Dict, cols: Dict, x: str, y: str) -> Vector:
+    """``A(xy) - A(x) y - (-1)^|x| x A(y)`` on basis elements, for the map
+    ``A`` with columns ``cols`` and the product table ``product``: the
+    bracket ``[x, y]`` when ``A`` is ``delta``, and the failure of the
+    derivation rule when ``A`` is ``d``."""
+    acc = _apply(cols, product.get((x, y), {}))
+    _add_into(acc, _right(product, cols.get(x, {}), y), -1)
+    _add_into(acc, _left(product, x, cols.get(y, {})),
+              1 if a.space.bidegree[x].total % 2 else -1)
+    return acc
 
 
 def _bracket_table(a: BVAlgebra) -> ProductTable:
@@ -199,11 +204,7 @@ def _bracket_table(a: BVAlgebra) -> ProductTable:
         pairs[(x, w)] = pairs[(w, x)] = None
     table: ProductTable = {}
     for (x, w) in pairs:
-        acc = _apply(cols, product.get((x, w), {}))
-        _add_into(acc, _right(product, cols.get(x, {}), w), -1)
-        _add_into(acc, _left(product, x, cols.get(w, {})),
-                  -koszul_sign(1, a.space.bidegree[x].total))
-        acc = _nonzero(acc)
+        acc = _nonzero(_defect(a, product, cols, x, w))
         if acc:
             table[(x, w)] = acc
     return table
@@ -212,26 +213,24 @@ def _bracket_table(a: BVAlgebra) -> ProductTable:
 def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     """Exact verification of all dg BV-algebra axioms.
 
-    Each trilinear item reports its first failing tuple.  In this order,
-    and over only the tuples the support index reaches (see the module
-    docstring), the ordered scans are:
+    Each trilinear item scans the tuples the support index reaches (see
+    the module docstring) once, in basis-index order, and reports the first
+    failing tuple as its witness:
 
-    - associativity: the pairs ``(x, y)`` of product keys, each key followed
-      by its mirror, and for each the ``z`` in ``partners[y]`` or in
-      ``partners[w]`` for ``w`` in the support of ``xy``, in basis order;
-      once the unit law and graded commutativity have passed, no tuple
-      that contains the unit;
-    - derivation: the product keys, then both orders of each pair
-      ``_reached`` from ``d``;
-    - order two: the ordered triples where ``[x, yz]``, ``[x, y] z`` or
-      ``y [x, z]`` can be nonzero, ordered as follows.  Let a pair run over
-      the product keys, then the pairs ``_reached`` from ``delta``, and a
-      third name over the basis; a triple comes at the first such step whose
-      sorted names are its own, and triples of one step in sorted order.
+    - associativity: ``(x, y, z)`` by ``(index[y], index[x], index[z])``;
+      that is, the middle name ``y`` in basis order, and for each the
+      failing ``(x, z)`` with the least ``(index[x], index[z])``;
+    - derivation: the product keys and both orders of each pair
+      ``_reached`` from ``d``, by ``(index[x], index[y])``;
+    - order two: the triples where ``[x, yz]``, ``[x, y] z`` or ``y [x,
+      z]`` can be nonzero, by ``(index[x], index[y], index[z])``.
 
-    Once graded commutativity has passed, associativity and the derivation
-    rule take their verdicts from one tuple per symmetry orbit instead, and
-    run these ordered scans only on a failure (see the module docstring).
+    Once graded commutativity has passed, each scan keeps one tuple per
+    symmetry orbit: associativity only ``index[z] >= max(index[x],
+    index[y])``, and, once the unit law has passed too, no tuple that
+    contains the unit; derivation only ``index[x] <= index[y]``; order two
+    only ``index[y] <= index[z]``.  When commutativity fails, the scans
+    keep every tuple.
     """
     report = CheckReport("bv-axioms")
     space = a.space
@@ -253,145 +252,94 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
 
     report.add("delta(unit) = 0", not a.delta.entries.get(a.unit), a.unit)
 
+    product = _over_lcm(a.product)
     total = {n: space.bidegree[n].total for n in space.names}
-    witness = next(((x, y) for (x, y), col in a.product.items()
-                    if col != {t: -v if total[x] * total[y] % 2 else v
-                               for t, v in a.product.get((y, x), {}).items()}),
-                   None)
+    # product keys are closed under swapping (``_symmetrize``)
+    witness = next(((x, y) for (x, y), col in product.items() if col != (
+        {t: -v for t, v in product[(y, x)].items()}
+        if total[x] * total[y] % 2 else product[(y, x)])), None)
     # squares of odd elements must vanish
     witness = witness or next(((n, n) for n in space.names
-                               if total[n] % 2 and a.product.get((n, n))), None)
+                               if total[n] % 2 and (n, n) in product), None)
     commutative = witness is None
     report.add("graded commutativity", commutative, witness)
 
-    product = _over_lcm(a.product)
     report.add("associativity", *_check_associativity(
         a, product, unit_law, commutative))
     report.add("d is a derivation of the product", *_check_derivation(
         a, product, _over_lcm(a.d.entries), commutative))
-    report.add("delta has order <= 2 (bracket Leibniz)",
-               *_check_order_two(a, product, _over_lcm(a.brackets)))
+    report.add("delta has order <= 2 (bracket Leibniz)", *_check_order_two(
+        a, product, _over_lcm(a.brackets), commutative))
     return report
-
-
-def _verdict(reduced_passed, first_witness):
-    """``(passed, witness)`` of a trilinear item.  ``reduced_passed`` is
-    the reduced scan's verdict, None when graded commutativity failed;
-    ``first_witness()`` runs the ordered scan and returns its first failing
-    tuple, or None."""
-    if reduced_passed:
-        return True, None
-    witness = first_witness()
-    if witness is None and reduced_passed is not None:
-        raise RuntimeError("the reduced scan fails but the ordered scan "
-                           "finds no witness")
-    return witness is None, witness
 
 
 def _check_associativity(a: BVAlgebra, product: Dict, unit_law: bool,
                          commutative: bool):
-    """``product`` is ``_over_lcm(a.product)``.  Once the unit law and
-    graded commutativity have passed, no triple that contains the unit is
-    visited."""
+    """``(passed, witness)`` of associativity, ``product`` being
+    ``_over_lcm(a.product)``.
+
+    The associators ``A(x, y, z) = (xy)z - x(yz)`` of one middle name ``y``
+    at a time are summed into one accumulator keyed ``(x, z, target)``:
+    ``(xy)z`` from the keys ``(x, y)``, ``x(yz)`` from the keys ``(y, z)``.
+    ``right[u]`` and ``left[v]`` are filled from the keys in index order,
+    so they are sorted by index and each cut is a bisect; they exist for
+    the unit too, which may be a factor ``w`` of ``xy`` or ``yz``."""
     index, names = a.space.index, a.space.names
     unit = a.unit if unit_law and commutative else None
-
-    def first_witness():
-        rows = {u: [(z, product[(u, z)]) for z in vs if z != unit]
-                for u, vs in a.partners.items()}
-        for (x, y) in dict.fromkeys(p for x, y in product
-                                    for p in ((x, y), (y, x))):
-            if unit in (x, y):
-                continue
-            acc: Dict[Tuple[str, str], int] = {}    # (xy)z - x(yz)
-            get = acc.get
-            for w, c in product[(x, y)].items():
-                for z, wz in rows.get(w, ()):
-                    for t, v in wz.items():
-                        acc[z, t] = get((z, t), 0) + c * v
-            for z, yz in rows[y]:
-                for w, c in yz.items():
-                    for t, v in product.get((x, w), {}).items():
-                        acc[z, t] = get((z, t), 0) - c * v
-            bad = [index[z] for (z, _t), v in acc.items() if v]
-            if bad:
-                return x, y, names[min(bad)]
-        return None
-
-    reduced = None
-    if commutative:
-        reduced = _representatives_associative(product, index, unit)
-    return _verdict(reduced, first_witness)
-
-
-def _representatives_associative(product: Dict, index: Dict, unit) -> bool:
-    """Whether every associator ``A(x, y, z) = (xy)z - x(yz)`` with
-    ``index[z] >= max(index[x], index[y])`` and no ``unit`` among ``x``,
-    ``y``, ``z`` vanishes, summed one middle name ``y`` at a time into one
-    accumulator keyed ``(x, z, target)``: ``(xy)z`` from the keys ``(x,
-    y)``, ``x(yz)`` from the keys ``(y, z)``.  ``right[u]`` and ``left[v]``
-    are sorted by index, so each cut is a bisect, and exist for the unit
-    too, which may be a factor ``w`` of ``xy`` or ``yz``."""
     right: Dict[str, List] = {}
     left: Dict[str, List] = {}
-    for (u, v), col in product.items():
+    for u, v in sorted(product, key=lambda k: (index[k[0]], index[k[1]])):
         if v != unit:
-            right.setdefault(u, []).append((index[v], v, col))
+            right.setdefault(u, []).append((index[v], v, product[u, v]))
         if u != unit:
-            left.setdefault(v, []).append((index[u], u, col))
-    for rows in (right, left):
-        for row in rows.values():
-            row.sort(key=lambda r: r[0])
-    for y, yrow in right.items():
-        if y == unit:
+            left.setdefault(v, []).append((index[u], u, product[u, v]))
+    for y in names:
+        # left[y] holds the same names as right[y], keys being symmetric
+        yrow = right.get(y) if y != unit else None
+        if not yrow:
             continue
         iy = index[y]
         acc: Dict[Tuple[str, str, str], int] = {}
         get = acc.get
         for ix, x, xy in left[y]:
-            m = max(ix, iy)
+            lo = max(ix, iy) if commutative else 0
             for w, c in xy.items():
                 wrow = right.get(w, ())
-                for _iz, z, wz in wrow[bisect_left(wrow, (m,)):]:
+                for _iz, z, wz in wrow[bisect_left(wrow, (lo,)):]:
                     for t, v in wz.items():
                         acc[x, z, t] = get((x, z, t), 0) + c * v
-        for iz, z, yz in yrow[bisect_left(yrow, (iy,)):]:
+        for iz, z, yz in yrow[bisect_left(yrow, (iy if commutative else 0,)):]:
+            hi = iz if commutative else len(names)
             for w, c in yz.items():
                 wrow = left.get(w, ())
-                for _ix, x, xw in wrow[:bisect_left(wrow, (iz + 1,))]:
+                for _ix, x, xw in wrow[:bisect_left(wrow, (hi + 1,))]:
                     for t, v in xw.items():
                         acc[x, z, t] = get((x, z, t), 0) - c * v
-        if any(acc.values()):
-            return False
-    return True
+        bad = [(index[x], index[z]) for (x, z, _t), v in acc.items() if v]
+        if bad:
+            ix, iz = min(bad)
+            return False, (names[ix], y, names[iz])
+    return True, None
 
 
 def _check_derivation(a: BVAlgebra, product: Dict, cols: Dict,
                       commutative: bool):
-    """``product`` and ``cols`` are ``_over_lcm`` of ``a.product`` and
-    ``a.d.entries``.  Under graded commutativity ``D(y, x) = ±D(x, y)``,
-    so the pairs with ``index[x] <= index[y]`` decide the verdict."""
-    pairs = dict.fromkeys(product)
+    """``(passed, witness)`` of the derivation rule, ``product`` and
+    ``cols`` being ``_over_lcm`` of ``a.product`` and ``a.d.entries``."""
+    index = a.space.index
+    pairs = set(product)
     for (x, v) in _reached(a, cols):
-        pairs[(x, v)] = pairs[(v, x)] = None
-    bidegree, index = a.space.bidegree, a.space.index
-
-    def fails(x, y):
-        lhs = _apply(cols, product.get((x, y), {}))
-        rhs = _right(product, cols.get(x, {}), y)
-        _add_into(rhs, _left(product, x, cols.get(y, {})),
-                  -1 if bidegree[x].total % 2 else 1)
-        return _differ(lhs, rhs)
-
-    reduced = None
+        pairs.update(((x, v), (v, x)))
     if commutative:
-        reduced = not any(fails(x, y) for (x, y) in pairs
-                          if index[x] <= index[y])
-    return _verdict(reduced, lambda: next((p for p in pairs if fails(*p)),
-                                          None))
+        pairs = {(x, y) for (x, y) in pairs if index[x] <= index[y]}
+    for (x, y) in sorted(pairs, key=lambda p: (index[p[0]], index[p[1]])):
+        if any(_defect(a, product, cols, x, y).values()):
+            return False, (x, y)
+    return True, None
 
 
-def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict):
+def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict,
+                     commutative: bool):
     """Leibniz rule for the derived bracket:
 
         [x, yz] = [x,y] z + (-1)^((|x|+1)|y|) y [x,z]
@@ -403,41 +351,29 @@ def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict):
     """
     if not brackets:
         return True, None
-    space, partners = a.space, a.partners
+    index, partners = a.space.index, a.partners
     bracketed: Dict[str, List[str]] = {}
     for (x, w) in brackets:
         bracketed.setdefault(w, []).append(x)
-    live: Dict[Tuple[str, str, str], None] = {}
+    live = set()
     for (y, z), col in product.items():
         for w in col:
             for x in bracketed.get(w, ()):
-                live[(x, y, z)] = None
+                live.add((x, y, z))
     for (x, y), col in brackets.items():
         for u in col:
             for z in partners.get(u, ()):
-                live[(x, y, z)] = live[(x, z, y)] = None
+                live.update(((x, y, z), (x, z, y)))
+    if commutative:
+        live = {t for t in live if index[t[1]] <= index[t[2]]}
 
-    rank: Dict[Tuple[str, str], int] = {}
-    for key in [*product, *_reached(a, a.delta.entries)]:
-        rank.setdefault(key, len(rank))
-
-    # the step depends on the triple's names only, not on their order
-    steps: Dict[Tuple[str, ...], Tuple[int, int]] = {}
-
-    def first_step(t):
-        s = tuple(sorted(t))
-        if s not in steps:
-            steps[s] = min((rank[(s[i], s[j])], space.index[s[k]])
-                           for i, j, k in itertools.permutations(range(3))
-                           if (s[i], s[j]) in rank)
-        return steps[s]
-
-    parity = {n: space.bidegree[n].total % 2 for n in space.names}
-    for (x, y, z) in sorted(live, key=lambda t: (first_step(t), t)):
-        lhs = _left(brackets, x, product.get((y, z), {}))
-        rhs = _right(product, brackets.get((x, y), {}), z)
-        _add_into(rhs, _left(product, y, brackets.get((x, z), {})),
-                  -1 if (parity[x] + 1) * parity[y] % 2 else 1)
-        if _differ(lhs, rhs):
+    parity = {n: a.space.bidegree[n].total % 2 for n in a.space.names}
+    for (x, y, z) in sorted(live, key=lambda t: (index[t[0]], index[t[1]],
+                                                 index[t[2]])):
+        acc = _left(brackets, x, product.get((y, z), {}))
+        _add_into(acc, _right(product, brackets.get((x, y), {}), z), -1)
+        _add_into(acc, _left(product, y, brackets.get((x, z), {})),
+                  1 if (parity[x] + 1) * parity[y] % 2 else -1)
+        if any(acc.values()):
             return False, (x, y, z)
     return True, None

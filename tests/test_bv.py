@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 import bv_oracle
-from bvhy import bv
 from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.graded import Bidegree, BigradedSpace, GradedMap, koszul_sign
 from bvhy.models import build_torus_model, build_trivial_model, builtin_models
+from bvhy.serialize import algebra_from_json, algebra_to_json
 
 F = Fraction
 
@@ -417,12 +417,19 @@ def test_reduced_scans_keep_the_reference_verdicts_and_witnesses():
                for a in failed["associativity"])
 
 
+# the tuples each scan keeps once graded commutativity has passed, by index
+_CUT = {"associativity": lambda i, j, k: k >= max(i, j),
+        "derivation": lambda i, j: i <= j,
+        "order two": lambda i, j, k: j <= k}
+
+
 @pytest.mark.parametrize("key,failing", [
     (("m0|f1|v1", "m-1|f|v"), {"associativity", "order two"}),
     (("m0|f|v1", "m-1|f|v"), {"derivation"})])
 def test_commutativity_break_runs_the_ordered_scans_only(key, failing):
-    # one order of a torus(1,1) key doubled: the items named fail, yet
-    # every tuple the reduced scans would read passes
+    # one order of a torus(1,1) key doubled: commutativity fails, so the
+    # scans keep every tuple, and the items named fail on a tuple that the
+    # symmetry cut would have skipped
     a = _with_product(build_torus_model(1, 1).algebra, lambda product:
                       product.update({key: {t: 2 * v for t, v
                                             in product[key].items()}}))
@@ -431,12 +438,56 @@ def test_commutativity_break_runs_the_ordered_scans_only(key, failing):
     for check, (name, reference) in _CHECKS.items():
         item = _item(report, name)
         assert (item.passed, item.witness) == reference(a), check
-    assert all(not _item(report, _CHECKS[check][0]).passed
-               for check in failing)
+    for check in failing:
+        item = _item(report, _CHECKS[check][0])
+        assert not item.passed
+        assert not _CUT[check](*(a.space.index[n] for n in item.witness))
 
 
-def test_a_reduced_failure_without_an_ordered_witness_raises(monkeypatch):
-    monkeypatch.setattr(bv, "_representatives_associative",
-                        lambda *args: False)
-    with pytest.raises(RuntimeError):
-        check_bv_axioms(build_trivial_model(2).algebra)
+def _renamed(doc, new):
+    """``doc`` with each basis name ``n`` spelled ``new[n]``."""
+    def rows(key, k):
+        return [[new[n] for n in row[:k]] + row[k:] for row in doc[key]]
+    basis = [dict(b, name=new[b["name"]]) for b in doc["basis"]]
+    return dict(doc, basis=basis, unit=new[doc["unit"]],
+                product=rows("product", 3), d=rows("d", 2),
+                delta=rows("delta", 2))
+
+
+def _respelled(witness, spelling):
+    """``witness`` with each basis name ``n`` in it spelled ``spelling[n]``."""
+    if isinstance(witness, str):
+        return spelling.get(witness, witness)
+    if isinstance(witness, (list, tuple)):
+        return type(witness)(_respelled(w, spelling) for w in witness)
+    return witness
+
+
+@pytest.mark.parametrize("transform",
+                         ["shuffle rows", "rename in basis order"])
+def test_reports_do_not_depend_on_row_order_or_names(transform):
+    # every failing sweep mutant, exported and read back, then given in
+    # another spelling of the same algebra: its report, witnesses included,
+    # must not move
+    failing = [(label, a) for label, a in _SWEEP
+               if not check_bv_axioms(a).passed]
+    assert any(label.startswith("bracket") and a.brackets
+               for label, a in failing)
+    rng = random.Random(f"metamorphic:{transform}")
+    for label, a in failing:
+        doc = algebra_to_json(a)
+        back = {}
+        if transform == "shuffle rows":
+            other = dict(doc, **{key: rng.sample(doc[key], len(doc[key]))
+                                 for key in ("product", "d", "delta")})
+        else:
+            # the string order of the new names reverses the basis order
+            names = [b["name"] for b in doc["basis"]]
+            new = {n: f"n{len(names) - i:03d}" for i, n in enumerate(names)}
+            back = {v: n for n, v in new.items()}
+            other = _renamed(doc, new)
+        expected, got = (
+            [(i.name, i.passed, _respelled(i.witness, spelling)) for i
+             in check_bv_axioms(algebra_from_json(d)[0]).items]
+            for d, spelling in ((doc, {}), (other, back)))
+        assert got == expected, label
