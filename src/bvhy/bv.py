@@ -30,9 +30,10 @@ product key, in key order (keys are closed under swapping, so it is the
 left index too), the ``d`` and ``delta`` columns, and ``brackets``.  Any
 other tuple satisfies the identity under test as 0 = 0.
 
-Each trilinear item scans its tuples once, in basis-index order, and its
-witness is the first failing tuple of that scan, so these witnesses are
-properties of the algebra, not of the order of a document's rows.  Once
+Every witness is named in basis-index order, so it is a property of the
+algebra, not of a document's row order or name spelling.  Each trilinear
+item scans its tuples once, in basis-index order, and its witness is the
+first failing tuple of that scan.  Once
 graded commutativity has passed (odd squares included), each scan keeps
 one tuple per symmetry orbit.  For a graded-commutative product the
 associators satisfy ``A(z, y, x) = ±A(x, y, z)`` and ``±A(x, y, z) ±
@@ -50,7 +51,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .graded import Bidegree, BigradedSpace, Element, GradedMap
+from .graded import (Bidegree, BigradedSpace, Element, GradedMap, add,
+                     compose)
 from .reporting import CheckReport
 
 Vector = Dict[str, Fraction]
@@ -213,6 +215,13 @@ def _bracket_table(a: BVAlgebra) -> ProductTable:
 def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     """Exact verification of all dg BV-algebra axioms.
 
+    The zero-map items are block residuals, witnessed by their first
+    nonzero entries by (source index, target index); an entry off its
+    map's shift fails the shift item and is left out of them.  Graded
+    commutativity names the first key by ``(index[x], index[y])`` whose
+    column is not its mirror's times the Koszul sign; an odd square
+    ``(n, n)`` is its own mirror and fails in that scan, in its place.
+
     Each trilinear item scans the tuples the support index reaches (see
     the module docstring) once, in basis-index order, and reports the first
     failing tuple as its witness:
@@ -240,10 +249,11 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
         bad = m.validate_shift()
         report.add(name, m.shift == shift and not bad, bad or None)
 
-    report.add_zero("d^2 = 0", a.d.compose(a.d))
-    report.add_zero("delta^2 = 0", a.delta.compose(a.delta))
-    report.add_zero("d delta + delta d = 0",
-                    a.d.compose(a.delta) + a.delta.compose(a.d))
+    d, delta = a.d.to_blocks(), a.delta.to_blocks()
+    report.add_residual("d^2 = 0", compose(d, d))
+    report.add_residual("delta^2 = 0", compose(delta, delta))
+    report.add_residual("d delta + delta d = 0",
+                        add(compose(d, delta), compose(delta, d)))
 
     witness = next(((a.unit, n) for n in space.names
                     if a.product.get((a.unit, n)) != {n: 1}), None)
@@ -253,19 +263,17 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     report.add("delta(unit) = 0", not a.delta.entries.get(a.unit), a.unit)
 
     product = _over_lcm(a.product)
-    total = {n: space.bidegree[n].total for n in space.names}
-    # product keys are closed under swapping (``_symmetrize``)
-    witness = next(((x, y) for (x, y), col in product.items() if col != (
-        {t: -v for t, v in product[(y, x)].items()}
-        if total[x] * total[y] % 2 else product[(y, x)])), None)
-    # squares of odd elements must vanish
-    witness = witness or next(((n, n) for n in space.names
-                               if total[n] % 2 and (n, n) in product), None)
+    index, total = space.index, {n: space.bidegree[n].total for n in space.names}
+    keys = sorted(product, key=lambda k: (index[k[0]], index[k[1]]))
+    # keys are closed under swapping (``_symmetrize``)
+    witness = next(((x, y) for x, y in keys if product[x, y] != (
+        {t: -v for t, v in product[y, x].items()}
+        if total[x] * total[y] % 2 else product[y, x])), None)
     commutative = witness is None
     report.add("graded commutativity", commutative, witness)
 
     report.add("associativity", *_check_associativity(
-        a, product, unit_law, commutative))
+        a, product, keys, unit_law, commutative))
     report.add("d is a derivation of the product", *_check_derivation(
         a, product, _over_lcm(a.d.entries), commutative))
     report.add("delta has order <= 2 (bracket Leibniz)", *_check_order_two(
@@ -273,10 +281,10 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     return report
 
 
-def _check_associativity(a: BVAlgebra, product: Dict, unit_law: bool,
-                         commutative: bool):
+def _check_associativity(a: BVAlgebra, product: Dict, keys: List,
+                         unit_law: bool, commutative: bool):
     """``(passed, witness)`` of associativity, ``product`` being
-    ``_over_lcm(a.product)``.
+    ``_over_lcm(a.product)`` and ``keys`` its keys in index order.
 
     The associators ``A(x, y, z) = (xy)z - x(yz)`` of one middle name ``y``
     at a time are summed into one accumulator keyed ``(x, z, target)``:
@@ -288,7 +296,7 @@ def _check_associativity(a: BVAlgebra, product: Dict, unit_law: bool,
     unit = a.unit if unit_law and commutative else None
     right: Dict[str, List] = {}
     left: Dict[str, List] = {}
-    for u, v in sorted(product, key=lambda k: (index[k[0]], index[k[1]])):
+    for u, v in keys:
         if v != unit:
             right.setdefault(u, []).append((index[v], v, product[u, v]))
         if u != unit:

@@ -3,6 +3,9 @@
 Scalars are exact rationals throughout.  A map carries a fixed bidegree
 shift and every nonzero entry must connect basis elements whose bidegrees
 differ by exactly that shift; ``GradedMap.validate_shift`` enforces this.
+Maps are composed and summed one way: as ``BlockMap``s, integer blocks per
+bidegree (``GradedMap.to_blocks``, ``compose``, ``add``, ``scalar``), and
+read back by ``GradedMap.from_blocks``.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+
+from . import linalg
 
 Scalar = Fraction
 
@@ -160,9 +165,6 @@ class GradedMap:
         else:
             self.entries.setdefault(src, {})[tgt] = c
 
-    def entry(self, src: str, tgt: str) -> Scalar:
-        return self.entries.get(src, {}).get(tgt, Fraction(0))
-
     def apply(self, x: Element) -> Element:
         if x.space is not self.source and x.space.names != self.source.names:
             raise ValueError("element not in the source space")
@@ -175,48 +177,6 @@ class GradedMap:
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
-
-    def compose(self, other: "GradedMap") -> "GradedMap":
-        """self after other (self o other)."""
-        if other.target.names != self.source.names:
-            raise ValueError("space mismatch in composition")
-        out = GradedMap(other.source, self.target, other.shift + self.shift)
-        # self over one common denominator; each column of other over its own
-        den = lcm(*[v.denominator for col in self.entries.values()
-                    for v in col.values()])
-        nums = {mid: [(tgt, v.numerator * (den // v.denominator))
-                      for tgt, v in col.items()]
-                for mid, col in self.entries.items()}
-        for src, col in other.entries.items():
-            cden = lcm(*[c.denominator for c in col.values()])
-            acc: Dict[str, int] = {}
-            for mid, c in col.items():
-                cnum = c.numerator * (cden // c.denominator)
-                for tgt, v in nums.get(mid, ()):
-                    acc[tgt] = acc.get(tgt, 0) + cnum * v
-            total = cden * den
-            entries = {tgt: Fraction(v, total) for tgt, v in acc.items() if v}
-            if entries:
-                out.entries[src] = entries
-        return out
-
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        if self.shift != other.shift:
-            raise ValueError("cannot add maps of different shifts")
-        out = GradedMap(self.source, self.target, self.shift,
-                        {s: dict(c) for s, c in self.entries.items()})
-        for src, col in other.entries.items():
-            for tgt, v in col.items():
-                out.set_entry(src, tgt, out.entry(src, tgt) + v)
-        return out
-
-    def __sub__(self, other: "GradedMap") -> "GradedMap":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: Scalar) -> "GradedMap":
-        return GradedMap(self.source, self.target, self.shift,
-                         {s: {t: c * v for t, v in col.items()}
-                          for s, col in self.entries.items()})
 
     @property
     def is_zero(self) -> bool:
@@ -242,28 +202,26 @@ class GradedMap:
                     bad.append((src, tgt))
         return bad
 
-    def block(self, deg: Bidegree) -> Tuple[List[List[int]], int]:
-        """Dense block at source bidegree ``deg`` (rows: target names at
-        deg+shift, cols: source names at deg) as integer rows over the lcm
-        of its denominators, a ``linalg.Block``."""
-        deg = Bidegree(*deg)
-        row_of = {t: i for i, t in
-                  enumerate(self.target.names_at(deg + self.shift))}
-        src_names = self.source.names_at(deg)
-        found = [(row_of[t], j, v) for j, s in enumerate(src_names)
-                 for t, v in self.entries.get(s, {}).items() if t in row_of]
-        den = lcm(*[v.denominator for _i, _j, v in found])
-        rows = [[0] * len(src_names) for _ in row_of]
-        for i, j, v in found:
-            rows[i][j] = v.numerator * (den // v.denominator)
-        return rows, den
+    def to_blocks(self) -> BlockMap:
+        """The map as a ``BlockMap``: at each source bidegree ``deg`` some
+        entry leaves, the block with rows the target names at deg+shift and
+        columns the names at deg, over the lcm of its denominators."""
+        blocks = {}
+        for deg in self.source.occupied_bidegrees():
+            cols = [self.entries.get(s, {}) for s in self.source.names_at(deg)]
+            if any(cols):
+                den = lcm(*[v.denominator for col in cols for v in col.values()])
+                blocks[deg] = [[col[t].numerator * (den // col[t].denominator)
+                                if t in col else 0 for col in cols]
+                               for t in self.target.names_at(deg + self.shift)
+                               ], den
+        return BlockMap(self.source, self.target, self.shift, blocks)
 
     @classmethod
     def from_blocks(cls, source: BigradedSpace, target: BigradedSpace,
-                    shift: Bidegree,
-                    blocks: Dict[Bidegree, Tuple[List[List[int]], int]]
+                    shift: Bidegree, blocks: Dict[Bidegree, linalg.Block]
                     ) -> "GradedMap":
-        """The inverse of ``block``: the map whose block at each source
+        """The inverse of ``to_blocks``: the map whose block at each source
         bidegree ``deg`` of ``blocks`` is ``blocks[deg]``; every other
         block is zero."""
         out = cls(source, target, shift)
@@ -274,3 +232,37 @@ class GradedMap:
                     out.entries[src] = {t: Fraction(x, den)
                                         for t, x in zip(tgt_names, col) if x}
         return out
+
+
+class BlockMap(NamedTuple):
+    """A map as the one form in which maps are composed and summed: a
+    ``linalg.Block`` per source bidegree; a missing block is zero."""
+    source: BigradedSpace
+    target: BigradedSpace
+    shift: Bidegree
+    blocks: Dict[Bidegree, linalg.Block]
+
+
+def compose(f: BlockMap, g: BlockMap) -> BlockMap:
+    """f after g, one block product per source bidegree of g; where f has
+    no block at the middle bidegree, the product is zero and left out."""
+    return BlockMap(g.source, f.target, f.shift + g.shift, {
+        deg: linalg.mul(f.blocks[mid], block)
+        for deg, block in g.blocks.items() if (mid := deg + g.shift) in f.blocks})
+
+
+def add(*maps: BlockMap) -> BlockMap:
+    """The sum of maps of one shift between the same spaces."""
+    terms: Dict[Bidegree, List[linalg.Block]] = {}
+    for m in maps:
+        for deg, block in m.blocks.items():
+            terms.setdefault(deg, []).append(block)
+    return maps[0]._replace(blocks={deg: linalg.add(t)
+                                    for deg, t in terms.items()})
+
+
+def scalar(space: BigradedSpace, c: int) -> BlockMap:
+    """``c`` times the identity of ``space``."""
+    return BlockMap(space, space, Bidegree(0, 0), {
+        deg: linalg.scalar(len(space.names_at(deg)), c)
+        for deg in space.occupied_bidegrees()})

@@ -8,9 +8,9 @@ cohomology and is the harmonic inclusion ``iota``, and a generalised
 inverse of L; the projection ``pi`` and the exact Green operator G
 (inverse of L on the orthogonal complement of its kernel) follow by block
 products, and ``h = d* G``.  Every map is written from its blocks by
-``GradedMap.from_blocks``.  The five homotopy-retract identities are
-checked as exact sums of block products, and the three trivialization
-composites by composing maps.  ``check_transfer_input`` is the one
+``GradedMap.from_blocks``.  The five homotopy-retract identities and the
+three trivialization composites are block residuals, composed and summed
+by ``graded.compose`` and ``graded.add``.  ``check_transfer_input`` is the one
 pipeline that decides whether an algebra is a valid transfer input: BV
 axioms, then transfer data, side conditions and strong trivialization.
 """
@@ -18,11 +18,12 @@ axioms, then transfer data, side conditions and strong trivialization.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 from .bv import BVAlgebra, check_bv_axioms
-from .graded import Bidegree, BigradedSpace, GradedMap
+from .graded import (Bidegree, BigradedSpace, BlockMap, GradedMap, add,
+                     compose, scalar)
 from .reporting import CheckReport
 
 
@@ -73,61 +74,24 @@ class InnerProduct:
         return self.blocks[Bidegree(*deg)]
 
 
-class TransferData:
+class TransferData(NamedTuple):
     """Harmonic cohomology ``H`` with the maps of the homotopy retract."""
-
-    def __init__(self, cohomology: BigradedSpace, iota: GradedMap,
-                 pi: GradedMap, h: GradedMap, green: GradedMap):
-        self.cohomology = cohomology
-        self.iota = iota     # H -> B, shift (0,0)
-        self.pi = pi         # B -> H, shift (0,0)
-        self.h = h           # B -> B, shift (0,-1)
-        self.green = green   # B -> B, shift (0,0)
-
-
-# A map as its dense blocks: its shift, and a Block per source bidegree;
-# a missing block is zero.
-BlockMap = Tuple[Bidegree, Dict[Bidegree, linalg.Block]]
-
-
-def _blocks(m: GradedMap) -> BlockMap:
-    return m.shift, {deg: m.block(deg) for deg in m.source.occupied_bidegrees()
-                     if any(m.entries.get(s) for s in m.source.names_at(deg))}
-
-
-def _compose(f: BlockMap, g: BlockMap) -> BlockMap:
-    """f after g, one block product per source bidegree of g; where f has
-    no block at the middle bidegree, the product is zero and left out."""
-    (fshift, fblocks), (gshift, gblocks) = f, g
-    return fshift + gshift, {deg: linalg.mul(fblocks[mid], block)
-                             for deg, block in gblocks.items()
-                             if (mid := deg + gshift) in fblocks}
-
-
-def _sum(*maps: BlockMap) -> BlockMap:
-    """The sum of maps of one shift, block by block."""
-    terms: Dict[Bidegree, List[linalg.Block]] = {}
-    for _shift, blocks in maps:
-        for deg, block in blocks.items():
-            terms.setdefault(deg, []).append(block)
-    return maps[0][0], {deg: linalg.add(t) for deg, t in terms.items()}
-
-
-def _scalar(space: BigradedSpace, c: int) -> BlockMap:
-    """``c`` times the identity of ``space``."""
-    return Bidegree(0, 0), {deg: linalg.scalar(len(space.names_at(deg)), c)
-                            for deg in space.occupied_bidegrees()}
+    cohomology: BigradedSpace
+    iota: GradedMap      # H -> B, shift (0,0)
+    pi: GradedMap        # B -> H, shift (0,0)
+    h: GradedMap         # B -> B, shift (0,-1)
+    green: GradedMap     # B -> B, shift (0,0)
 
 
 def adjoint_differential(a: BVAlgebra, ip: InnerProduct) -> BlockMap:
     """d*, with <d x, y> = <x, d* y>: for each nonzero block of d from
     ``deg`` to ``up``, the block G^-1 d^T G' from ``up`` to ``deg``."""
-    shift, blocks = _blocks(a.d)
-    return -shift, {
-        deg + shift: linalg.mul(
+    d = a.d.to_blocks()
+    return BlockMap(d.target, d.source, -d.shift, {
+        deg + d.shift: linalg.mul(
             linalg.inverse(ip.block(deg)),
-            linalg.mul((linalg.transpose(rows), den), ip.block(deg + shift)))
-        for deg, (rows, den) in blocks.items()}
+            linalg.mul((linalg.transpose(rows), den), ip.block(deg + d.shift)))
+        for deg, (rows, den) in d.blocks.items()})
 
 
 def _harmonic_name(names: List[str], vec: List[Fraction], deg: Bidegree,
@@ -150,8 +114,8 @@ def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> Tran
     space = a.space
     if ip is None:
         ip = InnerProduct(space)
-    d, dstar = _blocks(a.d), adjoint_differential(a, ip)
-    lap = _sum(_scalar(space, 0), _compose(d, dstar), _compose(dstar, d))[1]
+    d, dstar = a.d.to_blocks(), adjoint_differential(a, ip)
+    lap = add(scalar(space, 0), compose(d, dstar), compose(dstar, d)).blocks
     hbasis: List[Tuple[str, Bidegree]] = []
     iota_blocks, pi_blocks, green_blocks = {}, {}, {}
     for deg in space.occupied_bidegrees():
@@ -171,48 +135,43 @@ def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> Tran
         green_blocks[deg] = green
 
     cohomology = BigradedSpace(hbasis)
-    green = Bidegree(0, 0), green_blocks
+    green = BlockMap(space, space, Bidegree(0, 0), green_blocks)
     return TransferData(
         cohomology,
         GradedMap.from_blocks(cohomology, space, Bidegree(0, 0), iota_blocks),
         GradedMap.from_blocks(space, cohomology, Bidegree(0, 0), pi_blocks),
-        GradedMap.from_blocks(space, space, *_compose(dstar, green)),
-        GradedMap.from_blocks(space, space, *green))
+        GradedMap.from_blocks(*compose(dstar, green)),
+        GradedMap.from_blocks(*green))
 
 
 def check_side_conditions(td: TransferData, a: BVAlgebra) -> CheckReport:
-    """The two retract identities and the three side conditions, exactly.
-
-    Each identity is a sum of block products per source bidegree, in
-    integers over one denominator; the map of its residual blocks is the
-    item's witness."""
-    space, coh = a.space, td.cohomology
-    d, h, iota, pi = (_blocks(m) for m in (a.d, td.h, td.iota, td.pi))
+    """The two retract identities and the three side conditions, exactly,
+    each as the ``BlockMap`` of its residual."""
+    d, h, iota, pi = (m.to_blocks() for m in (a.d, td.h, td.iota, td.pi))
     report = CheckReport("side-conditions")
-    for name, source, target, residual in (
-            ("pi iota = id", coh, coh,
-             _sum(_compose(pi, iota), _scalar(coh, -1))),
-            ("d h + h d = id - iota pi", space, space,
-             _sum(_compose(d, h), _compose(h, d), _scalar(space, -1),
-                  _compose(iota, pi))),
-            ("h iota = 0", coh, space, _compose(h, iota)),
-            ("h h = 0", space, space, _compose(h, h)),
-            ("pi h = 0", space, coh, _compose(pi, h))):
-        report.add_zero(name, GradedMap.from_blocks(source, target, *residual))
+    report.add_residual("pi iota = id", add(compose(pi, iota),
+                                            scalar(td.cohomology, -1)))
+    report.add_residual("d h + h d = id - iota pi", add(
+        compose(d, h), compose(h, d), scalar(a.space, -1), compose(iota, pi)))
+    report.add_residual("h iota = 0", compose(h, iota))
+    report.add_residual("h h = 0", compose(h, h))
+    report.add_residual("pi h = 0", compose(pi, h))
     return report
 
 
 def check_strong_trivialization_composites(td: TransferData,
                                            a: BVAlgebra) -> CheckReport:
-    """delta iota = 0, pi delta = 0, h delta h = 0.
+    """delta iota = 0, pi delta = 0, h delta h = 0, as block residuals.
 
     When all three hold, every decorated tree containing a delta vertex
     evaluates to zero, since the vertex is sandwiched between iota/pi/h.
     """
+    delta, h, iota, pi = (m.to_blocks()
+                          for m in (a.delta, td.h, td.iota, td.pi))
     report = CheckReport("strong-trivialization")
-    report.add_zero("delta iota = 0", a.delta.compose(td.iota))
-    report.add_zero("pi delta = 0", td.pi.compose(a.delta))
-    report.add_zero("h delta h = 0", td.h.compose(a.delta).compose(td.h))
+    report.add_residual("delta iota = 0", compose(delta, iota))
+    report.add_residual("pi delta = 0", compose(pi, delta))
+    report.add_residual("h delta h = 0", compose(h, compose(delta, h)))
     return report
 
 

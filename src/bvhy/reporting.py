@@ -2,6 +2,8 @@
 
 from typing import Any, List, Optional
 
+from .graded import BlockMap, GradedMap
+
 
 class CheckItem:
     def __init__(self, name: str, passed: bool, witness: Optional[Any] = None):
@@ -22,10 +24,18 @@ class CheckReport:
     def add(self, name: str, passed: bool, witness=None) -> None:
         self.items.append(CheckItem(name, passed, witness))
 
-    def add_zero(self, name: str, m) -> None:
+    def add_zero(self, name: str, m: GradedMap) -> None:
         """Item ``name`` passes iff the ``GradedMap`` ``m`` is zero; its
-        witness is the first three nonzero entries of ``m``."""
-        self.add(name, m.is_zero, m.nonzero_entries()[:3] or None)
+        witness is the first three nonzero entries ``(source, target,
+        value)`` of ``m`` by (source index, target index)."""
+        src, tgt = m.source.index, m.target.index
+        found = sorted((src[s], tgt[t], s, t, v)
+                       for s, col in m.entries.items() for t, v in col.items())
+        self.add(name, not found, [e[2:] for e in found[:3]] or None)
+
+    def add_residual(self, name: str, residual: BlockMap) -> None:
+        """``add_zero`` for the ``BlockMap`` of an identity's residual."""
+        self.add_zero(name, GradedMap.from_blocks(*residual))
 
     @property
     def passed(self) -> bool:

@@ -9,7 +9,8 @@ identity can fail from the products and brackets of basis pairs, computed
 here, and skip the others, which satisfy it as 0 = 0.  ``unpruned`` checks
 the three identities on every basis tuple and returns the three verdicts.
 ``bracket_model`` is a small algebra whose derived bracket is nonzero on an
-exact product.
+exact product, and ``cy3_model`` extends it to a hypersurface footprint of
+dimension 3.
 """
 
 import itertools
@@ -152,4 +153,19 @@ def bracket_model(z=(2, 0)):
     product = {("e", n): {n: F(1)} for n in space.names}
     product[("x", "y")] = {"p": F(1)}
     product[("s", "z")] = {"w": F(1)}
+    return BVAlgebra(space, d, delta, product, "e")
+
+
+def cy3_model():
+    """``bracket_model((1, 1))`` and an isolated harmonic t at (3, 3) with
+    its unit row: ten elements whose cohomology has the hypersurface
+    footprint of dimension 3, with (H^{1,1})^3 -> H^{2,2} as its strict
+    (3,1) operation."""
+    b = bracket_model((1, 1))
+    space = BigradedSpace([(n, b.space.bidegree[n]) for n in b.space.names]
+                          + [("t", Bidegree(3, 3))])
+    d, delta = (GradedMap(space, space, m.shift, m.entries)
+                for m in (b.d, b.delta))
+    product = dict(b.product)
+    product[("e", "t")] = {"t": Fraction(1)}
     return BVAlgebra(space, d, delta, product, "e")

@@ -2,13 +2,16 @@
 
 These are the ``Fraction``-arithmetic versions of the row reduction
 behind ``linalg.kernel_and_inverse`` and ``linalg.inverse``, of
-``linalg.mul``, ``linalg.is_positive_definite``, ``GradedMap.compose``
-and ``hodge.build_transfer_data`` that ``bvhy`` used before its kernels
+``linalg.mul``, ``linalg.is_positive_definite``, of composing and summing
+maps (``graded.compose`` and ``graded.add``) and of
+``hodge.build_transfer_data`` that ``bvhy`` used before its kernels
 eliminated and accumulated in integers over common denominators, with the
-Green block as ``(L + P)^-1 - P``.  ``check_side_conditions`` composes
-whole maps, as ``bvhy`` did before it summed block products.  Every
-entry is combined as a ``Fraction``; the library must return the same
-exact values.  ``rank`` is the test suite's rank oracle.
+Green block as ``(L + P)^-1 - P``.  ``check_side_conditions``,
+``check_differentials`` and ``check_strong_trivialization_composites``
+compose and sum whole sparse maps with ``compose`` and ``add``, which share
+no code with the library's block residuals.  Every entry is combined as a
+``Fraction``; the library must return the same exact values.  ``rank`` is
+the test suite's rank oracle.
 """
 
 from fractions import Fraction
@@ -166,6 +169,20 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     return out
 
 
+def add(*maps: GradedMap) -> GradedMap:
+    """The sum of maps of one shift, entry by entry in Fractions."""
+    first = maps[0]
+    out: Dict[str, Dict[str, Fraction]] = {}
+    for m in maps:
+        if m.shift != first.shift:
+            raise ValueError("cannot add maps of different shifts")
+        for src, col in m.entries.items():
+            acc = out.setdefault(src, {})
+            for tgt, v in col.items():
+                acc[tgt] = acc.get(tgt, ZERO) + v
+    return GradedMap(first.source, first.target, first.shift, out)
+
+
 def _adjoint_differential(a, ip):
     space = a.space
     dstar = GradedMap.zero(space, space, Bidegree(0, -1))
@@ -192,7 +209,7 @@ def _harmonic_name(names, vec, deg, idx):
 def _harmonic_decomposition(a, ip):
     space = a.space
     dstar = _adjoint_differential(a, ip)
-    lap = compose(a.d, dstar) + compose(dstar, a.d)
+    lap = add(compose(a.d, dstar), compose(dstar, a.d))
     green = GradedMap.zero(space, space, Bidegree(0, 0))
     harmonic: Dict[Bidegree, List[Tuple[str, List[Fraction]]]] = {}
     for deg in space.occupied_bidegrees():
@@ -249,21 +266,41 @@ def build_transfer_data(a, ip=None) -> TransferData:
     return TransferData(cohomology, iota, pi, compose(dstar, green), green)
 
 
-def identity_map(space: BigradedSpace) -> GradedMap:
+def identity_map(space: BigradedSpace, c: Fraction) -> GradedMap:
+    """``c`` times the identity of ``space``."""
     return GradedMap(space, space, Bidegree(0, 0),
-                     {n: {n: ONE} for n in space.names})
+                     {n: {n: c} for n in space.names})
 
 
 def check_side_conditions(td: TransferData, a) -> CheckReport:
     """The two retract identities and the three side conditions, on whole
     composed maps."""
     report = CheckReport("side-conditions")
-    report.add_zero("pi iota = id", td.pi.compose(td.iota)
-                    - identity_map(td.cohomology))
-    report.add_zero("d h + h d = id - iota pi",
-                    a.d.compose(td.h) + td.h.compose(a.d)
-                    - identity_map(a.space) + td.iota.compose(td.pi))
-    report.add_zero("h iota = 0", td.h.compose(td.iota))
-    report.add_zero("h h = 0", td.h.compose(td.h))
-    report.add_zero("pi h = 0", td.pi.compose(td.h))
+    report.add_zero("pi iota = id", add(compose(td.pi, td.iota),
+                                        identity_map(td.cohomology, -ONE)))
+    report.add_zero("d h + h d = id - iota pi", add(
+        compose(a.d, td.h), compose(td.h, a.d), identity_map(a.space, -ONE),
+        compose(td.iota, td.pi)))
+    report.add_zero("h iota = 0", compose(td.h, td.iota))
+    report.add_zero("h h = 0", compose(td.h, td.h))
+    report.add_zero("pi h = 0", compose(td.pi, td.h))
+    return report
+
+
+def check_differentials(a) -> CheckReport:
+    """The three zero-map items of ``check_bv_axioms``."""
+    report = CheckReport("bv-axioms")
+    report.add_zero("d^2 = 0", compose(a.d, a.d))
+    report.add_zero("delta^2 = 0", compose(a.delta, a.delta))
+    report.add_zero("d delta + delta d = 0",
+                    add(compose(a.d, a.delta), compose(a.delta, a.d)))
+    return report
+
+
+def check_strong_trivialization_composites(td: TransferData, a) -> CheckReport:
+    """The three trivialization composites, on whole composed maps."""
+    report = CheckReport("strong-trivialization")
+    report.add_zero("delta iota = 0", compose(a.delta, td.iota))
+    report.add_zero("pi delta = 0", compose(td.pi, a.delta))
+    report.add_zero("h delta h = 0", compose(compose(td.h, a.delta), td.h))
     return report

@@ -102,7 +102,7 @@ def test_broken_derivation_detected():
                   {s: dict(c) for s, c in a.d.entries.items()})
     src = "m1|f|v"          # mode 1, no form letters, no polyvector letters
     tgt = "m1|f1|v"
-    assert d.entry(src, tgt) == F(1)
+    assert d.entries[src][tgt] == F(1)
     d.set_entry(src, tgt, F(5))
     broken = BVAlgebra(a.space, d, a.delta, a.product, a.unit)
     report = check_bv_axioms(broken)
@@ -423,16 +423,21 @@ _CUT = {"associativity": lambda i, j, k: k >= max(i, j),
         "order two": lambda i, j, k: j <= k}
 
 
+def _one_order_doubled(key):
+    """torus(1,1) with the product of ``key``, in that order only,
+    doubled: graded commutativity fails."""
+    return _with_product(build_torus_model(1, 1).algebra, lambda product:
+                         product.update({key: {t: 2 * v for t, v
+                                               in product[key].items()}}))
+
+
 @pytest.mark.parametrize("key,failing", [
     (("m0|f1|v1", "m-1|f|v"), {"associativity", "order two"}),
     (("m0|f|v1", "m-1|f|v"), {"derivation"})])
 def test_commutativity_break_runs_the_ordered_scans_only(key, failing):
-    # one order of a torus(1,1) key doubled: commutativity fails, so the
-    # scans keep every tuple, and the items named fail on a tuple that the
-    # symmetry cut would have skipped
-    a = _with_product(build_torus_model(1, 1).algebra, lambda product:
-                      product.update({key: {t: 2 * v for t, v
-                                            in product[key].items()}}))
+    # commutativity fails, so the scans keep every tuple, and the items
+    # named fail on a tuple that the symmetry cut would have skipped
+    a = _one_order_doubled(key)
     report = check_bv_axioms(a)
     assert not _item(report, "graded commutativity").passed
     for check, (name, reference) in _CHECKS.items():
@@ -463,14 +468,28 @@ def _respelled(witness, spelling):
     return witness
 
 
+def _two_d_chains():
+    """Unit e and the d chains p -> q -> r and s -> t -> u, so that d^2 is
+    nonzero on p and on s."""
+    return _algebra([("e", (0, 0)), ("p", (1, 0)), ("q", (1, 1)),
+                     ("r", (1, 2)), ("s", (2, 0)), ("t", (2, 1)),
+                     ("u", (2, 2))], {},
+                    {"p": ("q", 1), "q": ("r", 1), "s": ("t", 1),
+                     "t": ("u", 1)})
+
+
 @pytest.mark.parametrize("transform",
                          ["shuffle rows", "rename in basis order"])
 def test_reports_do_not_depend_on_row_order_or_names(transform):
-    # every failing sweep mutant, exported and read back, then given in
+    # every failing sweep mutant, a d^2 with two nonzero entries and a
+    # break of graded commutativity, exported and read back, then given in
     # another spelling of the same algebra: its report, witnesses included,
     # must not move
-    failing = [(label, a) for label, a in _SWEEP
-               if not check_bv_axioms(a).passed]
+    failing = [("two d chains", _two_d_chains()),
+               ("one order doubled",
+                _one_order_doubled(("m0|f1|v1", "m-1|f|v")))]
+    failing += [(label, a) for label, a in _SWEEP
+                if not check_bv_axioms(a).passed]
     assert any(label.startswith("bracket") and a.brackets
                for label, a in failing)
     rng = random.Random(f"metamorphic:{transform}")

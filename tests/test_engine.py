@@ -7,11 +7,12 @@ from fractions import Fraction
 import pytest
 
 import engine_oracle
-from bv_oracle import bracket_model
+from bv_oracle import bracket_model, cy3_model
 from engine_oracle import (SubtreeEvaluator, bidegree_violations,
                            nonzero_keys, truncate_to_strict)
 from tree_oracle import delta_trees
 from bvhy.bv import BVAlgebra, check_bv_axioms
+from bvhy.certify import Footprint, certify_formality
 from bvhy.engine import (build_operation_table, check_formal_unit,
                          naive_evaluate_tree, top_degree_report)
 from bvhy.graded import Bidegree, BigradedSpace, GradedMap
@@ -252,6 +253,29 @@ def test_bracket_model_has_a_nonzero_strict_bracket_entry():
     for t in enumerate_trees(3, constraints={"bracket_count": 1}):
         total = total + naive_evaluate_tree(t, a, td, args)
     assert total.coeffs == {w: F(-2)}
+
+
+def test_cy3_shaped_model_is_formal_with_a_nonzero_strict_operation():
+    # the paper's statement in small: the certificate says "formal", the
+    # strict (3,1) operation is nonzero and every higher operation vanishes
+    a = cy3_model()
+    td, reports = check_transfer_input(a)
+    assert all(r.passed for r in reports)
+    assert a.delta.entries
+    H = td.cohomology
+    footprint = Footprint(3, {deg: len(H.names_at(deg))
+                              for deg in H.occupied_bidegrees()})
+    assert footprint.occupied == {(0, 0): 1, (1, 1): 3, (2, 2): 1, (3, 3): 1}
+    assert certify_formality(footprint).verdict == "formal"
+    table = build_operation_table(a, td, 6)
+    strict = table.ops[(3, 1)]
+    assert len(strict) == 6
+    assert all(col == {"[w]": F(-2)} for col in strict.values())
+    higher = {(k, l) for k in range(3, 7) for l in range(k - 2)}
+    assert higher <= set(table.ops)
+    assert all(not table.ops[kl] for kl in higher)
+    assert check_formal_unit(table).passed
+    assert top_degree_report(table, 3).passed
 
 
 @pytest.fixture(scope="module")

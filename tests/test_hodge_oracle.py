@@ -1,7 +1,8 @@
-"""The integer kernels of ``linalg``, ``GradedMap.compose``,
-``build_transfer_data`` and ``check_side_conditions`` against the
-references in ``hodge_oracle.py``: every value, verdict and witness must
-be the same."""
+"""The integer kernels of ``linalg``, the block composition of
+``graded``, ``build_transfer_data`` and every zero-map item (the side
+conditions, the three of ``check_bv_axioms`` and the trivialization
+composites) against the references in ``hodge_oracle.py``: every value,
+verdict and witness must be the same."""
 
 import random
 from collections import Counter
@@ -9,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+import bv_oracle
 import hodge_oracle
 from bvhy import linalg
-from bvhy.bv import BVAlgebra
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap
-from bvhy.hodge import (InnerProduct, TransferData, build_transfer_data,
-                        check_side_conditions)
+from bvhy.bv import BVAlgebra, check_bv_axioms
+from bvhy.graded import Bidegree, BigradedSpace, GradedMap, compose
+from bvhy.hodge import (InnerProduct, build_transfer_data,
+                        check_side_conditions,
+                        check_strong_trivialization_composites)
 
 F = Fraction
 POOL = (0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4), F(7, 6))
@@ -73,18 +76,23 @@ def test_compose_matches_fraction_reference():
     rng = random.Random(9)
     space = BigradedSpace([(f"x{i}", Bidegree(0, i % 3)) for i in range(9)])
     by_deg = {deg: space.names_at(deg) for deg in space.occupied_bidegrees()}
-    nonzero = 0
+    nonzero = unmatched = 0
     for _ in range(50):
         f, g = (GradedMap.zero(space, space, Bidegree(0, 1)) for _ in range(2))
         for m in (f, g):
             for deg, names in by_deg.items():
+                if rng.random() < 0.2:
+                    continue    # no block at deg
                 for src in names:
                     for tgt in by_deg.get(deg + Bidegree(0, 1), []):
                         m.set_entry(src, tgt, F(rng.choice(POOL)))
-        comp = f.compose(g)
+        fb, gb = f.to_blocks(), g.to_blocks()
+        comp = GradedMap.from_blocks(*compose(fb, gb))
         assert comp.entries == hodge_oracle.compose(f, g).entries
         nonzero += not comp.is_zero
-    assert nonzero >= 25
+        # a block of g that lands where f has none: the product is zero
+        unmatched += any(deg + gb.shift not in fb.blocks for deg in gb.blocks)
+    assert nonzero >= 25 and unmatched >= 10, (nonzero, unmatched)
 
 
 def _td_values(td):
@@ -97,9 +105,10 @@ def _green_kinds(td, space):
     invert: kernel empty (L invertible, P = 0), full (L = 0), or proper
     with a non-integer or an integer Green block."""
     kinds = Counter()
+    blocks = td.green.to_blocks().blocks
     for deg in space.occupied_bidegrees():
         n, k = len(space.names_at(deg)), len(td.cohomology.names_at(deg))
-        rows, den = td.green.block(deg)
+        rows, den = blocks.get(deg, ([], 1))
         if k == 0:
             kinds["empty kernel"] += 1
         elif k == n:
@@ -167,17 +176,20 @@ def test_transfer_data_matches_reference_on_tridiagonal_gram(seed):
     assert kinds["proper kernel, non-integer G"] == 2, kinds
 
 
+def _nudged(m, src, tgt, by):
+    """``m`` with its ``(src, tgt)`` entry moved by ``by``."""
+    out = GradedMap(m.source, m.target, m.shift,
+                    {s: dict(col) for s, col in m.entries.items()})
+    out.set_entry(src, tgt, out.entries.get(src, {}).get(tgt, 0) + by)
+    return out
+
+
 def _tampered(td, which):
     """``td`` with the first nonzero entry of its map ``which`` (h, pi or
     iota) moved by 1."""
-    maps = {"iota": td.iota, "pi": td.pi, "h": td.h}
-    m = maps[which]
-    maps[which] = GradedMap(m.source, m.target, m.shift,
-                            {s: dict(col) for s, col in m.entries.items()})
-    src, tgt, v = m.nonzero_entries()[0]
-    maps[which].set_entry(src, tgt, v + 1)
-    return TransferData(td.cohomology, maps["iota"], maps["pi"], maps["h"],
-                        td.green)
+    m = getattr(td, which)
+    src, tgt, _v = m.nonzero_entries()[0]
+    return td._replace(**{which: _nudged(m, src, tgt, 1)})
 
 
 def test_side_conditions_match_reference(models):
@@ -201,3 +213,55 @@ def test_side_conditions_match_reference(models):
             assert report.passed == (which == "valid"), (name, which)
             checked[which] += 1
     assert checked == Counter(valid=9, h=6, pi=9, iota=9), checked
+
+
+_ZERO_MAP_ITEMS = ("d^2 = 0", "delta^2 = 0", "d delta + delta d = 0",
+                   "delta iota = 0", "pi delta = 0", "h delta h = 0")
+
+
+def _zero_map_items(reports):
+    return {item.name: (item.passed, item.witness)
+            for report in reports for item in report.items
+            if item.name in _ZERO_MAP_ITEMS}
+
+
+@pytest.mark.parametrize("item,model,which", [
+    ("d^2 = 0", "bracket", "d"),
+    ("delta^2 = 0", "bracket", "delta"),
+    ("d delta + delta d = 0", "torus(1,1)", "d"),
+    ("delta iota = 0", "torus(1,1)", "iota"),
+    ("pi delta = 0", "torus(1,1)", "pi"),
+    ("h delta h = 0", "torus(2,1)", "h")])
+def test_bv_and_trivialization_items_match_reference(models, item, model,
+                                                     which):
+    """Nudge the entries of one map of ``model`` by 1/3, one at a time in
+    basis order, until ``item`` fails: on every nudge, the three zero-map
+    items of ``check_bv_axioms`` and the trivialization composites give
+    the same ``(passed, witness)`` as the Fraction references."""
+    if model == "bracket":
+        a, ip = bv_oracle.bracket_model(), None
+    else:
+        m = next(m for m in models if m.name == model)
+        a, ip = m.algebra, m.inner_product
+    td = build_transfer_data(a, ip)
+    maps = {"d": a.d, "delta": a.delta, "iota": td.iota, "pi": td.pi,
+            "h": td.h}
+    old = maps[which]
+    for src in old.source.names:
+        for tgt in old.target.names_at(old.source.bidegree[src] + old.shift):
+            maps[which] = _nudged(old, src, tgt, F(1, 3))
+            b = BVAlgebra(a.space, maps["d"], maps["delta"], a.product, a.unit)
+            data = td._replace(iota=maps["iota"], pi=maps["pi"], h=maps["h"])
+            got = _zero_map_items([check_bv_axioms(b),
+                                   check_strong_trivialization_composites(
+                                       data, b)])
+            assert got == _zero_map_items([
+                hodge_oracle.check_differentials(b),
+                hodge_oracle.check_strong_trivialization_composites(data, b)
+            ]), (src, tgt)
+            passed, witness = got[item]
+            if not passed:
+                # the residual is not an integer map
+                assert any(v.denominator > 1 for _s, _t, v in witness)
+                return
+    pytest.fail(f"no nudge of {which} breaks {item}")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,33 @@ def test_no_unused_imports():
     unused = {str(p.relative_to(ROOT)): found for p in paths
               if p.name != "__init__.py" and (found := _unused_imports(p))}
     assert not unused, unused
+
+
+def _references(tree) -> Counter:
+    """How often each name is read as a variable or an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_has_a_caller():
+    # a function, class or method of the package that nothing outside its
+    # own body names is a helper whose last caller is gone
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    package = sorted((ROOT / "src" / "bvhy").glob("*.py"))
+    used = Counter()
+    for path in sorted(ROOT.glob("src/**/*.py")) + \
+            sorted((ROOT / "tests").glob("*.py")) + \
+            sorted((ROOT / "perfbench").glob("*.py")):
+        used += _references(ast.parse(path.read_text(encoding="utf-8")))
+    orphans = []
+    for path in package:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, defs) and not (
+                    node.name.startswith("__") and node.name.endswith("__")) \
+                    and used[node.name] == _references(node)[node.name]:
+                orphans.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not orphans, orphans
 
 
 def _asserts(path: Path):

@@ -71,7 +71,7 @@ def _minimal_doc():
 
 def test_minimal_doc_parses():
     algebra, gram = serialize.algebra_from_json(_minimal_doc())
-    assert algebra.d.entry("x", "y") == F(1)
+    assert algebra.d.entries["x"]["y"] == F(1)
     assert gram is None
 
 
