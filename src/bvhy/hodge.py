@@ -1,24 +1,20 @@
 """Transfer data from finite-dimensional Hodge theory.
 
-Given an inner product (block Gram matrices per bidegree) we form the
-adjoint differential d* and, in one pass over the bidegrees on dense
-integer blocks (``linalg.Block``), the Laplacian block L = d d* + d* d.
-One elimination of ``[L | I]`` gives the kernel of L, which names the
-cohomology and is the harmonic inclusion ``iota``, and a generalised
-inverse of L; the projection ``pi`` and the exact Green operator G
-(inverse of L on the orthogonal complement of its kernel) follow by block
-products, and ``h = d* G``.  Every map is written from its blocks by
-``GradedMap.from_blocks``.  The five homotopy-retract identities and the
-three trivialization composites are block residuals, composed and summed
-by ``graded.compose`` and ``graded.add``.  ``check_transfer_input`` is the one
-pipeline that decides whether an algebra is a valid transfer input: BV
-axioms, then transfer data, side conditions and strong trivialization.
+The contraction (iota, pi, h) of the Hodge decomposition B = H + im d +
+im d* for a Gram form S, on integer blocks (``linalg.Block``), with no
+Laplacian L = d d* + d* d or Green operator G yet the same values:
+H = ker L is the kernel of [D_out ; D_in^T S], which has L's row space and
+so its (unique) reduced row echelon form; h = d* G is d's Gram-metric
+Moore-Penrose inverse; and G = h h* + h* h.  ``check_transfer_input``
+checks a transfer input: BV axioms, then transfer data, side conditions
+and strong trivialization, all block residuals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .bv import BVAlgebra, check_bv_axioms
@@ -74,80 +70,89 @@ class InnerProduct:
         return self.blocks[Bidegree(*deg)]
 
 
-class TransferData(NamedTuple):
-    """Harmonic cohomology ``H`` with the maps of the homotopy retract."""
-    cohomology: BigradedSpace
-    iota: GradedMap      # H -> B, shift (0,0)
-    pi: GradedMap        # B -> H, shift (0,0)
-    h: GradedMap         # B -> B, shift (0,-1)
-    green: GradedMap     # B -> B, shift (0,0)
+def _view(i: int) -> cached_property:
+    return cached_property(lambda td: GradedMap.from_blocks(*td.blocks[i]))
 
 
-def adjoint_differential(a: BVAlgebra, ip: InnerProduct) -> BlockMap:
-    """d*, with <d x, y> = <x, d* y>: for each nonzero block of d from
-    ``deg`` to ``up``, the block G^-1 d^T G' from ``up`` to ``deg``."""
-    d = a.d.to_blocks()
-    return BlockMap(d.target, d.source, -d.shift, {
-        deg + d.shift: linalg.mul(
-            linalg.inverse(ip.block(deg)),
-            linalg.mul((linalg.transpose(rows), den), ip.block(deg + d.shift)))
-        for deg, (rows, den) in d.blocks.items()})
+class TransferData:
+    """Harmonic cohomology H with ``blocks``, the ``BlockMap``s (iota, pi, h)
+    that the checks compose; the ``GradedMap`` views ``iota`` (H -> B), ``pi``
+    (B -> H), ``h`` (shift (0,-1)) and ``green`` are made when first read."""
+
+    def __init__(self, cohomology: BigradedSpace, iota: BlockMap,
+                 pi: BlockMap, h: BlockMap, ip: InnerProduct):
+        self.cohomology, self.blocks, self.ip = cohomology, (iota, pi, h), ip
+
+    iota, pi, h = _view(0), _view(1), _view(2)
+
+    @cached_property
+    def green(self) -> GradedMap:
+        """G = h h* + h* h, for the Gram adjoint h* (S^-1 H^T S' per block)."""
+        h, gram = self.blocks[2], self.ip.block
+        hstar = BlockMap(h.target, h.source, -h.shift, {
+            deg + h.shift: linalg.solve(gram(deg), linalg.mul(
+                (linalg.transpose(rows), den), gram(deg + h.shift)))
+            for deg, (rows, den) in h.blocks.items()})
+        return GradedMap.from_blocks(*add(compose(h, hstar), compose(hstar, h)))
 
 
-def _harmonic_name(names: List[str], vec: List[Fraction], deg: Bidegree,
+def _harmonic_name(names: List[str], vec: List[int], den: int, deg: Bidegree,
                    idx: int) -> str:
-    support = [i for i, c in enumerate(vec) if c != 0]
-    if len(support) == 1 and vec[support[0]] == 1:
+    support = [i for i, c in enumerate(vec) if c]
+    if len(support) == 1 and vec[support[0]] == den:
         return f"[{names[support[0]]}]"
     return f"h({deg.p},{deg.q})#{idx}"
 
 
-def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> TransferData:
-    """At each bidegree, on integer blocks: the Laplacian block
-    L = d d* + d* d, then one elimination of [L | I] that gives both the
-    kernel of L, whose basis rows K name the cohomology, and a generalised
-    inverse L# (L L# L = L).  iota is K^T and pi = (K S K^T)^-1 K S for
-    the Gram block S, so pi iota = id; P = iota pi projects orthogonally
-    onto ker L.  Since P L = L P = 0, the Green block (I - P) L# (I - P)
-    is the one G with L G = G L = id - P and G P = 0.  The homotopy is
-    h = d* G."""
-    space = a.space
-    if ip is None:
-        ip = InnerProduct(space)
-    d, dstar = a.d.to_blocks(), adjoint_differential(a, ip)
-    lap = add(scalar(space, 0), compose(d, dstar), compose(dstar, d)).blocks
-    hbasis: List[Tuple[str, Bidegree]] = []
-    iota_blocks, pi_blocks, green_blocks = {}, {}, {}
-    for deg in space.occupied_bidegrees():
-        names = space.names_at(deg)
-        kern, green = linalg.kernel_and_inverse(lap[deg])
-        hbasis += [(_harmonic_name(names, vec, deg, i), deg)
-                   for i, vec in enumerate(kern)]
-        if kern:
-            k, kden = linalg.to_block(kern)
-            kt = iota_blocks[deg] = linalg.transpose(k), kden
-            ktg = linalg.mul((k, kden), ip.block(deg))
-            pi = pi_blocks[deg] = linalg.mul(
-                linalg.inverse(linalg.mul(ktg, kt)), ktg)
-            # (P - I) L# (P - I) = (I - P) L# (I - P)
-            off = linalg.add([linalg.mul(kt, pi), linalg.scalar(len(names), -1)])
-            green = linalg.mul(off, linalg.mul(green, off))
-        green_blocks[deg] = green
+def _pseudo_inverse(d: linalg.Block, sa: linalg.Block, sb: linalg.Block):
+    """D's reduced rows R and its Moore-Penrose inverse X (Y D X)^-1 Y in
+    the Gram metrics sa, sb: X, the kernel of N^T sa for the kernel N of D,
+    spans (ker D)-perp as sa^-1 R^T does, and Y = F^T sb, for the pivot
+    columns F of D, vanishes on (im D)-perp.  Neither needs sa^-1."""
+    n = len(sa[0])
+    reduced, pivots = linalg.rref(d[0], n)
+    null = linalg.mul(linalg.kernel(reduced, n), sa)[0]
+    x = linalg.transpose(linalg.kernel(null, n)[0]), 1
+    y = linalg.mul(([[row[c] for row in d[0]] for c in pivots], 1), sb)
+    return reduced, linalg.mul(
+        x, linalg.solve(linalg.mul(linalg.mul(y, d), x), y))
 
+
+def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> TransferData:
+    """Per bidegree, with S the Gram block and D_out, D_in the blocks of d
+    out of and into it: the kernel basis rows K of [D_out ; D_in^T S]
+    (D_out as its reduced rows) name the cohomology; iota = K^T,
+    pi = (K S K^T)^-1 K S; and h back along D_out is its pseudo-inverse."""
+    space, ip = a.space, ip or InnerProduct(a.space)
+    d, up, down = a.d.to_blocks(), Bidegree(0, 1), Bidegree(0, -1)
+    hbasis, iota_blocks, pi_blocks, h_blocks = [], {}, {}, {}
+    for deg in space.occupied_bidegrees():
+        names, s = space.names_at(deg), ip.block(deg)
+        rows: List[List[int]] = []
+        if deg in d.blocks:
+            rows, h_blocks[deg + up] = _pseudo_inverse(d.blocks[deg], s,
+                                                       ip.block(deg + up))
+        if (low := deg + down) in d.blocks:
+            rows = rows + linalg.mul(
+                (linalg.transpose(d.blocks[low][0]), 1), s)[0]
+        k, kden = linalg.kernel(rows, len(names))
+        hbasis += [(_harmonic_name(names, vec, kden, deg, i), deg)
+                   for i, vec in enumerate(k)]
+        if k:
+            kt = iota_blocks[deg] = linalg.transpose(k), kden
+            ktg = linalg.mul((k, kden), s)
+            pi_blocks[deg] = linalg.solve(linalg.mul(ktg, kt), ktg)
     cohomology = BigradedSpace(hbasis)
-    green = BlockMap(space, space, Bidegree(0, 0), green_blocks)
     return TransferData(
-        cohomology,
-        GradedMap.from_blocks(cohomology, space, Bidegree(0, 0), iota_blocks),
-        GradedMap.from_blocks(space, cohomology, Bidegree(0, 0), pi_blocks),
-        GradedMap.from_blocks(*compose(dstar, green)),
-        GradedMap.from_blocks(*green))
+        cohomology, BlockMap(cohomology, space, Bidegree(0, 0), iota_blocks),
+        BlockMap(space, cohomology, Bidegree(0, 0), pi_blocks),
+        BlockMap(space, space, down, h_blocks), ip)
 
 
 def check_side_conditions(td: TransferData, a: BVAlgebra) -> CheckReport:
     """The two retract identities and the three side conditions, exactly,
     each as the ``BlockMap`` of its residual."""
-    d, h, iota, pi = (m.to_blocks() for m in (a.d, td.h, td.iota, td.pi))
+    d, (iota, pi, h) = a.d.to_blocks(), td.blocks
     report = CheckReport("side-conditions")
     report.add_residual("pi iota = id", add(compose(pi, iota),
                                             scalar(td.cohomology, -1)))
@@ -166,8 +171,7 @@ def check_strong_trivialization_composites(td: TransferData,
     When all three hold, every decorated tree containing a delta vertex
     evaluates to zero, since the vertex is sandwiched between iota/pi/h.
     """
-    delta, h, iota, pi = (m.to_blocks()
-                          for m in (a.delta, td.h, td.iota, td.pi))
+    delta, (iota, pi, h) = a.delta.to_blocks(), td.blocks
     report = CheckReport("strong-trivialization")
     report.add_residual("delta iota = 0", compose(delta, iota))
     report.add_residual("pi delta = 0", compose(pi, delta))

@@ -4,10 +4,9 @@ A ``Block`` is a matrix held as integer rows over one positive common
 denominator, so that products, sums and eliminations work in Python ints
 and a chain of them builds no ``Fraction``; ``GradedMap.from_blocks``
 makes the exact rational entries of a map from its blocks.  One
-Gauss-Jordan elimination of ``[A | I]`` serves ``kernel_and_inverse``,
-which reads the kernel off its pivot rows and a generalised inverse off
-its right half, and ``inverse``.  Everything here is exact; there are no
-tolerances anywhere in the package.
+fraction-free Gauss-Jordan elimination serves ``rref``, ``kernel`` and
+``solve``.  Everything here is exact; there are no tolerances anywhere in
+the package.
 """
 
 from fractions import Fraction
@@ -122,44 +121,41 @@ def _eliminate(m: List[List[int]], ncols: int) -> List[int]:
     return pivots
 
 
-def kernel_and_inverse(a: Block) -> Tuple[List[List[Fraction]], Block]:
-    """From one elimination of ``[a | I]``: a basis of the right kernel
-    {v : a v = 0}, one column vector per free column, read off the pivot
-    rows; and a generalised inverse X with a X a = a.
+def rref(rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
+    """The nonzero rows of the reduced row echelon form of ``rows`` (left
+    as they are), each over its content gcd, and their pivot columns."""
+    m = [list(row) for row in rows]
+    pivots = _eliminate(m, ncols)
+    return m[:len(pivots)], pivots
 
-    A pivot row of the reduced rows is ``[R | E]``: R has the pivot p in
-    its pivot column c, and E records the row operations.  X takes
-    ``E / p`` as its row c, and is zero in the free rows.  Then X a is the
-    reduced row echelon form of a, and I - X a maps into the kernel, so
-    a X a = a.  With an empty kernel, X is the inverse."""
-    rows, den = a
-    m, n = len(rows), len(rows[0]) if rows else 0
-    # [a | I] with every row scaled by den
-    aug = [row + [den if j == i else 0 for j in range(m)]
-           for i, row in enumerate(rows)]
-    pivots = _eliminate(aug, n)
-    pivot_set = set(pivots)
+
+def kernel(rows: List[List[int]], ncols: int) -> Block:
+    """A basis of {v : rows v = 0}, as the rows of a block: one vector per
+    free column of the reduced rows, 1 there and 0 in the other free
+    columns, so rows with one row space give the one basis."""
+    reduced, pivots = rref(rows, ncols)
+    den = lcm(*[row[c] for row, c in zip(reduced, pivots)])
     basis = []
-    for fc in (c for c in range(n) if c not in pivot_set):
-        v = [ZERO] * n
-        v[fc] = ONE
-        for row, pc in zip(aug, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = den
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc] * (den // row[pc])
         basis.append(v)
-    xden = lcm(*[row[c] for row, c in zip(aug, pivots)])
-    x = [[0] * m for _ in range(n)]
-    for row, c in zip(aug, pivots):
-        s = xden // row[c]
-        x[c] = [s * y for y in row[n:]]
-    return basis, _reduced(x, xden)
+    return _reduced(basis, den)
 
 
-def inverse(a: Block) -> Block:
-    """The inverse of the square block ``a``."""
-    kernel, x = kernel_and_inverse(a)
-    if kernel:
+def solve(a: Block, b: Block) -> Block:
+    """a^-1 b for the square block ``a``, read off the reduced rows of
+    ``[a | b]``: a pivot row is [p e_i | w], so row i of a^-1 b is w / p."""
+    (arows, aden), (brows, bden) = a, b
+    n = len(arows)
+    aug = [ra + rb for ra, rb in zip(arows, brows)]
+    if len(_eliminate(aug, n)) < n:
         raise ValueError("matrix is singular")
-    return x
+    xden = lcm(*[row[i] for i, row in enumerate(aug)])
+    return _reduced([[aden * (xden // row[i]) * y for y in row[n:]]
+                     for i, row in enumerate(aug)], xden * bden)
 
 
 def is_symmetric(a) -> bool:

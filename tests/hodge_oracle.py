@@ -1,12 +1,15 @@
 """Reference Hodge kernels for the oracle tests in ``test_hodge_oracle.py``.
 
 These are the ``Fraction``-arithmetic versions of the row reduction
-behind ``linalg.kernel_and_inverse`` and ``linalg.inverse``, of
+behind ``linalg.rref``, ``linalg.kernel`` and ``linalg.solve``, of
 ``linalg.mul``, ``linalg.is_positive_definite``, of composing and summing
 maps (``graded.compose`` and ``graded.add``) and of
-``hodge.build_transfer_data`` that ``bvhy`` used before its kernels
-eliminated and accumulated in integers over common denominators, with the
-Green block as ``(L + P)^-1 - P``.  ``check_side_conditions``,
+``hodge.build_transfer_data`` as ``bvhy`` built it before its kernels
+eliminated and accumulated in integers over common denominators: the
+Laplacian L = d d* + d* d, the harmonic classes as the kernel of L, the
+Green block as ``(L + P)^-1 - P`` and ``h = d* G``.  The library forms no
+Laplacian or Green block, so this is an independent construction of the
+same values.  ``check_side_conditions``,
 ``check_differentials`` and ``check_strong_trivialization_composites``
 compose and sum whole sparse maps with ``compose`` and ``add``, which share
 no code with the library's block residuals.  Every entry is combined as a
@@ -15,10 +18,10 @@ the test suite's rank oracle.
 """
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from bvhy.graded import Bidegree, BigradedSpace, GradedMap
-from bvhy.hodge import InnerProduct, TransferData
+from bvhy.hodge import InnerProduct
 from bvhy.reporting import CheckReport
 
 ZERO = Fraction(0)
@@ -183,7 +186,17 @@ def add(*maps: GradedMap) -> GradedMap:
     return GradedMap(first.source, first.target, first.shift, out)
 
 
-def _adjoint_differential(a, ip):
+class TransferData(NamedTuple):
+    """The reference transfer data, with the fields of ``hodge.TransferData``
+    that the oracle tests read."""
+    cohomology: BigradedSpace
+    iota: GradedMap
+    pi: GradedMap
+    h: GradedMap
+    green: GradedMap
+
+
+def adjoint_differential(a, ip):
     space = a.space
     dstar = GradedMap.zero(space, space, Bidegree(0, -1))
     for deg in space.occupied_bidegrees():
@@ -208,7 +221,7 @@ def _harmonic_name(names, vec, deg, idx):
 
 def _harmonic_decomposition(a, ip):
     space = a.space
-    dstar = _adjoint_differential(a, ip)
+    dstar = adjoint_differential(a, ip)
     lap = add(compose(a.d, dstar), compose(dstar, a.d))
     green = GradedMap.zero(space, space, Bidegree(0, 0))
     harmonic: Dict[Bidegree, List[Tuple[str, List[Fraction]]]] = {}
@@ -240,7 +253,7 @@ def build_transfer_data(a, ip=None) -> TransferData:
     space = a.space
     if ip is None:
         ip = InnerProduct(space)
-    dstar = _adjoint_differential(a, ip)
+    dstar = adjoint_differential(a, ip)
     harmonic, green = _harmonic_decomposition(a, ip)
     cohomology = BigradedSpace([(label, deg)
                                 for deg in space.occupied_bidegrees()

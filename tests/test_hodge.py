@@ -1,15 +1,19 @@
-"""Hodge transfer data: adjointness, harmonic dimensions, exact identities."""
+"""Hodge transfer data: adjointness of the reference d*, harmonic
+dimensions, exact identities."""
 
 from fractions import Fraction
 
 import pytest
 
-from hodge_oracle import compose, dense_block, mat_mul, rank, to_matrix
+from hodge_oracle import (adjoint_differential, compose, dense_block,
+                          mat_mul, rank, to_matrix)
 from bvhy import linalg
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap
-from bvhy.hodge import (InnerProduct, adjoint_differential,
-                        build_transfer_data, check_side_conditions,
-                        check_strong_trivialization_composites)
+from bvhy.graded import Bidegree, BigradedSpace
+from bvhy.engine import build_operation_table
+from bvhy.hodge import (InnerProduct, build_transfer_data,
+                        check_side_conditions,
+                        check_strong_trivialization_composites,
+                        check_transfer_input)
 from bvhy.models import (build_skew_gram_model, build_torus_model,
                          build_trivial_model)
 
@@ -26,15 +30,10 @@ def _pairing(ip, space, x, y):
                for i in range(len(names)) for j in range(len(names)))
 
 
-def _dstar(a, ip):
-    """d* as a map, from the blocks ``adjoint_differential`` returns."""
-    return GradedMap.from_blocks(*adjoint_differential(a, ip))
-
-
 def test_zero_differential_gives_trivial_transfer():
     m = build_trivial_model(2)
     a = m.algebra
-    assert _dstar(a, InnerProduct(a.space)).is_zero
+    assert adjoint_differential(a, InnerProduct(a.space)).is_zero
     td = m.transfer_data()
     assert td.green.is_zero
     for deg in a.space.occupied_bidegrees():
@@ -55,7 +54,7 @@ def test_adjointness_identity_over_all_basis_pairs(model_builder, label):
     m = model_builder()
     a = m.algebra
     ip = m.inner_product or InnerProduct(a.space)
-    dstar = _dstar(a, ip)
+    dstar = adjoint_differential(a, ip)
     space = a.space
     for x in space.names:
         for y in space.names:
@@ -66,7 +65,7 @@ def test_adjointness_identity_over_all_basis_pairs(model_builder, label):
 
 def test_identity_gram_adjoint_is_entrywise_transpose():
     a = build_torus_model(1, 1).algebra
-    dstar = _dstar(a, InnerProduct(a.space))
+    dstar = adjoint_differential(a, InnerProduct(a.space))
     assert sorted((t, s, v) for s, t, v in a.d.nonzero_entries()) == \
         sorted(dstar.nonzero_entries())
 
@@ -101,6 +100,18 @@ def test_side_conditions_and_trivialization_on_models():
         assert side.passed, (m.name, [i.to_dict() for i in side.failures()])
         triv = check_strong_trivialization_composites(td, m.algebra)
         assert triv.passed, (m.name, [i.to_dict() for i in triv.failures()])
+
+
+def test_checks_compose_blocks_and_green_is_made_when_read():
+    m = build_torus_model(1, 1)
+    td, reports = check_transfer_input(m.algebra, m.inner_product)
+    assert all(r.passed for r in reports)
+    # validate's checks make no GradedMap view and no Green operator
+    assert not {"iota", "pi", "h", "green"} & set(vars(td))
+    # the engine reads the views, never the Green operator
+    build_operation_table(m.algebra, td, 3)
+    assert {"iota", "pi", "h"} <= set(vars(td)) and "green" not in vars(td)
+    assert not td.green.is_zero and "green" in vars(td)
 
 
 def test_skew_gram_cohomology_is_the_unit_line():

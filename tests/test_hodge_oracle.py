@@ -15,7 +15,7 @@ import hodge_oracle
 from bvhy import linalg
 from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.graded import Bidegree, BigradedSpace, GradedMap, compose
-from bvhy.hodge import (InnerProduct, build_transfer_data,
+from bvhy.hodge import (InnerProduct, TransferData, build_transfer_data,
                         check_side_conditions,
                         check_strong_trivialization_composites)
 
@@ -49,26 +49,32 @@ def test_kernels_match_fraction_reference():
         a = _random_matrix(rng, rows, cols)
         b = _random_matrix(rng, cols, rng.randint(1, 6))
         red, pivots = hodge_oracle.rref(a)
-        kernel, ginv = linalg.kernel_and_inverse(linalg.to_block(a))
-        assert kernel == hodge_oracle.kernel_basis(a)
-        ginv = hodge_oracle.to_matrix(ginv)
-        assert hodge_oracle.mat_mul(hodge_oracle.mat_mul(a, ginv), a) == a
+        ints = linalg.to_block(a)[0]
+        reduced, got_pivots = linalg.rref(ints, cols)
+        assert got_pivots == pivots
+        assert [[F(x, row[c]) for x in row] for row, c in
+                zip(reduced, pivots)] == red[:len(pivots)]
+        kernel = linalg.kernel(ints, cols)
+        assert kernel == linalg.to_block(hodge_oracle.kernel_basis(a))
+        assert hodge_oracle.to_matrix(kernel) == hodge_oracle.kernel_basis(a)
         product = linalg.mul(linalg.to_block(a), linalg.to_block(b))
         assert hodge_oracle.to_matrix(product) == hodge_oracle.mat_mul(a, b)
         seen["deficient"] += len(pivots) < min(rows, cols)
         seen["zero row"] += any(not any(row) for row in a)
         seen["non-integer"] += any(x.denominator > 1 for row in red for x in row)
         square = [row[:rows] + [F(0)] * (rows - len(row)) for row in a]
+        rhs = _random_matrix(rng, rows, rng.randint(1, 6))
         try:
             expected = hodge_oracle.inverse(square)
         except ValueError:
             seen["singular"] += 1
             with pytest.raises(ValueError):
-                linalg.inverse(linalg.to_block(square))
+                linalg.solve(linalg.to_block(square), linalg.scalar(rows, 1))
         else:
             seen["inverse"] += 1
-            inverse = linalg.inverse(linalg.to_block(square))
-            assert hodge_oracle.to_matrix(inverse) == expected
+            solved = linalg.solve(linalg.to_block(square), linalg.to_block(rhs))
+            assert hodge_oracle.to_matrix(solved) == \
+                hodge_oracle.mat_mul(expected, rhs)
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -176,6 +182,87 @@ def test_transfer_data_matches_reference_on_tridiagonal_gram(seed):
     assert kinds["proper kernel, non-integer G"] == 2, kinds
 
 
+def _random_invertible(rng, n):
+    """A random invertible rational n x n matrix and its inverse."""
+    while True:
+        q = [[F(rng.choice(POOL)) for _ in range(n)] for _ in range(n)]
+        try:
+            return q, hodge_oracle.inverse(q)
+        except ValueError:
+            continue
+
+
+def _complex(rng, sizes, ranks):
+    """Unit plus terms t0, t1, ... of ``sizes`` elements at (1,0), (1,1),
+    ...; d from term i to term i+1 has rank ``ranks[i]``.  In a standard
+    basis d sends element ``ranks[i-1] + j`` of term i to element j of
+    term i+1, so d^2 = 0; each term then gets a random rational basis, and
+    a tridiagonal Gram form that is not the identity."""
+    names = [[f"t{i}_{j}" for j in range(n)] for i, n in enumerate(sizes)]
+    space = BigradedSpace([("e", Bidegree(0, 0))] + [
+        (x, Bidegree(1, i)) for i, term in enumerate(names) for x in term])
+    bases = [_random_invertible(rng, n) for n in sizes]
+    d = GradedMap.zero(space, space, Bidegree(0, 1))
+    for i, rank in enumerate(ranks):
+        lo = ranks[i - 1] if i else 0
+        std = hodge_oracle.zeros(sizes[i + 1], sizes[i])
+        for j in range(rank):
+            std[j][lo + j] = F(1)
+        block = hodge_oracle.mat_mul(bases[i + 1][0], hodge_oracle.mat_mul(
+            std, bases[i][1]))
+        for c, src in enumerate(names[i]):
+            for r, tgt in enumerate(names[i + 1]):
+                d.set_entry(src, tgt, block[r][c])
+    product = {("e", x): {x: F(1)} for x in space.names}
+    product.update({(x, "e"): {x: F(1)} for x in space.names[1:]})
+    algebra = BVAlgebra(space, d, GradedMap.zero(space, space, Bidegree(-1, 0)),
+                        product, "e")
+    entries = []
+    for term in names:
+        for j, x in enumerate(term):
+            entries.append((x, x, F(rng.randint(2, 4))))
+            if j + 1 < len(term):
+                entries.append((x, term[j + 1], F(rng.choice((1, -1)),
+                                                   rng.choice((1, 2)))))
+    return algebra, InnerProduct.from_entries(space, entries)
+
+
+@pytest.mark.parametrize("sizes,ranks", [
+    ((5, 7, 4), (3, 2)),      # the middle term has d in and d out
+    ((6, 5), (1,)), ((6, 5), (3,)), ((5, 6), (4,)),   # 0 < rank < n
+    ((5, 5), (5,)), ((4, 6), (4,)), ((6, 4), (4,))],  # full rank
+    ids=["three-term", "rank-1", "rank-3", "rank-4", "square-full-rank",
+         "wide-full-rank", "tall-full-rank"])
+def test_transfer_data_matches_reference_on_random_complexes(sizes, ranks):
+    rng = random.Random(f"{sizes}{ranks}")
+    algebra, ip = _complex(rng, sizes, ranks)
+    td = build_transfer_data(algebra, ip)
+    assert _td_values(td) == _td_values(
+        hodge_oracle.build_transfer_data(algebra, ip))
+    ins = (0,) + ranks
+    outs = ranks + (0,)
+    assert [len(td.cohomology.names_at(Bidegree(1, i)))
+            for i in range(len(sizes))] == \
+        [n - r_in - r_out for n, r_in, r_out in zip(sizes, ins, outs)]
+    # a nonzero, non-integer homotopy and Green operator
+    for m in (td.h, td.green):
+        assert any(v.denominator > 1 for _s, _t, v in m.nonzero_entries())
+
+
+@pytest.mark.parametrize("name", ["bracket(0,1)", "bracket(1,0)",
+                                  "bracket(1,1)", "bracket(2,0)",
+                                  "bracket(0,2)", "cy3"])
+def test_transfer_data_matches_reference_on_bracket_models(name):
+    if name == "cy3":
+        algebra = bv_oracle.cy3_model()
+    else:
+        algebra = bv_oracle.bracket_model(tuple(int(c) for c in name[8:11:2]))
+    td = build_transfer_data(algebra)
+    assert not td.h.is_zero and not td.green.is_zero
+    assert _td_values(td) == _td_values(
+        hodge_oracle.build_transfer_data(algebra))
+
+
 def _nudged(m, src, tgt, by):
     """``m`` with its ``(src, tgt)`` entry moved by ``by``."""
     out = GradedMap(m.source, m.target, m.shift,
@@ -184,12 +271,19 @@ def _nudged(m, src, tgt, by):
     return out
 
 
+def _with_maps(td, **maps):
+    """``td`` with the maps named in ``maps`` (iota, pi or h) replaced."""
+    return TransferData(td.cohomology, *(
+        maps[k].to_blocks() if k in maps else blocks
+        for k, blocks in zip(("iota", "pi", "h"), td.blocks)), td.ip)
+
+
 def _tampered(td, which):
     """``td`` with the first nonzero entry of its map ``which`` (h, pi or
     iota) moved by 1."""
     m = getattr(td, which)
     src, tgt, _v = m.nonzero_entries()[0]
-    return td._replace(**{which: _nudged(m, src, tgt, 1)})
+    return _with_maps(td, **{which: _nudged(m, src, tgt, 1)})
 
 
 def test_side_conditions_match_reference(models):
@@ -251,7 +345,8 @@ def test_bv_and_trivialization_items_match_reference(models, item, model,
         for tgt in old.target.names_at(old.source.bidegree[src] + old.shift):
             maps[which] = _nudged(old, src, tgt, F(1, 3))
             b = BVAlgebra(a.space, maps["d"], maps["delta"], a.product, a.unit)
-            data = td._replace(iota=maps["iota"], pi=maps["pi"], h=maps["h"])
+            data = _with_maps(td, iota=maps["iota"], pi=maps["pi"],
+                              h=maps["h"])
             got = _zero_map_items([check_bv_axioms(b),
                                    check_strong_trivialization_composites(
                                        data, b)])

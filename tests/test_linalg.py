@@ -26,11 +26,18 @@ def _pd(a):
 
 def test_rref_known_matrix():
     # reduces to [[1, 2], [0, 0]]: pivot column 0, free column 1
-    m = [[F(2), F(4)], [F(1), F(2)]]
-    kernel, x = linalg.kernel_and_inverse(linalg.to_block(m))
-    assert kernel == [[F(-2), F(1)]]
-    # the pivot row [1, 2 | 1/2, 0] gives row 0 of X; the free row is zero
-    assert to_matrix(x) == [[F(1, 2), F(0)], [F(0), F(0)]]
+    rows = [[2, 4], [1, 2]]
+    assert linalg.rref(rows, 2) == ([[1, 2]], [0])
+    assert rows == [[2, 4], [1, 2]]
+    assert linalg.kernel(rows, 2) == ([[-2, 1]], 1)
+    # a reduced row keeps a pivot other than 1 when its content gcd is 1
+    assert linalg.rref([[2, 0, 1], [0, 3, 1]], 3) == \
+        ([[2, 0, 1], [0, 3, 1]], [0, 1])
+    # no rows: every column is free
+    assert linalg.kernel([], 2) == ([[1, 0], [0, 1]], 1)
+    # one vector per free column, over the lcm of the pivots
+    assert to_matrix(linalg.kernel([[2, 0, 1], [0, 3, 1]], 3)) == \
+        [[F(-1, 2), F(-1, 3), F(1)]]
 
 
 def test_rank_of_constructed_low_rank_products():
@@ -49,13 +56,12 @@ def test_kernel_basis_annihilates_and_has_right_dimension():
     rng = random.Random(11)
     for _ in range(25):
         m = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5))
-        kern, x = linalg.kernel_and_inverse(linalg.to_block(m))
         cols = len(m[0])
+        kern = to_matrix(linalg.kernel(linalg.to_block(m)[0], cols))
         assert len(kern) == cols - rank(m)
         for v in kern:
             image = [sum(row[j] * v[j] for j in range(cols)) for row in m]
             assert all(x == 0 for x in image)
-        assert _mul(_mul(m, to_matrix(x)), m) == m
 
 
 def test_inverse_round_trip_and_singular_error():
@@ -63,15 +69,21 @@ def test_inverse_round_trip_and_singular_error():
     found = 0
     while found < 10:
         m = _random_matrix(rng, 3, 3)
+        b = _random_matrix(rng, 3, rng.randint(1, 4))
         try:
-            inv = to_matrix(linalg.inverse(linalg.to_block(m)))
+            inv = to_matrix(linalg.solve(linalg.to_block(m),
+                                         linalg.to_block(linalg.identity(3))))
         except ValueError:
             continue
         found += 1
         assert _mul(m, inv) == linalg.identity(3)
         assert _mul(inv, m) == linalg.identity(3)
+        # m^-1 b, with b over a denominator of its own
+        x = to_matrix(linalg.solve(linalg.to_block(m), linalg.to_block(b)))
+        assert _mul(m, x) == b
     with pytest.raises(ValueError):
-        linalg.inverse(linalg.to_block([[F(1), F(2)], [F(2), F(4)]]))
+        linalg.solve(linalg.to_block([[F(1), F(2)], [F(2), F(4)]]),
+                     linalg.scalar(2, 1))
 
 
 def test_transpose_and_symmetry():
