@@ -9,8 +9,8 @@ The bracket is not an input: it is derived from ``delta`` and the product as
     [x, y] = delta(x y) - delta(x) y - (-1)^|x| x delta(y)
 
 so that the order-2 compatibility checked in ``check_bv_axioms`` is
-automatically the right one.  ``bracket`` expands it bilinearly over
-``brackets``, its nonzero values on basis pairs.
+automatically the right one.  ``brackets`` holds its nonzero values on
+basis pairs.
 
 The algebra keeps plain ``{name: Fraction}`` columns.  Graded
 commutativity and the three trilinear axiom checks run on integer copies
@@ -21,8 +21,8 @@ homogeneous in these tables (commutativity of degree 1 in the product,
 associativity of degree 2 on both sides, the derivation and Leibniz rules
 of degree 1 in the product and 1 in ``d`` or the bracket in every term),
 so comparing integer sides decides exactly what comparing rational sides
-would.  Their signs are the ints 1 and -1: ``koszul_sign`` returns a
-``Fraction``, which would turn the sums back into fractions.
+would.  Their signs are the ints 1 and -1: ``elements.koszul_sign``
+returns a ``Fraction``, which would turn the sums back into fractions.
 
 The trilinear checks visit only the tuples reached by one support index,
 built with the algebra: ``partners[u]``, the ``v`` with ``(u, v)`` a
@@ -51,7 +51,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .graded import (Bidegree, BigradedSpace, Element, GradedMap, add,
+from .graded import (Bidegree, BigradedSpace, BlockMap, GradedMap, add,
                      compose)
 from .reporting import CheckReport
 
@@ -75,24 +75,9 @@ class BVAlgebra:
         for (u, v) in self.product:
             self.partners.setdefault(u, []).append(v)
         self.brackets = _bracket_table(self)
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        """Bilinear product via the structure constants."""
-        return self._expand(self.product, x, y, Bidegree(0, 0))
-
-    def bracket(self, x: Element, y: Element) -> Element:
-        """Derived bracket, expanded bilinearly over ``brackets``."""
-        return self._expand(self.brackets, x, y, self.delta.shift)
-
-    def _expand(self, table: ProductTable, x: Element, y: Element,
-                shift: Bidegree) -> Element:
-        acc: Vector = {}
-        for n, c in x.coeffs.items():
-            _add_into(acc, _left(table, n, y.coeffs), c)
-        deg = None
-        if x.bidegree is not None and y.bidegree is not None:
-            deg = x.bidegree + y.bidegree + shift
-        return Element(self.space, deg, acc)
+        # d and delta as the checks compose them, converted once per algebra
+        self.blocks: Tuple[BlockMap, BlockMap] = (d.to_blocks(),
+                                                  delta.to_blocks())
 
 
 def _symmetrize(space: BigradedSpace, product: ProductTable) -> ProductTable:
@@ -249,7 +234,7 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
         bad = m.validate_shift()
         report.add(name, m.shift == shift and not bad, bad or None)
 
-    d, delta = a.d.to_blocks(), a.delta.to_blocks()
+    d, delta = a.blocks
     report.add_residual("d^2 = 0", compose(d, d))
     report.add_residual("delta^2 = 0", compose(delta, delta))
     report.add_residual("d delta + delta d = 0",

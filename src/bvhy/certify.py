@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .graded import Bidegree
+from .serialize import _check_schema, _is_int, _require
 
 
 @dataclass
@@ -35,6 +36,32 @@ class Footprint:
     @property
     def corner_dims_one(self) -> bool:
         return self.dim_at(0, 0) == 1 and self.dim_at(self.n, self.n) == 1
+
+
+def footprint_from_json(doc: dict) -> Footprint:
+    _check_schema(doc, "footprint")
+    n = doc.get("n")
+    _require(_is_int(n) and n >= 1, f"invalid dimension n={n!r}", "n")
+    convention = doc.get("convention", "polyvector")
+    _require(convention in ("forms", "polyvector"),
+             f"unknown convention {convention!r}", "convention")
+    occupied: Dict[Bidegree, int] = {}
+    raw = doc.get("occupied")
+    _require(isinstance(raw, list), "missing occupied list", "occupied")
+    for i, entry in enumerate(raw):
+        loc = f"occupied[{i}]"
+        _require(isinstance(entry, dict), "expected an object", loc)
+        p, q, dim = entry.get("p"), entry.get("q"), entry.get("dim")
+        _require(_is_int(p) and _is_int(q),
+                 f"malformed bidegree p={p!r} q={q!r}", loc)
+        _require(_is_int(dim) and dim >= 0,
+                 f"invalid dimension {dim!r}", loc)
+        if convention == "forms":
+            # contraction with the volume form reverses the first index
+            p = n - p
+        deg = Bidegree(p, q)
+        occupied[deg] = occupied.get(deg, 0) + dim
+    return Footprint(n, occupied)
 
 
 def is_hypersurface_footprint(fp: Footprint) -> Tuple[bool, str]:

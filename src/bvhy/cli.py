@@ -13,10 +13,15 @@ table, ``COMMANDS``, rather than by ``argparse``; a usage error is a
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import time
 from typing import Optional
+
+if __name__ == "__main__":
+    # a command is one short process: no cyclic collection, imports included
+    gc.disable()
 
 try:
     # the built-in module: hashlib would load OpenSSL too, several ms of
@@ -140,10 +145,10 @@ def cmd_transfer(algebra: str, max_arity: int, out: Optional[str],
 
 
 def cmd_certify(footprint: str, assume_top_bottom: bool) -> int:
-    from .certify import certify_formality
+    from .certify import certify_formality, footprint_from_json
     started = time.monotonic()
     doc, digest = _load_json(footprint)
-    fp = serialize.footprint_from_json(doc)
+    fp = footprint_from_json(doc)
     inputs = {footprint: digest}
     cert = certify_formality(fp, assume_top_bottom=assume_top_bottom)
     _emit(_report("certify", inputs, started, certificate=cert.to_dict(),
@@ -263,4 +268,8 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # exit still runs atexit and flushes stdout and stderr; the frozen heap
+    # is left out of the final collections, which would walk and free it
+    gc.freeze()
+    sys.exit(code)

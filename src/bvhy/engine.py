@@ -20,9 +20,9 @@ only on the sizes and bracket counts of its subtrees and the vertex kind;
 leaf labels only permute keys.  So each size class gets one product list
 (``_products``), scattered into every split of that class (``_scatter``).
 ``naive_evaluate_tree`` evaluates one tree on given arguments by direct
-recursion on ``Element``s, with no tables and no caching.  The witness
-search re-verifies each witness with it, and the tests use it as the
-oracle for the tables.
+recursion on ``elements.Element``s, with no tables and no caching.  The
+witness search re-verifies each witness with it, and the tests use it as
+the oracle for the tables.
 """
 
 from __future__ import annotations
@@ -34,11 +34,12 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, \
     Tuple
 
 from .bv import BVAlgebra, Vector, _add_into, _apply, _left, _nonzero
-from .graded import Bidegree, Element, koszul_sign
+from .graded import Bidegree
 from .hodge import TransferData
 from .reporting import CheckReport
 
 if TYPE_CHECKING:
+    from .elements import Element
     from .trees import DecoratedTree
 
 Labels = Tuple[int, ...]
@@ -102,26 +103,26 @@ def _scatter(products: Items, labels: Sequence[int], out: Constants) -> None:
 def naive_evaluate_tree(t: DecoratedTree, a: BVAlgebra, td: TransferData,
                         args: List[Element]) -> Element:
     """Reference evaluator: plain recursion, no tables, no normal forms."""
+    from .elements import apply, bracket, koszul_sign, multiply
     if len(args) != t.arity:
         raise ValueError(f"tree has arity {t.arity}, got {len(args)} arguments")
 
     def edge(child: DecoratedTree, v: Element) -> Element:
-        return td.h(v) if not child.is_leaf else v
+        return apply(td.h, v) if not child.is_leaf else v
 
     def rec(node: DecoratedTree) -> Element:
         if node.is_leaf:
-            return td.iota(args[node.label - 1])
+            return apply(td.iota, args[node.label - 1])
         if node.kind == "del":
-            return a.delta(edge(node.children[0], rec(node.children[0])))
+            return apply(a.delta, edge(node.children[0], rec(node.children[0])))
         left, right = node.children
         vl = edge(left, rec(left))
         vr = edge(right, rec(right))
         if not right.is_leaf:
             vr = vr.scale(koszul_sign(1, vl.total_degree))
-        op = a.multiply if node.kind == "mul" else a.bracket
-        return op(vl, vr)
+        return (multiply if node.kind == "mul" else bracket)(a, vl, vr)
 
-    return td.pi(rec(t))
+    return apply(td.pi, rec(t))
 
 
 class OperationTable:

@@ -1,4 +1,5 @@
-"""Bigraded vector spaces, homogeneous elements, and degree-shifting maps.
+"""Bigraded vector spaces and degree-shifting maps; homogeneous elements
+(``BigradedSpace.basis_element`` / ``zero``) are ``elements.Element``s.
 
 Scalars are exact rationals throughout.  A map carries a fixed bidegree
 shift and every nonzero entry must connect basis elements whose bidegrees
@@ -34,12 +35,6 @@ class Bidegree(NamedTuple):
         return self.p + self.q
 
 
-def koszul_sign(deg_passed: int, deg_over: int) -> Scalar:
-    """Sign picked up when something of degree ``deg_passed`` moves past
-    something of degree ``deg_over``: (-1)^(deg_passed * deg_over)."""
-    return Fraction(-1) if (deg_passed * deg_over) % 2 else Fraction(1)
-
-
 class BigradedSpace:
     """Ordered basis of named elements, each carrying a bidegree."""
 
@@ -67,11 +62,13 @@ class BigradedSpace:
         return sorted(self._by_bidegree)
 
     def basis_element(self, name: str) -> "Element":
+        from .elements import Element
         if name not in self.bidegree:
             raise ValueError(f"{name!r} is not a basis element")
         return Element(self, self.bidegree[name], {name: Fraction(1)})
 
     def zero(self, deg: Optional[Bidegree] = None) -> "Element":
+        from .elements import Element
         return Element(self, deg, {})
 
     def __contains__(self, name: str) -> bool:
@@ -79,61 +76,6 @@ class BigradedSpace:
 
     def __repr__(self):
         return f"BigradedSpace(dim={self.dim})"
-
-
-class Element:
-    """Homogeneous element: a linear combination of basis elements sharing
-    one bidegree.  The zero element may carry a bidegree or ``None``."""
-
-    def __init__(self, space: BigradedSpace, bidegree: Optional[Bidegree],
-                 coeffs: Optional[Dict[str, Scalar]] = None):
-        self.space, self.bidegree = space, bidegree
-        self.coeffs = {n: c for n, c in (coeffs or {}).items() if c != 0}
-        for n in self.coeffs:
-            if n not in space.bidegree:
-                raise ValueError(f"{n!r} not in space")
-            if bidegree is not None and space.bidegree[n] != bidegree:
-                raise ValueError(f"{n!r} is not homogeneous of bidegree {bidegree}")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def total_degree(self) -> int:
-        if self.bidegree is None:
-            return 0
-        return self.bidegree.total
-
-    def scale(self, c: Scalar) -> "Element":
-        return Element(self.space, self.bidegree, {n: c * v for n, v in self.coeffs.items()})
-
-    def __add__(self, other: "Element") -> "Element":
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        if self.bidegree != other.bidegree:
-            raise ValueError("sum of elements of different bidegrees is not homogeneous")
-        out = dict(self.coeffs)
-        for n, v in other.coeffs.items():
-            out[n] = out.get(n, Fraction(0)) + v
-        return Element(self.space, self.bidegree, out)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + other.scale(Fraction(-1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.coeffs == other.coeffs and (
-            self.is_zero or self.bidegree == other.bidegree
-        )
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{c}*{n}" for n, c in sorted(self.coeffs.items()))
 
 
 class GradedMap:
@@ -164,33 +106,6 @@ class GradedMap:
             self.entries.get(src, {}).pop(tgt, None)
         else:
             self.entries.setdefault(src, {})[tgt] = c
-
-    def apply(self, x: Element) -> Element:
-        if x.space is not self.source and x.space.names != self.source.names:
-            raise ValueError("element not in the source space")
-        out: Dict[str, Scalar] = {}
-        for n, c in x.coeffs.items():
-            for tgt, v in self.entries.get(n, {}).items():
-                out[tgt] = out.get(tgt, Fraction(0)) + c * v
-        deg = None if x.bidegree is None else x.bidegree + self.shift
-        return Element(self.target, deg, out)
-
-    def __call__(self, x: Element) -> Element:
-        return self.apply(x)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(not col for col in self.entries.values())
-
-    def nonzero_entries(self) -> List[Tuple[str, str, Scalar]]:
-        return [(s, t, v) for s, col in sorted(self.entries.items())
-                for t, v in sorted(col.items())]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedMap):
-            return NotImplemented
-        return (self.shift == other.shift
-                and self.nonzero_entries() == other.nonzero_entries())
 
     def validate_shift(self) -> List[Tuple[str, str]]:
         """Entries violating the shift invariant; empty list means valid."""

@@ -124,7 +124,7 @@ def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> Tran
     (D_out as its reduced rows) name the cohomology; iota = K^T,
     pi = (K S K^T)^-1 K S; and h back along D_out is its pseudo-inverse."""
     space, ip = a.space, ip or InnerProduct(a.space)
-    d, up, down = a.d.to_blocks(), Bidegree(0, 1), Bidegree(0, -1)
+    d, up, down = a.blocks[0], Bidegree(0, 1), Bidegree(0, -1)
     hbasis, iota_blocks, pi_blocks, h_blocks = [], {}, {}, {}
     for deg in space.occupied_bidegrees():
         names, s = space.names_at(deg), ip.block(deg)
@@ -152,7 +152,7 @@ def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> Tran
 def check_side_conditions(td: TransferData, a: BVAlgebra) -> CheckReport:
     """The two retract identities and the three side conditions, exactly,
     each as the ``BlockMap`` of its residual."""
-    d, (iota, pi, h) = a.d.to_blocks(), td.blocks
+    (d, _), (iota, pi, h) = a.blocks, td.blocks
     report = CheckReport("side-conditions")
     report.add_residual("pi iota = id", add(compose(pi, iota),
                                             scalar(td.cohomology, -1)))
@@ -171,7 +171,7 @@ def check_strong_trivialization_composites(td: TransferData,
     When all three hold, every decorated tree containing a delta vertex
     evaluates to zero, since the vertex is sandwiched between iota/pi/h.
     """
-    delta, (iota, pi, h) = a.delta.to_blocks(), td.blocks
+    (_, delta), (iota, pi, h) = a.blocks, td.blocks
     report = CheckReport("strong-trivialization")
     report.add_residual("delta iota = 0", compose(delta, iota))
     report.add_residual("pi delta = 0", compose(pi, delta))

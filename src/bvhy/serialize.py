@@ -1,4 +1,5 @@
-"""Versioned JSON formats for algebras, footprints, and operation tables.
+"""Versioned JSON formats for algebras and operation tables (footprints:
+``certify.footprint_from_json``).
 
 Scalars are decimal-rational strings ("3/2", "-1", "5").  All documents
 carry ``"schema": 1``.  Serialization is deterministic (sorted keys,
@@ -16,7 +17,6 @@ from .graded import Bidegree, BigradedSpace, GradedMap
 from .hodge import InnerProduct
 
 if TYPE_CHECKING:
-    from .certify import Footprint
     from .engine import OperationTable
 
 SCHEMA_VERSION = 1
@@ -199,14 +199,15 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
 
 
 def algebra_to_json(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> dict:
+    from .elements import nonzero_entries
     doc = {
         "schema": SCHEMA_VERSION,
         "basis": [{"name": n, "p": a.space.bidegree[n].p,
                    "q": a.space.bidegree[n].q} for n in a.space.names],
         "unit": a.unit,
-        "d": [[s, t, scalar_to_str(v)] for s, t, v in a.d.nonzero_entries()],
+        "d": [[s, t, scalar_to_str(v)] for s, t, v in nonzero_entries(a.d)],
         "delta": [[s, t, scalar_to_str(v)]
-                  for s, t, v in a.delta.nonzero_entries()],
+                  for s, t, v in nonzero_entries(a.delta)],
         "product": sorted(
             [x, y, t, scalar_to_str(v)]
             for (x, y), col in a.product.items() for t, v in col.items()),
@@ -224,33 +225,6 @@ def algebra_to_json(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> dict:
         if gram:
             doc["gram"] = sorted(gram)
     return doc
-
-
-def footprint_from_json(doc: dict) -> Footprint:
-    from .certify import Footprint
-    _check_schema(doc, "footprint")
-    n = doc.get("n")
-    _require(_is_int(n) and n >= 1, f"invalid dimension n={n!r}", "n")
-    convention = doc.get("convention", "polyvector")
-    _require(convention in ("forms", "polyvector"),
-             f"unknown convention {convention!r}", "convention")
-    occupied: Dict[Bidegree, int] = {}
-    raw = doc.get("occupied")
-    _require(isinstance(raw, list), "missing occupied list", "occupied")
-    for i, entry in enumerate(raw):
-        loc = f"occupied[{i}]"
-        _require(isinstance(entry, dict), "expected an object", loc)
-        p, q, dim = entry.get("p"), entry.get("q"), entry.get("dim")
-        _require(_is_int(p) and _is_int(q),
-                 f"malformed bidegree p={p!r} q={q!r}", loc)
-        _require(_is_int(dim) and dim >= 0,
-                 f"invalid dimension {dim!r}", loc)
-        if convention == "forms":
-            # contraction with the volume form reverses the first index
-            p = n - p
-        deg = Bidegree(p, q)
-        occupied[deg] = occupied.get(deg, 0) + dim
-    return Footprint(n, occupied)
 
 
 def table_to_json(table: OperationTable) -> dict:

@@ -14,7 +14,9 @@ enumeration and the bidegree a tree's operation shifts by
 (``(-l, -k+2)`` for a trivalent tree with k leaves and l brackets) are
 test oracles and live with the tests.
 
-Textual syntax, round-tripped bit-exactly by ``parse_tree``/``unparse_tree``:
+``unparse_tree`` prints a tree in the textual syntax below; the reader
+``parse_tree``, like the ``mul``, ``br`` and ``delta`` builders, serves
+only the tests and lives with them:
 
     (mul (br 1 2) 3)    (del (mul 1 2))
 """
@@ -90,51 +92,6 @@ class DecoratedTree:
 
 def leaf(i: int) -> DecoratedTree:
     return DecoratedTree(LEAF, label=i)
-
-
-def mul(a: DecoratedTree, b: DecoratedTree) -> DecoratedTree:
-    return DecoratedTree(MUL, children=(a, b))
-
-
-def br(a: DecoratedTree, b: DecoratedTree) -> DecoratedTree:
-    return DecoratedTree(BR, children=(a, b))
-
-
-def delta(a: DecoratedTree) -> DecoratedTree:
-    return DecoratedTree(DEL, children=(a,))
-
-
-def parse_tree(text: str) -> DecoratedTree:
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    tree, rest = _parse_tokens(tokens)
-    if rest:
-        raise ValueError(f"trailing tokens {rest!r} in tree syntax")
-    return tree
-
-
-def _parse_tokens(tokens: List[str]) -> Tuple[DecoratedTree, List[str]]:
-    if not tokens:
-        raise ValueError("unexpected end of tree syntax")
-    tok, rest = tokens[0], tokens[1:]
-    if tok == "(":
-        if not rest:
-            raise ValueError("unexpected end after '('")
-        op, rest = rest[0], rest[1:]
-        if op not in (MUL, BR, DEL):
-            raise ValueError(f"unknown vertex decoration {op!r}")
-        children = []
-        while rest and rest[0] != ")":
-            child, rest = _parse_tokens(rest)
-            children.append(child)
-        if not rest:
-            raise ValueError("missing ')'")
-        rest = rest[1:]
-        return DecoratedTree(op, children=tuple(children)), rest
-    try:
-        label = int(tok)
-    except ValueError:
-        raise ValueError(f"expected leaf label or '(' , got {tok!r}") from None
-    return leaf(label), rest
 
 
 def unparse_tree(t: DecoratedTree) -> str:

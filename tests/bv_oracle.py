@@ -15,23 +15,25 @@ dimension 3.
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from bvhy.bv import BVAlgebra
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap, koszul_sign
+from bvhy.elements import apply, koszul_sign, multiply
+from bvhy.graded import Bidegree, BigradedSpace, GradedMap
 
 
 def _bracket(a, x, y):
     """The three-term bracket of elements ``x`` and ``y``."""
-    mul = a.multiply
-    return a.delta(mul(x, y)) - mul(a.delta(x), y) \
-        - mul(x, a.delta(y)).scale(koszul_sign(1, x.total_degree))
+    mul = partial(multiply, a)
+    return apply(a.delta, mul(x, y)) - mul(apply(a.delta, x), y) \
+        - mul(x, apply(a.delta, y)).scale(koszul_sign(1, x.total_degree))
 
 
 def _products(a):
     """Basis elements, the products of all basis pairs, and whether they
     are graded commutative (which makes odd squares vanish)."""
     e = {n: a.space.basis_element(n) for n in a.space.names}
-    prod = {(x, y): a.multiply(e[x], e[y]) for x in e for y in e}
+    prod = {(x, y): multiply(a, e[x], e[y]) for x in e for y in e}
     commutative = all(
         v == prod[y, x].scale(koszul_sign(e[x].total_degree,
                                           e[y].total_degree))
@@ -70,7 +72,7 @@ def associativity(a):
             if skip in (x, y, z) or (
                     commutative and index[z] < max(index[x], index[y])):
                 continue
-            if a.multiply(prod[x, y], e[z]) != a.multiply(e[x], prod[y, z]):
+            if multiply(a, prod[x, y], e[z]) != multiply(a, e[x], prod[y, z]):
                 return False, (x, y, z)
     return True, None
 
@@ -78,14 +80,14 @@ def associativity(a):
 def derivation(a):
     names = a.space.names
     e, prod, commutative = _products(a)
-    de = {n: a.d(e[n]) for n in names}
+    de = {n: apply(a.d, e[n]) for n in names}
     for i, x in enumerate(names):
         for y in names[i:] if commutative else names:
             if prod[x, y].is_zero and de[x].is_zero and de[y].is_zero:
                 continue
-            rhs = a.multiply(de[x], e[y]) + a.multiply(e[x], de[y]).scale(
+            rhs = multiply(a, de[x], e[y]) + multiply(a, e[x], de[y]).scale(
                 koszul_sign(1, e[x].total_degree))
-            if a.d(prod[x, y]) != rhs:
+            if apply(a.d, prod[x, y]) != rhs:
                 return False, (x, y)
     return True, None
 
@@ -93,7 +95,7 @@ def derivation(a):
 def order_two(a):
     names, index = a.space.names, a.space.index
     e, prod, commutative = _products(a)
-    de = {n: a.delta(e[n]) for n in names}
+    de = {n: apply(a.delta, e[n]) for n in names}
     br = {(x, y): _bracket(a, e[x], e[y]) for (x, y), v in prod.items()
           if not (v.is_zero and de[x].is_zero and de[y].is_zero)}
     right, left = _neighbours(prod)
@@ -110,8 +112,8 @@ def order_two(a):
     for x, y, z in _index_order(index, triples):
         if commutative and index[y] > index[z]:
             continue
-        rhs = a.multiply(br.get((x, y), zero), e[z]) + a.multiply(
-            e[y], br.get((x, z), zero)).scale(
+        rhs = multiply(a, br.get((x, y), zero), e[z]) + multiply(
+            a, e[y], br.get((x, z), zero)).scale(
                 koszul_sign(e[x].total_degree + 1, e[y].total_degree))
         if _bracket(a, e[x], prod[y, z]) != rhs:
             return False, (x, y, z)
@@ -121,12 +123,12 @@ def order_two(a):
 def unpruned(a):
     """(associativity, derivation, order two) verdicts over every tuple."""
     e = {n: a.space.basis_element(n) for n in a.space.names}
-    mul = a.multiply
+    mul = partial(multiply, a)
     triples = list(itertools.product(e.values(), repeat=3))
     assoc = all(mul(mul(x, y), z) == mul(x, mul(y, z)) for x, y, z in triples)
     deriv = all(
-        a.d(mul(x, y)) == mul(a.d(x), y)
-        + mul(x, a.d(y)).scale(koszul_sign(1, x.total_degree))
+        apply(a.d, mul(x, y)) == mul(apply(a.d, x), y)
+        + mul(x, apply(a.d, y)).scale(koszul_sign(1, x.total_degree))
         for x, y in itertools.product(e.values(), repeat=2))
     order_two = all(
         _bracket(a, x, mul(y, z)) == mul(_bracket(a, x, y), z)

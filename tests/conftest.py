@@ -87,6 +87,6 @@ def random_harmonic_element():
         names = H.names_at(deg)
         coeffs = {n: rng.choice(pool) for n in rng.sample(
             names, k=min(len(names), rng.randint(1, 2)))}
-        from bvhy.graded import Element
+        from bvhy.elements import Element
         return Element(H, deg, coeffs)
     return make

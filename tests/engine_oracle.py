@@ -10,7 +10,9 @@ The library must return the same tables, with the same key order.
 
 ``SubtreeEvaluator`` evaluates single trees with the library's own
 grafting helpers (``engine._products`` / ``_scatter``), memoizing each
-subtree's sorted leaf labels and values under the subtree itself.  The
+subtree's sorted leaf labels and values under its hash-consed shape: an
+int per tree structure, found by object identity for a tree object it has
+seen, so a memo hit neither walks nor compares the subtree.  The
 tests use it to sum tables tree by tree and to evaluate trees on
 arguments; ``TreeEvaluator`` and ``engine.naive_evaluate_tree`` check it.
 
@@ -27,7 +29,8 @@ from tree_oracle import bidegree_shift
 from bvhy.bv import BVAlgebra
 from bvhy.engine import (Constants, Items, OperationTable, _leaves,
                          _products, _scatter, _through)
-from bvhy.graded import Bidegree, Element, koszul_sign
+from bvhy.elements import Element, apply, bracket, koszul_sign, multiply
+from bvhy.graded import Bidegree
 from bvhy.hodge import TransferData
 from bvhy.trees import BR, DEL, MUL, DecoratedTree, leaf, unparse_tree
 
@@ -52,19 +55,20 @@ def _graft(a: BVAlgebra, td: TransferData, kind: str,
            right: ValueTable, right_labels: List[int], right_vertex: bool,
            out: ValueTable) -> None:
     """Add the binary vertex ``kind`` on every pair of child values to ``out``."""
-    combine = a.multiply if kind == MUL else a.bracket
+    combine = multiply if kind == MUL else bracket
     labels = left_labels + right_labels
     order = sorted(range(len(labels)), key=labels.__getitem__)
-    rights = [(kr, td.h(vr) if right_vertex else vr) for kr, vr in right.items()]
+    rights = [(kr, apply(td.h, vr) if right_vertex else vr)
+              for kr, vr in right.items()]
     rights = [(kr, vr) for kr, vr in rights if not vr.is_zero]
     for kl, vl in left.items():
         if left_vertex:
-            vl = td.h(vl)
+            vl = apply(td.h, vl)
         if vl.is_zero:
             continue
         sign = koszul_sign(1, vl.total_degree) if right_vertex else Fraction(1)
         for kr, vr in rights:
-            w = combine(vl, vr.scale(sign))
+            w = combine(a, vl, vr.scale(sign))
             if w.is_zero:
                 continue
             merged = kl + kr
@@ -76,7 +80,7 @@ def _project(td: TransferData, values: ValueTable) -> Constants:
     """Apply ``pi`` at the root and keep the nonzero structure constants."""
     out: Constants = {}
     for key, v in values.items():
-        w = td.pi(v)
+        w = apply(td.pi, v)
         if not w.is_zero:
             out[key] = dict(w.coeffs)
     return out
@@ -101,13 +105,13 @@ class TreeEvaluator:
     def _build(self, t: DecoratedTree) -> ValueTable:
         a, td = self.algebra, self.td
         if t.is_leaf:
-            return {(n,): td.iota(td.cohomology.basis_element(n))
+            return {(n,): apply(td.iota, td.cohomology.basis_element(n))
                     for n in td.cohomology.names}
         if t.kind == "del":
             child = t.children[0]
             table = {}
             for k, v in self.value_table(child).items():
-                w = a.delta(v if child.is_leaf else td.h(v))
+                w = apply(a.delta, v if child.is_leaf else apply(td.h, v))
                 if not w.is_zero:
                     table[k] = w
             return table
@@ -128,13 +132,30 @@ class TreeEvaluator:
         return self._root_tables[key]
 
 
+# Hash-consing, shared by every evaluator: ``_SEEN[id(t)]`` is ``(t,
+# shape)``, holding ``t`` so that its id is not reused, and ``_SHAPES``
+# gives each tree structure one int.
+_SEEN: Dict[int, Tuple[DecoratedTree, int]] = {}
+_SHAPES: Dict[Tuple[str, int, Tuple[int, ...]], int] = {}
+
+
+def _shape(t: DecoratedTree) -> int:
+    """The int naming ``t``'s structure: equal for equal trees, and found
+    by identity for a tree object seen before."""
+    seen = _SEEN.get(id(t))
+    if seen is None:
+        key = (t.kind, t.label, tuple(map(_shape, t.children)))
+        seen = _SEEN[id(t)] = (t, _SHAPES.setdefault(key, len(_SHAPES)))
+    return seen[1]
+
+
 class SubtreeEvaluator:
     """Memoized evaluation of decorated trees over the harmonic basis."""
 
     def __init__(self, algebra: BVAlgebra, td: TransferData):
         self.algebra = algebra
         self.td = td
-        self._edges: Dict[DecoratedTree, Tuple[List[int], Items]] = {}
+        self._edges: Dict[int, Tuple[List[int], Items]] = {}
 
     def _values(self, t: DecoratedTree) -> Tuple[List[int], Constants]:
         """Sorted leaf labels of ``t``, and its values before ``pi`` keyed
@@ -156,10 +177,11 @@ class SubtreeEvaluator:
     def _edge(self, t: DecoratedTree) -> Tuple[List[int], Items]:
         """Sorted leaf labels and values of ``t`` as its parent sees them
         (through ``h``)."""
-        entry = self._edges.get(t)
+        shape = _shape(t)
+        entry = self._edges.get(shape)
         if entry is None:
             labels, values = self._values(t)
-            entry = self._edges[t] = (
+            entry = self._edges[shape] = (
                 labels, list(values.items()) if t.is_leaf
                 else _through(self.td.h.entries, values.items()))
         return entry
@@ -194,7 +216,7 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
     """Operations (k, l) for 2 <= k <= max_arity and 0 <= l <= k - 2."""
     H = td.cohomology
     sums: Dict[Tuple[int, int], ValueTable] = {
-        (1, 0): {(n,): td.iota(H.basis_element(n)) for n in H.names}}
+        (1, 0): {(n,): apply(td.iota, H.basis_element(n)) for n in H.names}}
     table = OperationTable(a, td)
     for m in range(2, max_arity + 1):
         level: Dict[int, ValueTable] = {l: {} for l in range(m)}

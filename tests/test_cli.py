@@ -487,3 +487,93 @@ def test_report_inputs_hold_the_sha256_of_the_file_bytes(torus_file, capsys):
     with open(torus_file, "rb") as fh:
         assert report["inputs"] == {
             torus_file: hashlib.sha256(fh.read()).hexdigest()}
+
+
+def _fresh_env():
+    # stdout block-buffered, as it is into a pipe, so an exit that skipped
+    # the final flush would lose the report
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(serialize.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _module_run(argv):
+    """``python -m bvhy.cli`` on ``argv`` in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "bvhy.cli", *argv],
+                          capture_output=True, env=_fresh_env())
+
+
+@pytest.mark.parametrize("case", ["validate-passes", "validate-fails",
+                                  "transfer-out", "unreadable", "help"])
+def test_module_entry_point_matches_main(tmp_path, capsys, torus_file, case):
+    # the __main__ path runs main() without the cyclic collector and exits
+    # with a frozen heap; what it writes and its exit code must not change
+    broken = serialize.algebra_to_json(build_torus_model(1, 1).algebra)
+    broken["delta"][0][-1] = "7/2"
+    out = tmp_path / "table.json"
+    argv, code = {
+        "validate-passes": (["validate", torus_file], 0),
+        "validate-fails": (["validate", _write(tmp_path / "b.json", broken)],
+                           1),
+        "transfer-out": (["transfer", torus_file, "--max-arity", "3",
+                          "--out", str(out)], 0),
+        "unreadable": (["validate", str(tmp_path)], 2),
+        "help": (["--help"], 0)}[case]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    table = out.read_bytes() if out.exists() else None
+    if table is not None:
+        out.unlink()
+    proc = _module_run(argv)
+    assert proc.returncode == code
+    assert proc.stderr.decode() == expected.err
+    if code == 2:
+        assert proc.stdout == b"" and len(expected.err.splitlines()) == 1
+        assert expected.err.startswith("error: ")
+    elif case == "help":
+        assert proc.stdout.decode() == expected.out
+    else:
+        assert expected.err == ""
+        docs = [json.loads(proc.stdout), json.loads(expected.out)]
+        for doc in docs:
+            doc.pop("timing_s")
+        assert docs[0] == docs[1]
+    if table is not None:
+        assert out.read_bytes() == table
+
+
+_MAIN_PROBE = """
+import gc, runpy, sys
+sys.argv = ["bvhy.cli", "--help"]
+try:
+    runpy.run_module("bvhy.cli", run_name="__main__")
+except SystemExit as exc:
+    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0,
+          file=sys.stderr)
+"""
+
+
+def test_module_entry_point_disables_and_freezes_the_collector():
+    proc = subprocess.run([sys.executable, "-c", _MAIN_PROBE],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert proc.stderr.split() == ["0", "False", "True"]
+
+
+# main() called in process, as a library caller does: the state is taken
+# before bvhy.cli is imported, so an unguarded module-level switch shows too
+_IN_PROCESS_PROBE = """
+import gc, sys
+state = gc.isenabled(), gc.get_freeze_count()
+from bvhy import cli
+for argv in (sys.argv[1:], ["--help"], ["frobnicate"]):
+    cli.main(argv)
+print(state == (gc.isenabled(), gc.get_freeze_count()), file=sys.stderr)
+"""
+
+
+def test_main_in_process_leaves_the_collector_alone(torus_file):
+    proc = subprocess.run([sys.executable, "-c", _IN_PROCESS_PROBE,
+                           "validate", torus_file],
+                          capture_output=True, text=True, env=_fresh_env())
+    assert proc.stderr.splitlines()[-1] == "True"

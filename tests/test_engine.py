@@ -10,7 +10,7 @@ import engine_oracle
 from bv_oracle import bracket_model, cy3_model
 from engine_oracle import (SubtreeEvaluator, bidegree_violations,
                            nonzero_keys, truncate_to_strict)
-from tree_oracle import delta_trees
+from tree_oracle import delta_trees, parse_tree
 from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.certify import Footprint, certify_formality
 from bvhy.engine import (build_operation_table, check_formal_unit,
@@ -20,7 +20,7 @@ from bvhy.hodge import build_transfer_data, check_transfer_input
 from bvhy.models import (build_torus_model, build_trivial_model,
                          builtin_models, search_nonformal)
 from bvhy.serialize import dump, table_to_json
-from bvhy.trees import DecoratedTree, enumerate_trees, leaf, parse_tree
+from bvhy.trees import DecoratedTree, enumerate_trees, leaf
 
 F = Fraction
 

@@ -143,10 +143,16 @@ def test_validate_and_transfer_load_only_what_they_run(tmp_path):
         proc.stdout.splitlines()[-1]))
     assert {"bvhy.serialize", "bvhy.hodge"} <= after_validate
     assert after_validate & {"bvhy.engine", "bvhy.trees", "bvhy.certify",
-                             "bvhy.models", "dataclasses"} == set()
+                             "bvhy.models", "bvhy.elements",
+                             "dataclasses"} == set()
     assert "bvhy.engine" in after_transfer
     # transfer needs only engine.splits of the tree code; argparse, and
-    # hashlib with OpenSSL behind it, are start-up the commands can skip
+    # hashlib with OpenSSL behind it, are start-up the commands can skip;
+    # Element arithmetic serves only the reference evaluator and the tests
     assert after_transfer & {"bvhy.trees", "bvhy.certify", "bvhy.models",
-                             "dataclasses", "argparse", "hashlib",
-                             "_hashlib"} == set()
+                             "bvhy.elements", "dataclasses", "argparse",
+                             "hashlib", "_hashlib"} == set()
+    # the footprint reader is certify's alone, so neither command loads it
+    readers = {p.stem for p in (ROOT / "src" / "bvhy").glob("*.py")
+               if "def footprint_from_json(" in p.read_text(encoding="utf-8")}
+    assert readers == {"certify"}

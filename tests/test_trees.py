@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from tree_oracle import (bidegree_shift, canonicalize, delta_trees,
-                         internal_edge_count)
+from tree_oracle import (bidegree_shift, br, canonicalize, delta,
+                         delta_trees, internal_edge_count, mul, parse_tree)
 from bvhy.graded import Bidegree
-from bvhy.trees import (DecoratedTree, br, delta, enumerate_trees, leaf, mul,
-                        parse_tree, splits, unparse_tree)
+from bvhy.trees import (DecoratedTree, enumerate_trees, leaf, splits,
+                        unparse_tree)
 
 F = Fraction
 

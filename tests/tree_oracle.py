@@ -1,6 +1,7 @@
-"""Test-only tree helpers: canonical forms of arbitrary planar trees, the
-bidegree a tree's operation shifts by, and the enumeration of
-delta-decorated trees.
+"""Test-only tree helpers: the ``mul``, ``br`` and ``delta`` builders and
+``parse_tree``, the reader of the syntax ``bvhy.trees.unparse_tree``
+prints; canonical forms of arbitrary planar trees, the bidegree a tree's
+operation shifts by, and the enumeration of delta-decorated trees.
 
 The library enumerates trivalent trees only (``bvhy.trees``); delta trees
 enter the theory through strong trivialization, which the library checks
@@ -12,7 +13,52 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from bvhy.graded import Bidegree
-from bvhy.trees import BR, DEL, DecoratedTree, enumerate_trees
+from bvhy.trees import BR, DEL, MUL, DecoratedTree, enumerate_trees, leaf
+
+
+def mul(a: DecoratedTree, b: DecoratedTree) -> DecoratedTree:
+    return DecoratedTree(MUL, children=(a, b))
+
+
+def br(a: DecoratedTree, b: DecoratedTree) -> DecoratedTree:
+    return DecoratedTree(BR, children=(a, b))
+
+
+def delta(a: DecoratedTree) -> DecoratedTree:
+    return DecoratedTree(DEL, children=(a,))
+
+
+def parse_tree(text: str) -> DecoratedTree:
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    tree, rest = _parse_tokens(tokens)
+    if rest:
+        raise ValueError(f"trailing tokens {rest!r} in tree syntax")
+    return tree
+
+
+def _parse_tokens(tokens: List[str]) -> Tuple[DecoratedTree, List[str]]:
+    if not tokens:
+        raise ValueError("unexpected end of tree syntax")
+    tok, rest = tokens[0], tokens[1:]
+    if tok == "(":
+        if not rest:
+            raise ValueError("unexpected end after '('")
+        op, rest = rest[0], rest[1:]
+        if op not in (MUL, BR, DEL):
+            raise ValueError(f"unknown vertex decoration {op!r}")
+        children = []
+        while rest and rest[0] != ")":
+            child, rest = _parse_tokens(rest)
+            children.append(child)
+        if not rest:
+            raise ValueError("missing ')'")
+        rest = rest[1:]
+        return DecoratedTree(op, children=tuple(children)), rest
+    try:
+        label = int(tok)
+    except ValueError:
+        raise ValueError(f"expected leaf label or '(' , got {tok!r}") from None
+    return leaf(label), rest
 
 
 def canonicalize(t: DecoratedTree) -> Tuple[DecoratedTree, Fraction]:
