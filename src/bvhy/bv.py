@@ -9,26 +9,31 @@ The bracket is not an input: it is derived from ``delta`` and the product as
     [x, y] = delta(x y) - delta(x) y - (-1)^|x| x delta(y)
 
 so that the order-2 compatibility checked in ``check_bv_axioms`` is
-automatically the right one.  ``brackets`` holds its nonzero values on
-basis pairs.
+automatically the right one.
 
-The algebra keeps plain ``{name: Fraction}`` columns.  Graded
-commutativity and the three trilinear axiom checks run on integer copies
-made once per ``check_bv_axioms`` call by ``_over_lcm``: every product
-constant as its numerator over the lcm of all product denominators, and
-``d`` and ``brackets`` each over their own lcm.  Each identity is
-homogeneous in these tables (commutativity of degree 1 in the product,
-associativity of degree 2 on both sides, the derivation and Leibniz rules
-of degree 1 in the product and 1 in ``d`` or the bracket in every term),
-so comparing integer sides decides exactly what comparing rational sides
-would.  Their signs are the ints 1 and -1: ``elements.koszul_sign``
-returns a ``Fraction``, which would turn the sums back into fractions.
+The algebra holds ``d``, ``delta``, the product and the bracket (its
+nonzero values on basis pairs) as ``Table``s: structure constants keyed by
+basis index, integers over one denominator per table, the product's
+missing mirror entries filled in by graded commutativity.
+``serialize.algebra_from_json`` reads a document's rows straight into
+them; ``BVAlgebra(space, d, delta, product, unit)`` with ``GradedMap``s
+and a ``{(x, y): {t: Fraction}}`` product converts them.  The
+``Fraction`` views ``d``, ``delta``, ``product`` and ``brackets``, keyed by
+names, are made on first read (``graded.rational``); the checks read none.
+
+Each identity the checks compare is homogeneous in the tables
+(commutativity of degree 1 in the product, associativity of degree 2 on
+both sides, the derivation and Leibniz rules of degree 1 in the product
+and 1 in ``d`` or the bracket in every term), so comparing integer sides
+decides exactly what comparing rational sides would.  The bracket's
+denominator is the product of the product's and ``delta``'s.  Their signs
+are the ints 1 and -1.
 
 The trilinear checks visit only the tuples reached by one support index,
 built with the algebra: ``partners[u]``, the ``v`` with ``(u, v)`` a
 product key, in key order (keys are closed under swapping, so it is the
-left index too), the ``d`` and ``delta`` columns, and ``brackets``.  Any
-other tuple satisfies the identity under test as 0 = 0.
+left index too), the ``d`` and ``delta`` columns, and the bracket table.
+Any other tuple satisfies the identity under test as 0 = 0.
 
 Every witness is named in basis-index order, so it is a property of the
 algebra, not of a document's row order or name spelling.  Each trilinear
@@ -47,76 +52,111 @@ same scans run with no cut.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .graded import (Bidegree, BigradedSpace, BlockMap, GradedMap, add,
-                     compose)
+from .graded import (Bidegree, BigradedSpace, BlockMap, add, compose,
+                     rational)
 from .reporting import CheckReport
 
-Vector = Dict[str, Fraction]
-ProductTable = Dict[Tuple[str, str], Vector]
+
+class Table(NamedTuple):
+    """Structure constants keyed by basis index, as integers over one
+    positive denominator: ``cols[key][t] / den`` is the coefficient of
+    basis element ``t`` in the image of ``key``, a source index for a map
+    of bidegree ``shift`` and an index pair for the product and the
+    bracket."""
+    cols: Dict
+    den: int
+    shift: Bidegree = Bidegree(0, 0)
+
+
+class Tables(NamedTuple):
+    """The algebra's tables; the bracket table holds the nonzero brackets
+    of basis pairs."""
+    d: Table
+    delta: Table
+    product: Table
+    brackets: Table
+
+
+def to_table(cols: Dict, shift: Bidegree = Bidegree(0, 0)) -> Table:
+    """``cols`` of ``(numerator, denominator)`` pairs as a ``Table`` over
+    the lcm of the denominators; zero constants, and keys left with none,
+    are dropped."""
+    den = lcm(*{q for col in cols.values() for _p, q in col.values()})
+    out = {}
+    for key, col in cols.items():
+        ints = {t: p * (den // q) for t, (p, q) in col.items() if p}
+        if ints:
+            out[key] = ints
+    return Table(out, den, shift)
 
 
 class BVAlgebra:
-    def __init__(self, space: BigradedSpace, d: GradedMap, delta: GradedMap,
-                 product: ProductTable, unit: str):
+    def __init__(self, space: BigradedSpace, d, delta, product, unit: str):
+        """``d``, ``delta`` and ``product`` are ``Table``s, or ``GradedMap``s
+        and a ``{(x, y): {t: Fraction}}`` product of basis names, which are
+        converted into ``Table``s.  The product table's missing mirror
+        entries are filled in, in place."""
         if unit not in space.bidegree:
             raise ValueError(f"unit {unit!r} not in basis")
         if space.bidegree[unit] != Bidegree(0, 0):
             raise ValueError("unit must sit at bidegree (0,0)")
-        self.space = space
-        self.d = d
-        self.delta = delta
-        self.unit = unit
-        self.product = _symmetrize(space, product)
-        self.partners: Dict[str, List[str]] = {}
-        for (u, v) in self.product:
+        if not isinstance(product, Table):
+            from .elements import fraction_tables
+            d, delta, product = fraction_tables(space, d, delta, product)
+        self.space, self.unit = space, unit
+        self.parity = [space.bidegree[n].total % 2 for n in space.names]
+        # if both orders are given they are kept; the commutativity item
+        # of check_bv_axioms surfaces any inconsistency
+        cols, par = product.cols, self.parity
+        for (x, y) in list(cols):
+            if x != y and (y, x) not in cols:
+                cols[y, x] = {t: -v for t, v in cols[x, y].items()} \
+                    if par[x] and par[y] else dict(cols[x, y])
+        self.partners: Dict[int, List[int]] = {}
+        for (u, v) in cols:
             self.partners.setdefault(u, []).append(v)
-        self.brackets = _bracket_table(self)
-        # d and delta as the checks compose them, converted once per algebra
-        self.blocks: Tuple[BlockMap, BlockMap] = (d.to_blocks(),
-                                                  delta.to_blocks())
+        self.tables = Tables(d, delta, product,
+                             _bracket_table(self, product, delta))
+        # d and delta as the checks compose them, made once per algebra
+        self.blocks: Tuple[BlockMap, BlockMap] = (_blocks(space, d),
+                                                  _blocks(space, delta))
+
+    # the Fraction views of the tables, keyed by names, made when first read
+    d, delta, product, brackets = (cached_property(
+        lambda a, k=k: rational().algebra_view(a, k)) for k in Tables._fields)
 
 
-def _symmetrize(space: BigradedSpace, product: ProductTable) -> ProductTable:
-    """Drop zero constants, reject any that breaks bidegree additivity, and
-    fill in missing mirror entries by graded commutativity.
-
-    If both orders are present they are kept as given; any inconsistency is
-    surfaced by the commutativity item of ``check_bv_axioms``.
-    """
-    deg = space.bidegree
-    table: ProductTable = {}
-    for (a, b), col in product.items():
-        (pa, qa), (pb, qb) = deg[a], deg[b]
-        cleaned = {t: v for t, v in col.items() if v != 0}
-        for t in cleaned:
-            if deg[t] != (pa + pb, qa + qb):
-                raise ValueError(f"product {a!r} {b!r} -> {t!r} breaks "
-                                 f"bidegree additivity")
-        if cleaned:
-            table[(a, b)] = cleaned
-    for (a, b) in list(table):
-        if (b, a) in table or a == b:
-            continue
-        odd = deg[a].total * deg[b].total % 2
-        table[(b, a)] = {t: -v if odd else v for t, v in table[(a, b)].items()}
-    return table
+def _blocks(space: BigradedSpace, t: Table) -> BlockMap:
+    """The map ``t`` as a ``BlockMap``: at each source bidegree ``deg``
+    some column leaves, the block with rows the targets at deg + shift and
+    columns the basis elements at deg."""
+    index, blocks = space.index, {}
+    for deg in space.occupied_bidegrees():
+        cols = [t.cols.get(index[n]) or {} for n in space.names_at(deg)]
+        if any(cols):
+            targets = [index[n] for n in space.names_at(deg + t.shift)]
+            blocks[deg] = [[col.get(i, 0) for col in cols]
+                           for i in targets], t.den
+    return BlockMap(space, space, t.shift, blocks)
 
 
-def _add_into(acc: Vector, vec: Vector, c=1) -> None:
+def _add_into(acc: Dict, vec: Dict, c=1) -> None:
     if c != 1:
         vec = {n: c * v for n, v in vec.items()}
     for n, v in vec.items():
         acc[n] = acc[n] + v if n in acc else v
 
 
-def _left(table: ProductTable, x: str, vec: Vector) -> Vector:
+def _left(table: Dict, x, vec: Dict) -> Dict:
     """``table`` on the basis element ``x`` and a vector; ``_right`` on a
-    vector and the basis element ``z``."""
-    acc: Vector = {}
+    vector and the basis element ``z``.  Keys and values are those of
+    ``table``: indices and ints here, names and ``Fraction``s in the
+    engine."""
+    acc: Dict = {}
     for w, c in vec.items():
         col = table.get((x, w))
         if col:
@@ -124,8 +164,8 @@ def _left(table: ProductTable, x: str, vec: Vector) -> Vector:
     return acc
 
 
-def _right(table: ProductTable, vec: Vector, z: str) -> Vector:
-    acc: Vector = {}
+def _right(table: Dict, vec: Dict, z) -> Dict:
+    acc: Dict = {}
     for w, c in vec.items():
         col = table.get((w, z))
         if col:
@@ -133,9 +173,9 @@ def _right(table: ProductTable, vec: Vector, z: str) -> Vector:
     return acc
 
 
-def _apply(cols: Dict[str, Vector], vec: Vector) -> Vector:
+def _apply(cols: Dict, vec: Dict) -> Dict:
     """Apply a linear map given by its columns ``cols[src][tgt]``."""
-    acc: Vector = {}
+    acc: Dict = {}
     for n, c in vec.items():
         col = cols.get(n)
         if col:
@@ -143,38 +183,30 @@ def _apply(cols: Dict[str, Vector], vec: Vector) -> Vector:
     return acc
 
 
-def _over_lcm(table: Dict) -> Dict:
-    """``table``'s columns as integers: each constant times the lcm of all
-    the table's denominators, keys and column order unchanged."""
-    den = lcm(*[v.denominator for col in table.values() for v in col.values()])
-    return {key: {t: v.numerator * (den // v.denominator)
-                  for t, v in col.items()} for key, col in table.items()}
-
-
-def _nonzero(vec: Vector) -> Vector:
+def _nonzero(vec: Dict) -> Dict:
     return {n: v for n, v in vec.items() if v != 0}
 
 
-def _reached(a: BVAlgebra, cols: Dict[str, Vector]) -> List[Tuple[str, str]]:
-    """``(x, v)`` for ``x`` in basis order, ``s`` in the support of
-    ``cols[x]`` and ``v`` in ``partners[s]``."""
-    return [(x, v) for x in a.space.names for s in cols.get(x, ())
+def _reached(a: BVAlgebra, cols: Dict) -> List[Tuple[int, int]]:
+    """``(x, v)`` for ``x`` a column of ``cols``, ``s`` in its support and
+    ``v`` in ``partners[s]``."""
+    return [(x, v) for x, col in cols.items() for s in col
             for v in a.partners.get(s, ())]
 
 
-def _defect(a: BVAlgebra, product: Dict, cols: Dict, x: str, y: str) -> Vector:
+def _defect(a: BVAlgebra, product: Dict, cols: Dict, x: int, y: int) -> Dict:
     """``A(xy) - A(x) y - (-1)^|x| x A(y)`` on basis elements, for the map
-    ``A`` with columns ``cols`` and the product table ``product``: the
+    ``A`` with columns ``cols`` and the product columns ``product``: the
     bracket ``[x, y]`` when ``A`` is ``delta``, and the failure of the
     derivation rule when ``A`` is ``d``."""
     acc = _apply(cols, product.get((x, y), {}))
     _add_into(acc, _right(product, cols.get(x, {}), y), -1)
     _add_into(acc, _left(product, x, cols.get(y, {})),
-              1 if a.space.bidegree[x].total % 2 else -1)
+              1 if a.parity[x] else -1)
     return acc
 
 
-def _bracket_table(a: BVAlgebra) -> ProductTable:
+def _bracket_table(a: BVAlgebra, product: Table, delta: Table) -> Table:
     """Nonzero brackets of basis pairs.
 
     Only pairs where a term of the three-term formula can be nonzero are
@@ -182,19 +214,18 @@ def _bracket_table(a: BVAlgebra) -> ProductTable:
     of the pairs ``_reached`` from ``delta``.  With ``delta = 0`` there
     are none, and no product key is read.
     """
-    product, cols = a.product, a.delta.entries
-    if not cols:
-        return {}
-    pairs = dict.fromkeys(key for key, col in product.items()
-                          if any(cols.get(t) for t in col))
-    for (x, w) in _reached(a, cols):
-        pairs[(x, w)] = pairs[(w, x)] = None
-    table: ProductTable = {}
-    for (x, w) in pairs:
-        acc = _nonzero(_defect(a, product, cols, x, w))
-        if acc:
-            table[(x, w)] = acc
-    return table
+    prod, cols = product.cols, delta.cols
+    out: Dict = {}
+    if cols:
+        pairs = dict.fromkeys(key for key, col in prod.items()
+                              if any(cols.get(t) for t in col))
+        for (x, w) in _reached(a, cols):
+            pairs[(x, w)] = pairs[(w, x)] = None
+        for (x, w) in pairs:
+            acc = _nonzero(_defect(a, prod, cols, x, w))
+            if acc:
+                out[(x, w)] = acc
+    return Table(out, product.den * delta.den, delta.shift)
 
 
 def check_bv_axioms(a: BVAlgebra) -> CheckReport:
@@ -203,35 +234,37 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     The zero-map items are block residuals, witnessed by their first
     nonzero entries by (source index, target index); an entry off its
     map's shift fails the shift item and is left out of them.  Graded
-    commutativity names the first key by ``(index[x], index[y])`` whose
-    column is not its mirror's times the Koszul sign; an odd square
-    ``(n, n)`` is its own mirror and fails in that scan, in its place.
+    commutativity names the first key by basis index whose column is not
+    its mirror's times the Koszul sign; an odd square ``(n, n)`` is its
+    own mirror and fails in that scan, in its place.
 
     Each trilinear item scans the tuples the support index reaches (see
     the module docstring) once, in basis-index order, and reports the first
     failing tuple as its witness:
 
-    - associativity: ``(x, y, z)`` by ``(index[y], index[x], index[z])``;
-      that is, the middle name ``y`` in basis order, and for each the
-      failing ``(x, z)`` with the least ``(index[x], index[z])``;
+    - associativity: ``(x, y, z)`` by the indices of ``(y, x, z)``; that
+      is, the middle element ``y`` in basis order, and for each the
+      failing ``(x, z)`` with the least indices;
     - derivation: the product keys and both orders of each pair
-      ``_reached`` from ``d``, by ``(index[x], index[y])``;
+      ``_reached`` from ``d``, by the indices of ``(x, y)``;
     - order two: the triples where ``[x, yz]``, ``[x, y] z`` or ``y [x,
-      z]`` can be nonzero, by ``(index[x], index[y], index[z])``.
+      z]`` can be nonzero, by the indices of ``(x, y, z)``.
 
     Once graded commutativity has passed, each scan keeps one tuple per
-    symmetry orbit: associativity only ``index[z] >= max(index[x],
-    index[y])``, and, once the unit law has passed too, no tuple that
-    contains the unit; derivation only ``index[x] <= index[y]``; order two
-    only ``index[y] <= index[z]``.  When commutativity fails, the scans
-    keep every tuple.
+    symmetry orbit: associativity only ``z >= max(x, y)`` by index, and,
+    once the unit law has passed too, no tuple that contains the unit;
+    derivation only ``x <= y``; order two only ``y <= z``.  When
+    commutativity fails, the scans keep every tuple.
     """
     report = CheckReport("bv-axioms")
-    space = a.space
+    names, tables = a.space.names, a.tables
+    deg = [a.space.bidegree[n] for n in names]
 
-    for name, m, shift in (("d has shift (0,1)", a.d, Bidegree(0, 1)),
-                           ("delta has shift (-1,0)", a.delta, Bidegree(-1, 0))):
-        bad = m.validate_shift()
+    for name, m, shift in (("d has shift (0,1)", tables.d, Bidegree(0, 1)),
+                           ("delta has shift (-1,0)", tables.delta,
+                            Bidegree(-1, 0))):
+        bad = [(names[s], names[t]) for s, col in m.cols.items() for t in col
+               if deg[t] != deg[s] + m.shift]
         report.add(name, m.shift == shift and not bad, bad or None)
 
     d, delta = a.blocks
@@ -240,112 +273,110 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     report.add_residual("d delta + delta d = 0",
                         add(compose(d, delta), compose(delta, d)))
 
-    witness = next(((a.unit, n) for n in space.names
-                    if a.product.get((a.unit, n)) != {n: 1}), None)
+    product, den = tables.product.cols, tables.product.den
+    unit = a.space.index[a.unit]
+    witness = next(((a.unit, names[n]) for n in range(len(names))
+                    if product.get((unit, n)) != {n: den}), None)
     unit_law = witness is None
     report.add("unit law", unit_law, witness)
 
-    report.add("delta(unit) = 0", not a.delta.entries.get(a.unit), a.unit)
+    report.add("delta(unit) = 0", not tables.delta.cols.get(unit), a.unit)
 
-    product = _over_lcm(a.product)
-    index, total = space.index, {n: space.bidegree[n].total for n in space.names}
-    keys = sorted(product, key=lambda k: (index[k[0]], index[k[1]]))
-    # keys are closed under swapping (``_symmetrize``)
-    witness = next(((x, y) for x, y in keys if product[x, y] != (
+    par = a.parity
+    keys = sorted(product)
+    # keys are closed under swapping (see BVAlgebra.__init__)
+    witness = next(((names[x], names[y]) for x, y in keys if product[x, y] != (
         {t: -v for t, v in product[y, x].items()}
-        if total[x] * total[y] % 2 else product[y, x])), None)
+        if par[x] and par[y] else product[y, x])), None)
     commutative = witness is None
     report.add("graded commutativity", commutative, witness)
 
     report.add("associativity", *_check_associativity(
-        a, product, keys, unit_law, commutative))
+        a, keys, unit_law, commutative))
     report.add("d is a derivation of the product", *_check_derivation(
-        a, product, _over_lcm(a.d.entries), commutative))
+        a, tables.d.cols, commutative))
     report.add("delta has order <= 2 (bracket Leibniz)", *_check_order_two(
-        a, product, _over_lcm(a.brackets), commutative))
+        a, commutative))
     return report
 
 
-def _check_associativity(a: BVAlgebra, product: Dict, keys: List,
-                         unit_law: bool, commutative: bool):
-    """``(passed, witness)`` of associativity, ``product`` being
-    ``_over_lcm(a.product)`` and ``keys`` its keys in index order.
+def _check_associativity(a: BVAlgebra, keys: List, unit_law: bool,
+                         commutative: bool):
+    """``(passed, witness)`` of associativity, ``keys`` being the product
+    keys in index order.
 
-    The associators ``A(x, y, z) = (xy)z - x(yz)`` of one middle name ``y``
-    at a time are summed into one accumulator keyed ``(x, z, target)``:
-    ``(xy)z`` from the keys ``(x, y)``, ``x(yz)`` from the keys ``(y, z)``.
-    ``right[u]`` and ``left[v]`` are filled from the keys in index order,
-    so they are sorted by index and each cut is a bisect; they exist for
-    the unit too, which may be a factor ``w`` of ``xy`` or ``yz``."""
-    index, names = a.space.index, a.space.names
-    unit = a.unit if unit_law and commutative else None
-    right: Dict[str, List] = {}
-    left: Dict[str, List] = {}
+    The associators ``A(x, y, z) = (xy)z - x(yz)`` of one middle element
+    ``y`` at a time are summed into one accumulator keyed ``(x, z,
+    target)``: ``(xy)z`` from the keys ``(x, y)``, ``x(yz)`` from the keys
+    ``(y, z)``.  ``right[u]`` and ``left[v]`` are filled from the keys in
+    index order, so they are sorted and each cut is a bisect; they exist
+    for the unit too, which may be a factor ``w`` of ``xy`` or ``yz``."""
+    names, product = a.space.names, a.tables.product.cols
+    unit = a.space.index[a.unit] if unit_law and commutative else None
+    right: Dict[int, List] = {}
+    left: Dict[int, List] = {}
     for u, v in keys:
         if v != unit:
-            right.setdefault(u, []).append((index[v], v, product[u, v]))
+            right.setdefault(u, []).append((v, product[u, v]))
         if u != unit:
-            left.setdefault(v, []).append((index[u], u, product[u, v]))
-    for y in names:
-        # left[y] holds the same names as right[y], keys being symmetric
+            left.setdefault(v, []).append((u, product[u, v]))
+    for y in range(len(names)):
+        # left[y] holds the same elements as right[y], keys being symmetric
         yrow = right.get(y) if y != unit else None
         if not yrow:
             continue
-        iy = index[y]
-        acc: Dict[Tuple[str, str, str], int] = {}
+        acc: Dict[Tuple[int, int, int], int] = {}
         get = acc.get
-        for ix, x, xy in left[y]:
-            lo = max(ix, iy) if commutative else 0
+        for x, xy in left[y]:
+            lo = max(x, y) if commutative else 0
             for w, c in xy.items():
                 wrow = right.get(w, ())
-                for _iz, z, wz in wrow[bisect_left(wrow, (lo,)):]:
+                for z, wz in wrow[bisect_left(wrow, (lo,)):]:
                     for t, v in wz.items():
                         acc[x, z, t] = get((x, z, t), 0) + c * v
-        for iz, z, yz in yrow[bisect_left(yrow, (iy if commutative else 0,)):]:
-            hi = iz if commutative else len(names)
+        for z, yz in yrow[bisect_left(yrow, (y if commutative else 0,)):]:
+            hi = z if commutative else len(names)
             for w, c in yz.items():
                 wrow = left.get(w, ())
-                for _ix, x, xw in wrow[:bisect_left(wrow, (hi + 1,))]:
+                for x, xw in wrow[:bisect_left(wrow, (hi + 1,))]:
                     for t, v in xw.items():
                         acc[x, z, t] = get((x, z, t), 0) - c * v
-        bad = [(index[x], index[z]) for (x, z, _t), v in acc.items() if v]
+        bad = [(x, z) for (x, z, _t), v in acc.items() if v]
         if bad:
-            ix, iz = min(bad)
-            return False, (names[ix], y, names[iz])
+            x, z = min(bad)
+            return False, (names[x], names[y], names[z])
     return True, None
 
 
-def _check_derivation(a: BVAlgebra, product: Dict, cols: Dict,
-                      commutative: bool):
-    """``(passed, witness)`` of the derivation rule, ``product`` and
-    ``cols`` being ``_over_lcm`` of ``a.product`` and ``a.d.entries``."""
-    index = a.space.index
+def _check_derivation(a: BVAlgebra, cols: Dict, commutative: bool):
+    """``(passed, witness)`` of the derivation rule for ``d``, whose
+    columns are ``cols``."""
+    product = a.tables.product.cols
     pairs = set(product)
     for (x, v) in _reached(a, cols):
         pairs.update(((x, v), (v, x)))
     if commutative:
-        pairs = {(x, y) for (x, y) in pairs if index[x] <= index[y]}
-    for (x, y) in sorted(pairs, key=lambda p: (index[p[0]], index[p[1]])):
+        pairs = {(x, y) for (x, y) in pairs if x <= y}
+    for (x, y) in sorted(pairs):
         if any(_defect(a, product, cols, x, y).values()):
-            return False, (x, y)
+            return False, (a.space.names[x], a.space.names[y])
     return True, None
 
 
-def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict,
-                     commutative: bool):
+def _check_order_two(a: BVAlgebra, commutative: bool):
     """Leibniz rule for the derived bracket:
 
         [x, yz] = [x,y] z + (-1)^((|x|+1)|y|) y [x,z]
 
     equivalent to the seven-term order-2 identity given commutativity.
-    ``product`` and ``brackets`` are ``_over_lcm`` of ``a.product`` and
-    ``a.brackets``.  The live triples come from joining ``brackets`` with
-    the product, so with no nonzero bracket there are none.
+    The live triples come from joining the bracket table with the
+    product, so with no nonzero bracket there are none.
     """
+    product, brackets = a.tables.product.cols, a.tables.brackets.cols
     if not brackets:
         return True, None
-    index, partners = a.space.index, a.partners
-    bracketed: Dict[str, List[str]] = {}
+    partners = a.partners
+    bracketed: Dict[int, List[int]] = {}
     for (x, w) in brackets:
         bracketed.setdefault(w, []).append(x)
     live = set()
@@ -358,15 +389,15 @@ def _check_order_two(a: BVAlgebra, product: Dict, brackets: Dict,
             for z in partners.get(u, ()):
                 live.update(((x, y, z), (x, z, y)))
     if commutative:
-        live = {t for t in live if index[t[1]] <= index[t[2]]}
+        live = {t for t in live if t[1] <= t[2]}
 
-    parity = {n: a.space.bidegree[n].total % 2 for n in a.space.names}
-    for (x, y, z) in sorted(live, key=lambda t: (index[t[0]], index[t[1]],
-                                                 index[t[2]])):
+    par = a.parity
+    for (x, y, z) in sorted(live):
         acc = _left(brackets, x, product.get((y, z), {}))
         _add_into(acc, _right(product, brackets.get((x, y), {}), z), -1)
         _add_into(acc, _left(product, y, brackets.get((x, z), {})),
-                  1 if (parity[x] + 1) * parity[y] % 2 else -1)
+                  1 if (par[x] + 1) * par[y] % 2 else -1)
         if any(acc.values()):
-            return False, (x, y, z)
+            names = a.space.names
+            return False, (names[x], names[y], names[z])
     return True, None

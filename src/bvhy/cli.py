@@ -1,8 +1,12 @@
 """Batch front-end: validate algebras, build transfer tables, certify.
 
 Exit codes: 0 success / formal, 1 check failure, 2 unreadable input,
-parse or schema error, or unwritable ``--out``, 3 certificate "not
-certified" (distinct from error).
+parse or schema error, or unwritable ``--out`` or stdout, 3 certificate
+"not certified" (distinct from error).  A stdout that takes no more
+output, such as a pipe whose reader has exited (``bvhy validate doc.json
+| true``), is an unwritable output like ``--out``: one ``error:`` line on
+stderr and exit 2, with stdout pointed at the null device so that the
+flush at exit does not fail again.
 
 Each subcommand imports the modules only it runs: ``validate`` loads no
 engine, certificate or model code.  Most of a ``validate`` or
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import sys
 import time
 from typing import Optional
@@ -63,16 +68,28 @@ def _report(command: str, inputs: dict, started: float, **extra) -> dict:
 
 
 def _emit(doc: dict, out: Optional[str] = None) -> None:
-    text = serialize.dump(doc)
-    if out:
-        try:
+    _write(serialize.dump(doc), out)
+
+
+def _write(text: str, out: Optional[str] = None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout and flush it, so
+    that a stdout that takes no more (a closed pipe) fails here rather than
+    in the flush at exit; stdout then points at the null device."""
+    try:
+        if out:
             with open(out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if out:
             raise SchemaError(f"cannot write {out}: {exc.strerror}",
                               "out") from None
-    else:
-        sys.stdout.write(text)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise SchemaError(f"cannot write: {exc.strerror}", "stdout") from None
 
 
 def _load_and_check(algebra_path: str, gram_path: Optional[str] = None):
@@ -256,10 +273,10 @@ def _parse(argv):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(_usage())
-        return 0
     try:
+        if "-h" in argv or "--help" in argv:
+            _write(_usage())
+            return 0
         handler, kwargs = _parse(argv)
         return handler(**kwargs)
     except SchemaError as exc:

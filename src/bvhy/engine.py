@@ -33,9 +33,10 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, \
     Tuple
 
-from .bv import BVAlgebra, Vector, _add_into, _apply, _left, _nonzero
+from .bv import BVAlgebra, _add_into, _apply, _left, _nonzero
 from .graded import Bidegree
 from .hodge import TransferData
+from .rational import Vector
 from .reporting import CheckReport
 
 if TYPE_CHECKING:

@@ -3,21 +3,26 @@
 
 Scalars are exact rationals throughout.  A map carries a fixed bidegree
 shift and every nonzero entry must connect basis elements whose bidegrees
-differ by exactly that shift; ``GradedMap.validate_shift`` enforces this.
-Maps are composed and summed one way: as ``BlockMap``s, integer blocks per
-bidegree (``GradedMap.to_blocks``, ``compose``, ``add``, ``scalar``), and
-read back by ``GradedMap.from_blocks``.
+differ by exactly that shift.  Maps are composed and summed one way: as
+``BlockMap``s, integer blocks per bidegree (``compose``, ``add``,
+``scalar``).  A map with ``Fraction`` entries, the form in which the model
+builders and the tests state one and the engine reads one, is a
+``rational.GradedMap``; ``bvhy.rational`` is loaded on first use
+(``rational``), so no code here imports ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from . import linalg
 
-Scalar = Fraction
+
+def rational():
+    """The module ``bvhy.rational``, imported on first use, so that a
+    command that reads no ``Fraction`` view never loads it."""
+    from . import rational as module
+    return module
 
 
 class Bidegree(NamedTuple):
@@ -62,6 +67,8 @@ class BigradedSpace:
         return sorted(self._by_bidegree)
 
     def basis_element(self, name: str) -> "Element":
+        from fractions import Fraction
+
         from .elements import Element
         if name not in self.bidegree:
             raise ValueError(f"{name!r} is not a basis element")
@@ -76,77 +83,6 @@ class BigradedSpace:
 
     def __repr__(self):
         return f"BigradedSpace(dim={self.dim})"
-
-
-class GradedMap:
-    """Linear map between bigraded spaces with a fixed bidegree shift.
-
-    Entries are stored column-sparse: ``entries[src][tgt] = coefficient``.
-    """
-
-    def __init__(self, source: BigradedSpace, target: BigradedSpace,
-                 shift: Bidegree, entries: Optional[Dict[str, Dict[str, Scalar]]] = None):
-        self.source = source
-        self.target = target
-        self.shift = Bidegree(*shift)
-        self.entries: Dict[str, Dict[str, Scalar]] = {}
-        if entries:
-            for src, col in entries.items():
-                for tgt, c in col.items():
-                    if c != 0:
-                        self.entries.setdefault(src, {})[tgt] = c
-
-    @classmethod
-    def zero(cls, source: BigradedSpace, target: BigradedSpace,
-             shift: Bidegree) -> "GradedMap":
-        return cls(source, target, shift, {})
-
-    def set_entry(self, src: str, tgt: str, c: Scalar) -> None:
-        if c == 0:
-            self.entries.get(src, {}).pop(tgt, None)
-        else:
-            self.entries.setdefault(src, {})[tgt] = c
-
-    def validate_shift(self) -> List[Tuple[str, str]]:
-        """Entries violating the shift invariant; empty list means valid."""
-        bad = []
-        for src, col in self.entries.items():
-            sdeg = self.source.bidegree[src]
-            for tgt in col:
-                if self.target.bidegree[tgt] != sdeg + self.shift:
-                    bad.append((src, tgt))
-        return bad
-
-    def to_blocks(self) -> BlockMap:
-        """The map as a ``BlockMap``: at each source bidegree ``deg`` some
-        entry leaves, the block with rows the target names at deg+shift and
-        columns the names at deg, over the lcm of its denominators."""
-        blocks = {}
-        for deg in self.source.occupied_bidegrees():
-            cols = [self.entries.get(s, {}) for s in self.source.names_at(deg)]
-            if any(cols):
-                den = lcm(*[v.denominator for col in cols for v in col.values()])
-                blocks[deg] = [[col[t].numerator * (den // col[t].denominator)
-                                if t in col else 0 for col in cols]
-                               for t in self.target.names_at(deg + self.shift)
-                               ], den
-        return BlockMap(self.source, self.target, self.shift, blocks)
-
-    @classmethod
-    def from_blocks(cls, source: BigradedSpace, target: BigradedSpace,
-                    shift: Bidegree, blocks: Dict[Bidegree, linalg.Block]
-                    ) -> "GradedMap":
-        """The inverse of ``to_blocks``: the map whose block at each source
-        bidegree ``deg`` of ``blocks`` is ``blocks[deg]``; every other
-        block is zero."""
-        out = cls(source, target, shift)
-        for deg, (rows, den) in blocks.items():
-            tgt_names = target.names_at(deg + out.shift)
-            for src, col in zip(source.names_at(deg), zip(*rows)):
-                if any(col):
-                    out.entries[src] = {t: Fraction(x, den)
-                                        for t, x in zip(tgt_names, col) if x}
-        return out
 
 
 class BlockMap(NamedTuple):

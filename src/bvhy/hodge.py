@@ -5,73 +5,51 @@ im d* for a Gram form S, on integer blocks (``linalg.Block``), with no
 Laplacian L = d d* + d* d or Green operator G yet the same values:
 H = ker L is the kernel of [D_out ; D_in^T S], which has L's row space and
 so its (unique) reduced row echelon form; h = d* G is d's Gram-metric
-Moore-Penrose inverse; and G = h h* + h* h.  ``check_transfer_input``
-checks a transfer input: BV axioms, then transfer data, side conditions
-and strong trivialization, all block residuals.
+Moore-Penrose inverse; pi is read off id - d h - h d = iota pi; and
+G = h h* + h* h.  ``check_transfer_input`` checks a transfer input: BV
+axioms, then transfer data, side conditions and strong trivialization,
+all block residuals.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
 from .bv import BVAlgebra, check_bv_axioms
-from .graded import (Bidegree, BigradedSpace, BlockMap, GradedMap, add,
-                     compose, scalar)
+from .graded import (Bidegree, BigradedSpace, BlockMap, add, compose,
+                     rational, scalar)
 from .reporting import CheckReport
 
 
 class InnerProduct:
     """Block-diagonal symmetric positive-definite Gram form over the
-    rationals; one block per occupied bidegree, rows/cols in basis order.
-    A bidegree missing from ``blocks`` gets the identity block.  The
-    blocks are kept as integer ``linalg.Block``s."""
+    rationals; one block per occupied bidegree, rows/cols in basis order,
+    kept as an integer ``linalg.Block`` (``elements.to_block`` makes one of
+    a matrix of ``Fraction``s).  A bidegree missing from ``blocks`` gets the
+    identity block."""
 
     def __init__(self, space: BigradedSpace,
-                 blocks: Optional[Dict[Bidegree, linalg.Matrix]] = None):
+                 blocks: Optional[Dict[Bidegree, linalg.Block]] = None):
         self.space = space
         blocks = blocks or {}
         self.blocks: Dict[Bidegree, linalg.Block] = {}
         for deg in space.occupied_bidegrees():
-            n = len(space.names_at(deg))
-            if deg not in blocks:
-                self.blocks[deg] = linalg.scalar(n, 1)
-                continue
-            block = blocks[deg]
-            if len(block) != n or any(len(row) != n for row in block):
-                raise ValueError(f"gram block at {tuple(deg)} has wrong shape")
-            self.blocks[deg] = linalg.to_block(block)
-            if not linalg.is_positive_definite(self.blocks[deg]):
-                raise ValueError(f"gram block at {tuple(deg)} is not "
-                                 f"symmetric positive-definite")
-
-    @classmethod
-    def from_entries(cls, space: BigradedSpace,
-                     entries: List[Tuple[str, str, Fraction]]) -> "InnerProduct":
-        blocks: Dict[Bidegree, linalg.Matrix] = {}
-        seen = set()
-        for a, b, v in entries:
-            da, db = space.bidegree[a], space.bidegree[b]
-            if da != db:
-                raise ValueError(f"gram entry ({a},{b}) crosses bidegrees")
-            if frozenset((a, b)) in seen:
-                raise ValueError(f"gram entry ({a},{b}) is given twice")
-            seen.add(frozenset((a, b)))
-            names = space.names_at(da)
-            i, j = names.index(a), names.index(b)
-            if da not in blocks:
-                blocks[da] = linalg.identity(len(names))
-            blocks[da][i][j] = blocks[da][j][i] = Fraction(v)
-        return cls(space, blocks)
+            n, block = len(space.names_at(deg)), blocks.get(deg)
+            if block is None:
+                block = linalg.scalar(n, 1)
+            else:
+                if len(block[0]) != n or any(len(row) != n for row in block[0]):
+                    raise ValueError(f"gram block at {tuple(deg)} has wrong "
+                                     f"shape")
+                if not linalg.is_positive_definite(block):
+                    raise ValueError(f"gram block at {tuple(deg)} is not "
+                                     f"symmetric positive-definite")
+            self.blocks[deg] = block
 
     def block(self, deg: Bidegree) -> linalg.Block:
         return self.blocks[Bidegree(*deg)]
-
-
-def _view(i: int) -> cached_property:
-    return cached_property(lambda td: GradedMap.from_blocks(*td.blocks[i]))
 
 
 class TransferData:
@@ -83,17 +61,9 @@ class TransferData:
                  pi: BlockMap, h: BlockMap, ip: InnerProduct):
         self.cohomology, self.blocks, self.ip = cohomology, (iota, pi, h), ip
 
-    iota, pi, h = _view(0), _view(1), _view(2)
-
-    @cached_property
-    def green(self) -> GradedMap:
-        """G = h h* + h* h, for the Gram adjoint h* (S^-1 H^T S' per block)."""
-        h, gram = self.blocks[2], self.ip.block
-        hstar = BlockMap(h.target, h.source, -h.shift, {
-            deg + h.shift: linalg.solve(gram(deg), linalg.mul(
-                (linalg.transpose(rows), den), gram(deg + h.shift)))
-            for deg, (rows, den) in h.blocks.items()})
-        return GradedMap.from_blocks(*add(compose(h, hstar), compose(hstar, h)))
+    iota, pi, h = (cached_property(
+        lambda td, i=i: rational().from_blocks(td.blocks[i])) for i in range(3))
+    green = cached_property(lambda td: rational().green(td))
 
 
 def _harmonic_name(names: List[str], vec: List[int], den: int, deg: Bidegree,
@@ -105,43 +75,60 @@ def _harmonic_name(names: List[str], vec: List[int], den: int, deg: Bidegree,
 
 
 def _pseudo_inverse(d: linalg.Block, sa: linalg.Block, sb: linalg.Block):
-    """D's reduced rows R and its Moore-Penrose inverse X (Y D X)^-1 Y in
-    the Gram metrics sa, sb: X, the kernel of N^T sa for the kernel N of D,
-    spans (ker D)-perp as sa^-1 R^T does, and Y = F^T sb, for the pivot
-    columns F of D, vanishes on (im D)-perp.  Neither needs sa^-1."""
+    """D's reduced rows R, the kernel N of D with its free columns, the
+    rows Y = F^T sb for the pivot columns F of D, and D's Moore-Penrose
+    inverse X (Y D X)^-1 Y in the Gram metrics sa, sb: X, the kernel of
+    N^T sa, spans (ker D)-perp as sa^-1 R^T does, and Y vanishes on
+    (im D)-perp.  Neither needs sa^-1."""
     n = len(sa[0])
     reduced, pivots = linalg.rref(d[0], n)
-    null = linalg.mul(linalg.kernel(reduced, n), sa)[0]
-    x = linalg.transpose(linalg.kernel(null, n)[0]), 1
+    null = linalg.kernel(reduced, n)
+    x = linalg.transpose(linalg.kernel(linalg.mul(null[0], sa)[0], n)[0][0]), 1
     y = linalg.mul(([[row[c] for row in d[0]] for c in pivots], 1), sb)
-    return reduced, linalg.mul(
+    return reduced, null, y[0], linalg.mul(
         x, linalg.solve(linalg.mul(linalg.mul(y, d), x), y))
 
 
 def build_transfer_data(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> TransferData:
     """Per bidegree, with S the Gram block and D_out, D_in the blocks of d
-    out of and into it: the kernel basis rows K of [D_out ; D_in^T S]
-    (D_out as its reduced rows) name the cohomology; iota = K^T,
-    pi = (K S K^T)^-1 K S; and h back along D_out is its pseudo-inverse."""
+    out of and into it: the kernel basis rows K of [D_out ; F_in^T S]
+    (D_out as its reduced rows, F_in the pivot columns of D_in, which span
+    its column space) name the cohomology; iota = K^T; h back along D_out
+    is its pseudo-inverse; and pi is the rows of id - d h - h d at the
+    free columns of K, where iota has the rows of the identity."""
     space, ip = a.space, ip or InnerProduct(a.space)
     d, up, down = a.blocks[0], Bidegree(0, 1), Bidegree(0, -1)
     hbasis, iota_blocks, pi_blocks, h_blocks = [], {}, {}, {}
+    # the rows F_in^T S at the target of each d block; the free columns of
+    # each nonzero kernel
+    dual, free = {}, {}
     for deg in space.occupied_bidegrees():
-        names, s = space.names_at(deg), ip.block(deg)
-        rows: List[List[int]] = []
+        names, incoming = space.names_at(deg), dual.get(deg)
         if deg in d.blocks:
-            rows, h_blocks[deg + up] = _pseudo_inverse(d.blocks[deg], s,
-                                                       ip.block(deg + up))
-        if (low := deg + down) in d.blocks:
-            rows = rows + linalg.mul(
-                (linalg.transpose(d.blocks[low][0]), 1), s)[0]
-        k, kden = linalg.kernel(rows, len(names))
+            reduced, kern, dual[deg + up], h_blocks[deg + up] = \
+                _pseudo_inverse(d.blocks[deg], ip.block(deg),
+                                ip.block(deg + up))
+            if incoming:
+                kern = linalg.kernel(reduced + incoming, len(names))
+        else:
+            kern = linalg.kernel(incoming or [], len(names))
+        (k, kden), cols = kern
         hbasis += [(_harmonic_name(names, vec, kden, deg, i), deg)
                    for i, vec in enumerate(k)]
         if k:
-            kt = iota_blocks[deg] = linalg.transpose(k), kden
-            ktg = linalg.mul((k, kden), s)
-            pi_blocks[deg] = linalg.solve(linalg.mul(ktg, kt), ktg)
+            iota_blocks[deg] = linalg.transpose(k), kden
+            free[deg] = cols
+    for deg, cols in free.items():
+        terms = [([[int(c == f) for c in range(len(space.names_at(deg)))]
+                   for f in cols], 1)]
+        # minus the rows of d h, then of h d
+        for left, right in ((d.blocks.get(deg + down), h_blocks.get(deg)),
+                            (h_blocks.get(deg + up), d.blocks.get(deg))):
+            if right is not None:
+                rows, den = left
+                terms.append(linalg.mul(([[-x for x in rows[f]] for f in cols],
+                                         den), right))
+        pi_blocks[deg] = linalg.add(terms)
     cohomology = BigradedSpace(hbasis)
     return TransferData(
         cohomology, BlockMap(cohomology, space, Bidegree(0, 0), iota_blocks),

@@ -2,28 +2,19 @@
 
 A ``Block`` is a matrix held as integer rows over one positive common
 denominator, so that products, sums and eliminations work in Python ints
-and a chain of them builds no ``Fraction``; ``GradedMap.from_blocks``
+and a chain of them builds no ``Fraction``; ``rational.from_blocks``
 makes the exact rational entries of a map from its blocks.  One
 fraction-free Gauss-Jordan elimination serves ``rref``, ``kernel`` and
 ``solve``.  Everything here is exact; there are no tolerances anywhere in
 the package.
 """
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from typing import List, Tuple
 
-Matrix = List[List[Fraction]]
 # integer rows over one positive denominator
 Block = Tuple[List[List[int]], int]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def identity(n: int) -> Matrix:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def scalar(n: int, c: int) -> Block:
@@ -36,13 +27,6 @@ def scalar(n: int, c: int) -> Block:
 
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
-
-
-def to_block(a: Matrix) -> Block:
-    """``a`` as integer numerators over the lcm of its denominators."""
-    den = lcm(*[x.denominator for row in a for x in row])
-    return [[x.numerator * (den // x.denominator) for x in row]
-            for row in a], den
 
 
 def _reduced(rows: List[List[int]], den: int) -> Block:
@@ -129,20 +113,22 @@ def rref(rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[int]]
     return m[:len(pivots)], pivots
 
 
-def kernel(rows: List[List[int]], ncols: int) -> Block:
-    """A basis of {v : rows v = 0}, as the rows of a block: one vector per
-    free column of the reduced rows, 1 there and 0 in the other free
-    columns, so rows with one row space give the one basis."""
+def kernel(rows: List[List[int]], ncols: int) -> Tuple[Block, List[int]]:
+    """A basis of {v : rows v = 0}, as the rows of a block, and the free
+    columns of the reduced rows: vector j is 1 at free column j and 0 at
+    the other free columns, so rows with one row space give the one
+    basis."""
     reduced, pivots = rref(rows, ncols)
     den = lcm(*[row[c] for row, c in zip(reduced, pivots)])
+    free = sorted(set(range(ncols)) - set(pivots))
     basis = []
-    for fc in sorted(set(range(ncols)) - set(pivots)):
+    for fc in free:
         v = [0] * ncols
         v[fc] = den
         for row, pc in zip(reduced, pivots):
             v[pc] = -row[fc] * (den // row[pc])
         basis.append(v)
-    return _reduced(basis, den)
+    return _reduced(basis, den), free
 
 
 def solve(a: Block, b: Block) -> Block:

@@ -19,10 +19,12 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .bv import BVAlgebra
+from .elements import to_block
 from .engine import build_operation_table, naive_evaluate_tree
-from .graded import Bidegree, BigradedSpace, GradedMap
+from .graded import Bidegree, BigradedSpace
 from .hodge import InnerProduct, TransferData, build_transfer_data, \
     check_transfer_input
+from .rational import GradedMap
 from .trees import enumerate_trees
 
 SEARCH_ATTEMPTS = 64
@@ -176,8 +178,10 @@ def build_skew_gram_model() -> ModelDescriptor:
     product = {("e", name): {name: Fraction(1)} for name in space.names}
     algebra = BVAlgebra(space, d, delta, product, "e")
     gram = InnerProduct(space, {
-        Bidegree(1, 0): [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]],
-        Bidegree(1, 1): [[Fraction(3), Fraction(1)], [Fraction(1), Fraction(2)]],
+        Bidegree(1, 0): to_block([[Fraction(2), Fraction(1)],
+                                  [Fraction(1), Fraction(1)]]),
+        Bidegree(1, 1): to_block([[Fraction(3), Fraction(1)],
+                                  [Fraction(1), Fraction(2)]]),
     })
     return ModelDescriptor("skew-gram", algebra, inner_product=gram)
 

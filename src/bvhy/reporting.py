@@ -1,8 +1,9 @@
 """Tiny pass/fail report containers shared by the checking routines."""
 
+from math import gcd
 from typing import Any, List, Optional
 
-from .graded import BlockMap, GradedMap
+from .graded import BlockMap
 
 
 class CheckItem:
@@ -16,6 +17,13 @@ class CheckItem:
         return d
 
 
+def ratio_text(num: int, den: int) -> str:
+    """The rational ``num / den`` (``den`` > 0) as ``str`` of a ``Fraction``
+    writes it: "3", "-3/2"."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 class CheckReport:
     def __init__(self, title: str):
         self.title = title
@@ -24,18 +32,23 @@ class CheckReport:
     def add(self, name: str, passed: bool, witness=None) -> None:
         self.items.append(CheckItem(name, passed, witness))
 
-    def add_zero(self, name: str, m: GradedMap) -> None:
-        """Item ``name`` passes iff the ``GradedMap`` ``m`` is zero; its
-        witness is the first three nonzero entries ``(source, target,
-        value)`` of ``m`` by (source index, target index)."""
-        src, tgt = m.source.index, m.target.index
-        found = sorted((src[s], tgt[t], s, t, v)
-                       for s, col in m.entries.items() for t, v in col.items())
-        self.add(name, not found, [e[2:] for e in found[:3]] or None)
-
     def add_residual(self, name: str, residual: BlockMap) -> None:
-        """``add_zero`` for the ``BlockMap`` of an identity's residual."""
-        self.add_zero(name, GradedMap.from_blocks(*residual))
+        """Item ``name`` passes iff the ``BlockMap`` ``residual`` of an
+        identity is zero; its witness is the first three nonzero entries
+        ``(source, target, value)`` by (source index, target index), the
+        value as ``ratio_text`` writes it."""
+        src, tgt = residual.source, residual.target
+        found = []
+        for deg, (rows, den) in residual.blocks.items():
+            snames = src.names_at(deg)
+            for t, row in zip(tgt.names_at(deg + residual.shift), rows):
+                if any(row):
+                    found += [(src.index[s], tgt.index[t], s, t, x, den)
+                              for s, x in zip(snames, row) if x]
+        found.sort()
+        self.add(name, not found, [(s, t, ratio_text(x, den))
+                                   for _i, _j, s, t, x, den in found[:3]]
+                 or None)
 
     @property
     def passed(self) -> bool:

@@ -4,19 +4,31 @@
 Scalars are decimal-rational strings ("3/2", "-1", "5").  All documents
 carry ``"schema": 1``.  Serialization is deterministic (sorted keys,
 sorted entry lists) so exports are diffable and byte-stable.
+
+``algebra_from_json`` reads the rows of ``d``, ``delta``, the product and
+the Gram form straight into integer tables keyed by basis index
+(``bv.Table``, ``hodge.InnerProduct``).  ``read_scalar`` reads the two
+forms every document ``bvhy`` writes uses, an integer and a fraction of
+ASCII digits, with ``int``; any other text goes to ``parse_scalar``, so
+the same texts are accepted, with the same values and errors, and only
+those load ``fractions``.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from .bv import BVAlgebra
-from .graded import Bidegree, BigradedSpace, GradedMap
+from . import linalg
+from .bv import BVAlgebra, Table, to_table
+from .graded import Bidegree, BigradedSpace
 from .hodge import InnerProduct
+from .reporting import ratio_text
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .engine import OperationTable
 
 SCHEMA_VERSION = 1
@@ -30,11 +42,8 @@ class SchemaError(ValueError):
         self.location = location
 
 
-def scalar_to_str(x: Fraction) -> str:
-    return str(x)
-
-
 def parse_scalar(text, location: str) -> Fraction:
+    from fractions import Fraction
     # Fraction expands an exponent in full, so "1e1000000000" would stall
     if "e" not in str(text).lower():
         try:
@@ -44,17 +53,44 @@ def parse_scalar(text, location: str) -> Fraction:
     raise SchemaError(f"invalid rational scalar {text!r}", location)
 
 
-def _scalar_reader():
-    """``parse_scalar`` memoized by ``str(text)``, on which alone a value
-    depends, for the rows of one document; a text that fails is not
-    stored, so it raises again at its own location."""
-    memo: Dict[str, Fraction] = {}
+def read_scalar(text, location: str) -> Tuple[int, int]:
+    """``parse_scalar``'s value as ``(numerator, denominator)`` in lowest
+    terms.  A JSON integer, or a text ``[+-]?digits`` or
+    ``[+-]?digits/digits`` of ASCII digits between ASCII whitespace, is
+    read with ``int``; ``str.isdigit`` alone would pass "²", which ``int``
+    refuses.  Everything else, and an ``int`` refusal (a digit string past
+    the conversion limit), goes to ``parse_scalar``."""
+    if type(text) is int:
+        return text, 1
+    if type(text) is str:
+        num, slash, den = text.strip(" \t\n\r\f\v").partition("/")
+        den = den if slash else "1"
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if all(s.isascii() and s.isdigit() for s in (digits, den)) \
+                and den.strip("0"):
+            try:
+                p, q = int(num), int(den)
+            except ValueError:
+                pass
+            else:
+                g = gcd(p, q)
+                return p // g, q // g
+    value = parse_scalar(text, location)
+    return value.numerator, value.denominator
 
-    def read(text, location: str) -> Fraction:
-        key = str(text)
-        value = memo.get(key)
+
+def _scalar_reader():
+    """``read_scalar`` memoized by text, on which alone a value depends,
+    for the rows of one document; a text that fails is not stored, so it
+    raises again at its own location."""
+    memo: Dict[str, Tuple[int, int]] = {}
+
+    def read(text, location: str) -> Tuple[int, int]:
+        if type(text) is not str:
+            return read_scalar(text, location)
+        value = memo.get(text)
         if value is None:
-            value = memo[key] = parse_scalar(text, location)
+            value = memo[text] = read_scalar(text, location)
         return value
     return read
 
@@ -76,8 +112,9 @@ def _require_name(space: BigradedSpace, name, location: str) -> None:
 
 
 def _require_new(seen: set, key: tuple, location: str) -> None:
-    _require(key not in seen, f"repeats the entry {list(key)} of an earlier row",
-             location)
+    if key in seen:
+        raise SchemaError(f"repeats the entry {list(key)} of an earlier row",
+                          location)
     seen.add(key)
 
 
@@ -95,8 +132,12 @@ def _rows(doc: dict, key: str) -> list:
 
 
 def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree,
-                 read) -> GradedMap:
-    out = GradedMap.zero(space, space, shift)
+                 read) -> Table:
+    """The map under ``key`` as a ``bv.Table``.  Its nonzero entries are
+    kept in row order by source, the source in order of its first nonzero
+    row; the first one off ``shift`` in that order is the error."""
+    index, names, deg = space.index, space.names, space.bidegree
+    cols: Dict[int, Dict[int, Tuple[int, int]]] = {}
     seen: set = set()
     for i, row in enumerate(_rows(doc, key)):
         loc = f"{key}[{i}]"
@@ -107,13 +148,14 @@ def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree,
         _require_name(space, tgt, loc)
         val = read(val, loc)
         _require_new(seen, (src, tgt), loc)
-        out.set_entry(src, tgt, val)
-    bad = out.validate_shift()
-    if bad:
-        s, t = bad[0]
-        raise SchemaError(
-            f"entry {s!r} -> {t!r} violates the shift {tuple(shift)}", key)
-    return out
+        if val[0]:
+            cols.setdefault(index[src], {})[index[tgt]] = val
+    for s, col in cols.items():
+        for t in col:
+            if deg[names[t]] != deg[names[s]] + shift:
+                raise SchemaError(f"entry {names[s]!r} -> {names[t]!r} "
+                                  f"violates the shift {tuple(shift)}", key)
+    return to_table(cols, shift)
 
 
 def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
@@ -144,8 +186,11 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
     d = _map_entries(doc, "d", space, Bidegree(0, 1), read)
     delta = _map_entries(doc, "delta", space, Bidegree(-1, 0), read)
 
-    product: Dict[Tuple[str, str], Dict[str, Fraction]] = {}
-    seen: set = set()
+    # (index[x], index[y]) -> {index[target]: (numerator, denominator)};
+    # zero values are stored too, so that a repeated row is found, and
+    # to_table drops them
+    product: Dict[Tuple[int, int], Dict[int, Tuple[int, int]]] = {}
+    index = space.index
     deg = {n: tuple(b) for n, b in space.bidegree.items()}
     for i, row in enumerate(_rows(doc, "product")):
         loc = f"product[{i}]"
@@ -162,11 +207,15 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
             raise SchemaError(f"target {tgt!r} at {dt} breaks bidegree "
                               f"additivity: {deg[x]} + {deg[y]}", loc)
         val = read(val, loc)
-        _require_new(seen, (x, y, tgt), loc)
-        product.setdefault((x, y), {})[tgt] = val
+        col = product.setdefault((index[x], index[y]), {})
+        t = index[tgt]
+        if t in col:
+            raise SchemaError(f"repeats the entry {[x, y, tgt]} of an "
+                              f"earlier row", loc)
+        col[t] = val
 
     try:
-        algebra = BVAlgebra(space, d, delta, product, unit)
+        algebra = BVAlgebra(space, d, delta, to_table(product), unit)
     except ValueError as exc:
         raise SchemaError(str(exc), "algebra") from None
 
@@ -177,10 +226,13 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
 
 
 def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
+    """The Gram form of the rows ``[x, y, scalar]``, as integer blocks; 1 on
+    the diagonal where no row sets it."""
     _require(isinstance(raw, list), "gram must be a list of entries", "gram")
-    entries = []
+    read, deg = _scalar_reader(), space.bidegree
+    cells: Dict[Bidegree, list] = {}
     seen: set = set()
-    read = _scalar_reader()
+    crossing = None
     for i, row in enumerate(raw):
         loc = f"gram[{i}]"
         _require(isinstance(row, list) and len(row) == 3,
@@ -190,38 +242,53 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
             _require_name(space, nm, loc)
         val = read(val, loc)
         # the form is symmetric, so [x, y] and [y, x] set the same entry
-        _require_new(seen, tuple(sorted((x, y))), loc)
-        entries.append((x, y, val))
+        _require_new(seen, (x, y) if x <= y else (y, x), loc)
+        if deg[x] != deg[y]:
+            crossing = crossing or f"gram entry ({x},{y}) crosses bidegrees"
+        cells.setdefault(deg[x], []).append((x, y, val))
+    _require(not crossing, crossing, "gram")
+    blocks = {}
+    for at, rows in cells.items():
+        names = space.names_at(at)
+        pos = dict(zip(names, range(len(names))))
+        den = lcm(*[q for _x, _y, (_p, q) in rows])
+        m = linalg.scalar(len(names), den)[0]
+        for x, y, (p, q) in rows:
+            m[pos[x]][pos[y]] = m[pos[y]][pos[x]] = p * (den // q)
+        blocks[at] = m, den
     try:
-        return InnerProduct.from_entries(space, entries)
+        return InnerProduct(space, blocks)
     except ValueError as exc:
         raise SchemaError(str(exc), "gram") from None
 
 
 def algebra_to_json(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> dict:
-    from .elements import nonzero_entries
+    space, (d, delta, product, _) = a.space, a.tables
+    names = space.names
+
+    def map_rows(m: Table) -> list:
+        return sorted([names[s], names[t], ratio_text(v, m.den)]
+                      for s, col in m.cols.items() for t, v in col.items())
     doc = {
         "schema": SCHEMA_VERSION,
-        "basis": [{"name": n, "p": a.space.bidegree[n].p,
-                   "q": a.space.bidegree[n].q} for n in a.space.names],
+        "basis": [{"name": n, "p": space.bidegree[n].p,
+                   "q": space.bidegree[n].q} for n in names],
         "unit": a.unit,
-        "d": [[s, t, scalar_to_str(v)] for s, t, v in nonzero_entries(a.d)],
-        "delta": [[s, t, scalar_to_str(v)]
-                  for s, t, v in nonzero_entries(a.delta)],
+        "d": map_rows(d),
+        "delta": map_rows(delta),
         "product": sorted(
-            [x, y, t, scalar_to_str(v)]
-            for (x, y), col in a.product.items() for t, v in col.items()),
+            [names[x], names[y], names[t], ratio_text(v, product.den)]
+            for (x, y), col in product.cols.items() for t, v in col.items()),
     }
     if ip is not None:
         gram = []
-        for deg in a.space.occupied_bidegrees():
-            names = a.space.names_at(deg)
+        for deg in space.occupied_bidegrees():
+            at = space.names_at(deg)
             rows, den = ip.block(deg)
-            for i in range(len(names)):
-                for j in range(i, len(names)):
+            for i in range(len(at)):
+                for j in range(i, len(at)):
                     if rows[i][j] != (den if i == j else 0):
-                        gram.append([names[i], names[j], scalar_to_str(
-                            Fraction(rows[i][j], den))])
+                        gram.append([at[i], at[j], ratio_text(rows[i][j], den)])
         if gram:
             doc["gram"] = sorted(gram)
     return doc
@@ -232,7 +299,7 @@ def table_to_json(table: OperationTable) -> dict:
     ops = []
     for (k, l), constants in sorted(table.ops.items()):
         entries = sorted(
-            list(key) + [name, scalar_to_str(v)]
+            list(key) + [name, str(v)]
             for key, col in constants.items() for name, v in col.items())
         ops.append({"arity": k, "brackets": l,
                     "kind": "strict" if l == k - 2 else "higher",
@@ -246,5 +313,4 @@ def table_to_json(table: OperationTable) -> dict:
 
 
 def dump(doc: dict) -> str:
-    # failure witnesses may carry Fractions; render them as strings
-    return json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

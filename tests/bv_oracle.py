@@ -19,7 +19,8 @@ from functools import partial
 
 from bvhy.bv import BVAlgebra
 from bvhy.elements import apply, koszul_sign, multiply
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap
+from bvhy.graded import Bidegree, BigradedSpace
+from bvhy.rational import GradedMap
 
 
 def _bracket(a, x, y):

@@ -14,14 +14,17 @@ same values.  ``check_side_conditions``,
 compose and sum whole sparse maps with ``compose`` and ``add``, which share
 no code with the library's block residuals.  Every entry is combined as a
 ``Fraction``; the library must return the same exact values.  ``rank`` is
-the test suite's rank oracle.
+the test suite's rank oracle.  ``to_blocks`` states a ``GradedMap`` as the
+library's ``BlockMap``, for tests that compose or perturb maps.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, NamedTuple, Tuple
 
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap
+from bvhy.graded import Bidegree, BigradedSpace, BlockMap
 from bvhy.hodge import InnerProduct
+from bvhy.rational import GradedMap
 from bvhy.reporting import CheckReport
 
 ZERO = Fraction(0)
@@ -154,6 +157,31 @@ def dense_block(m: GradedMap, deg):
     cols = [m.entries.get(s, {}) for s in src_names]
     return ([[col.get(t, ZERO) for col in cols] for t in tgt_names],
             src_names, tgt_names)
+
+
+def to_blocks(m: GradedMap) -> BlockMap:
+    """``m`` as a ``BlockMap``: at each source bidegree some entry leaves,
+    the block with rows the target names at deg+shift, over the lcm of its
+    denominators."""
+    blocks = {}
+    for deg in m.source.occupied_bidegrees():
+        cols = [m.entries.get(s, {}) for s in m.source.names_at(deg)]
+        if any(cols):
+            den = lcm(*[v.denominator for col in cols for v in col.values()])
+            blocks[deg] = [[col[t].numerator * (den // col[t].denominator)
+                            if t in col else 0 for col in cols]
+                           for t in m.target.names_at(deg + m.shift)], den
+    return BlockMap(m.source, m.target, m.shift, blocks)
+
+
+def add_zero(report: CheckReport, name: str, m: GradedMap) -> None:
+    """Item ``name`` of ``report`` passes iff ``m`` is zero; its witness is
+    the first three nonzero entries ``(source, target, str(value))`` of
+    ``m`` by (source index, target index)."""
+    src, tgt = m.source.index, m.target.index
+    found = sorted((src[s], tgt[t], s, t, str(v))
+                   for s, col in m.entries.items() for t, v in col.items())
+    report.add(name, not found, [e[2:] for e in found[:3]] or None)
 
 
 def compose(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -289,31 +317,31 @@ def check_side_conditions(td: TransferData, a) -> CheckReport:
     """The two retract identities and the three side conditions, on whole
     composed maps."""
     report = CheckReport("side-conditions")
-    report.add_zero("pi iota = id", add(compose(td.pi, td.iota),
-                                        identity_map(td.cohomology, -ONE)))
-    report.add_zero("d h + h d = id - iota pi", add(
+    add_zero(report, "pi iota = id", add(compose(td.pi, td.iota),
+                                         identity_map(td.cohomology, -ONE)))
+    add_zero(report, "d h + h d = id - iota pi", add(
         compose(a.d, td.h), compose(td.h, a.d), identity_map(a.space, -ONE),
         compose(td.iota, td.pi)))
-    report.add_zero("h iota = 0", compose(td.h, td.iota))
-    report.add_zero("h h = 0", compose(td.h, td.h))
-    report.add_zero("pi h = 0", compose(td.pi, td.h))
+    add_zero(report, "h iota = 0", compose(td.h, td.iota))
+    add_zero(report, "h h = 0", compose(td.h, td.h))
+    add_zero(report, "pi h = 0", compose(td.pi, td.h))
     return report
 
 
 def check_differentials(a) -> CheckReport:
     """The three zero-map items of ``check_bv_axioms``."""
     report = CheckReport("bv-axioms")
-    report.add_zero("d^2 = 0", compose(a.d, a.d))
-    report.add_zero("delta^2 = 0", compose(a.delta, a.delta))
-    report.add_zero("d delta + delta d = 0",
-                    add(compose(a.d, a.delta), compose(a.delta, a.d)))
+    add_zero(report, "d^2 = 0", compose(a.d, a.d))
+    add_zero(report, "delta^2 = 0", compose(a.delta, a.delta))
+    add_zero(report, "d delta + delta d = 0",
+             add(compose(a.d, a.delta), compose(a.delta, a.d)))
     return report
 
 
 def check_strong_trivialization_composites(td: TransferData, a) -> CheckReport:
     """The three trivialization composites, on whole composed maps."""
     report = CheckReport("strong-trivialization")
-    report.add_zero("delta iota = 0", compose(a.delta, td.iota))
-    report.add_zero("pi delta = 0", compose(td.pi, a.delta))
-    report.add_zero("h delta h = 0", compose(compose(td.h, a.delta), td.h))
+    add_zero(report, "delta iota = 0", compose(a.delta, td.iota))
+    add_zero(report, "pi delta = 0", compose(td.pi, a.delta))
+    add_zero(report, "h delta h = 0", compose(compose(td.h, a.delta), td.h))
     return report

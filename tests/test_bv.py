@@ -10,8 +10,9 @@ import bv_oracle
 from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.elements import (apply, bracket, koszul_sign, multiply,
                            nonzero_entries)
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap
+from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.models import build_torus_model, build_trivial_model, builtin_models
+from bvhy.rational import GradedMap
 from bvhy.serialize import algebra_from_json, algebra_to_json
 
 F = Fraction

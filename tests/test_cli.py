@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -541,6 +542,74 @@ def test_module_entry_point_matches_main(tmp_path, capsys, torus_file, case):
         assert docs[0] == docs[1]
     if table is not None:
         assert out.read_bytes() == table
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered",
+                                                      "buffered"])
+@pytest.mark.parametrize("argv", [["validate"], ["--help"]],
+                         ids=["validate", "help"])
+def test_closed_stdout_exits_2_with_one_error_line(torus_file, argv,
+                                                   unbuffered):
+    # the reader of stdout is gone before the command writes; a buffered
+    # stdout would otherwise fail only in the flush at exit
+    env = _fresh_env()
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    if argv == ["validate"]:
+        argv = argv + [torus_file]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bvhy.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              env=env, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: stdout: cannot write: Broken pipe"]
+
+
+def test_a_decimal_scalar_still_validates(tmp_path, capsys):
+    # "0.5" is not a form bvhy writes; the reader hands it to Fraction
+    doc = dict(_README_ALGEBRA, d=[["x", "y", "0.5"]])
+    assert main(["validate", _write(tmp_path / "a.json", doc)]) == 0
+    algebra, _ = serialize.algebra_from_json(doc)
+    assert algebra.d.entries == {"x": {"y": Fraction(1, 2)}}
+
+
+def test_witness_values_are_the_strings_of_the_rationals(tmp_path, capsys):
+    # d d a = 3 c + 3/2 c2: the d^2 = 0 item names both entries, each value
+    # the JSON string str(Fraction) writes
+    doc = {"schema": 1, "unit": "e",
+           "basis": [{"name": n, "p": 0, "q": q} for n, q in
+                     (("e", 0), ("a", 0), ("b", 1), ("c", 2), ("c2", 2))],
+           "d": [["a", "b", "1"], ["b", "c", "3"], ["b", "c2", "3/2"]],
+           "product": [["e", n, n, "1"] for n in ("e", "a", "b", "c", "c2")]}
+    assert main(["validate", _write(tmp_path / "a.json", doc)]) == 1
+    out = capsys.readouterr().out
+    item = json.loads(out)["results"][0]["items"][2]
+    assert item["name"] == "d^2 = 0"
+    assert serialize.dump(item) == """{
+  "name": "d^2 = 0",
+  "passed": false,
+  "witness": [
+    [
+      "a",
+      "c",
+      "3"
+    ],
+    [
+      "a",
+      "c2",
+      "3/2"
+    ]
+  ]
+}
+"""
+    # the item sits in results[0].items, 8 spaces in
+    assert serialize.dump(item).rstrip("\n").replace("\n", "\n" + " " * 8) \
+        in out
 
 
 _MAIN_PROBE = """

@@ -15,10 +15,11 @@ from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.certify import Footprint, certify_formality
 from bvhy.engine import (build_operation_table, check_formal_unit,
                          naive_evaluate_tree, top_degree_report)
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap
+from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.hodge import build_transfer_data, check_transfer_input
 from bvhy.models import (build_torus_model, build_trivial_model,
                          builtin_models, search_nonformal)
+from bvhy.rational import GradedMap
 from bvhy.serialize import dump, table_to_json
 from bvhy.trees import DecoratedTree, enumerate_trees, leaf
 

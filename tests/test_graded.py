@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from hodge_oracle import dense_block, mat_mul
+from hodge_oracle import dense_block, mat_mul, to_blocks
+from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.elements import Element, koszul_sign, nonzero_entries
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap, compose
+from bvhy.graded import Bidegree, BigradedSpace, compose
+from bvhy.rational import GradedMap, from_blocks
 
 F = Fraction
 
@@ -61,11 +63,17 @@ def test_element_homogeneity_and_arithmetic(space):
 
 
 def test_graded_map_shift_validation(space):
+    # an entry off its map's shift fails the shift item of the axiom check,
+    # which names it; set to 0, the entry is gone
     f = GradedMap.zero(space, space, Bidegree(0, 1))
     f.set_entry("a", "ab", F(1))
-    assert f.validate_shift() == [("a", "ab")]
+    zero = GradedMap.zero(space, space, Bidegree(-1, 0))
+    product = {("e", n): {n: F(1)} for n in space.names}
+    item = check_bv_axioms(BVAlgebra(space, f, zero, product, "e")).items[0]
+    assert (item.name, item.passed, item.witness) == \
+        ("d has shift (0,1)", False, [("a", "ab")])
     f.set_entry("a", "ab", F(0))
-    assert f.validate_shift() == []
+    assert check_bv_axioms(BVAlgebra(space, f, zero, product, "e")).passed
     assert not nonzero_entries(f)
 
 
@@ -82,7 +90,7 @@ def test_compose_matches_block_matrix_oracle():
         if trial == 0:
             # g has no block at the middle bidegree (0, 1) of g after f
             g.set_entry("x1", "x2", F(0))
-        comp = GradedMap.from_blocks(*compose(g.to_blocks(), f.to_blocks()))
+        comp = from_blocks(compose(to_blocks(g), to_blocks(f)))
         assert comp.shift == Bidegree(0, 2)
         # oracle: multiply the dense blocks directly
         for i in range(2):

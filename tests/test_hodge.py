@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from hodge_oracle import (adjoint_differential, compose, dense_block,
-                          mat_mul, rank, to_matrix)
-from bvhy import linalg
+                          identity, mat_mul, rank, to_matrix)
+from bvhy import bv
 from bvhy.bv import BVAlgebra
-from bvhy.elements import apply, nonzero_entries
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap
+from bvhy.elements import apply, nonzero_entries, to_block
+from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.engine import build_operation_table
 from bvhy.hodge import (InnerProduct, build_transfer_data,
                         check_side_conditions,
@@ -18,6 +18,7 @@ from bvhy.hodge import (InnerProduct, build_transfer_data,
                         check_transfer_input)
 from bvhy.models import (build_skew_gram_model, build_torus_model,
                          build_trivial_model)
+from bvhy.serialize import gram_from_entries
 
 F = Fraction
 
@@ -125,18 +126,17 @@ def test_skew_gram_cohomology_is_the_unit_line():
 def test_inner_product_validation():
     space = BigradedSpace([("a", Bidegree(0, 0)), ("b", Bidegree(0, 0))])
     with pytest.raises(ValueError):
-        InnerProduct(space, {Bidegree(0, 0): [[F(1), F(2)], [F(2), F(1)]]})
-    ip = InnerProduct.from_entries(space, [("a", "b", F(1, 2))])
+        InnerProduct(space, {Bidegree(0, 0): to_block([[F(1), F(2)],
+                                                       [F(2), F(1)]])})
+    ip = gram_from_entries([["a", "b", "1/2"]], space)
     assert to_matrix(ip.block(Bidegree(0, 0))) == [[F(1), F(1, 2)],
                                                    [F(1, 2), F(1)]]
-    with pytest.raises(ValueError):
-        InnerProduct.from_entries(
-            BigradedSpace([("a", Bidegree(0, 0)), ("b", Bidegree(1, 0))]),
-            [("a", "b", F(1))])
+    with pytest.raises(ValueError, match="crosses bidegrees"):
+        gram_from_entries([["a", "b", "1"]], BigradedSpace(
+            [("a", Bidegree(0, 0)), ("b", Bidegree(1, 0))]))
     # the form is symmetric, so (b, a) repeats the entry (a, b)
-    with pytest.raises(ValueError, match="given twice"):
-        InnerProduct.from_entries(space, [("a", "b", F(1, 2)),
-                                          ("b", "a", F(1, 3))])
+    with pytest.raises(ValueError, match="repeats the entry"):
+        gram_from_entries([["a", "b", "1/2"], ["b", "a", "1/3"]], space)
 
 
 def test_pi_iota_identity_via_independent_block_computation():
@@ -150,20 +150,21 @@ def test_pi_iota_identity_via_independent_block_computation():
         pi_block, _, htgt = dense_block(td.pi, deg)
         assert hsrc == htgt
         prod = mat_mul(pi_block, iota_block)
-        assert prod == linalg.identity(len(hsrc))
+        assert prod == identity(len(hsrc))
         # iota columns must be linearly independent in the big space
         assert rank(iota_block) == len(hsrc)
 
 
 def test_d_and_delta_become_blocks_once_per_algebra(monkeypatch):
     m = build_torus_model(1, 1)
-    converted, to_blocks = [], GradedMap.to_blocks
-    monkeypatch.setattr(GradedMap, "to_blocks",
-                        lambda f: converted.append(f) or to_blocks(f))
+    converted, blocks = [], bv._blocks
+    monkeypatch.setattr(bv, "_blocks",
+                        lambda space, t: converted.append(t) or blocks(space, t))
     a = m.algebra
     a = BVAlgebra(a.space, a.d, a.delta, a.product, a.unit)
     td, reports = check_transfer_input(a, m.inner_product)
     assert all(r.passed for r in reports)
-    # the axiom check, the Hodge build and both side checks share them
-    assert len(converted) == 2
-    assert converted[0] is a.d and converted[1] is a.delta
+    # the axiom check, the Hodge build and both side checks share them,
+    # and none reads a Fraction view of the algebra
+    assert converted == [a.tables.d, a.tables.delta]
+    assert not {"d", "delta", "product", "brackets"} & set(vars(a))

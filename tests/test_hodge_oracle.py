@@ -4,9 +4,12 @@ conditions, the three of ``check_bv_axioms`` and the trivialization
 composites) against the references in ``hodge_oracle.py``: every value,
 verdict and witness must be the same."""
 
+import importlib.util
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +17,13 @@ import bv_oracle
 import hodge_oracle
 from bvhy import linalg
 from bvhy.bv import BVAlgebra, check_bv_axioms
-from bvhy.elements import nonzero_entries
-from bvhy.graded import Bidegree, BigradedSpace, GradedMap, compose
-from bvhy.hodge import (InnerProduct, TransferData, build_transfer_data,
+from bvhy.elements import nonzero_entries, to_block
+from bvhy.graded import Bidegree, BigradedSpace, compose
+from bvhy.hodge import (TransferData, build_transfer_data,
                         check_side_conditions,
                         check_strong_trivialization_composites)
+from bvhy.rational import GradedMap, from_blocks
+from bvhy.serialize import algebra_from_json, gram_from_entries
 
 F = Fraction
 POOL = (0, 0, 0, 1, -1, 2, -3, F(1, 2), F(-2, 3), F(5, 4), F(7, 6))
@@ -50,15 +55,16 @@ def test_kernels_match_fraction_reference():
         a = _random_matrix(rng, rows, cols)
         b = _random_matrix(rng, cols, rng.randint(1, 6))
         red, pivots = hodge_oracle.rref(a)
-        ints = linalg.to_block(a)[0]
+        ints = to_block(a)[0]
         reduced, got_pivots = linalg.rref(ints, cols)
         assert got_pivots == pivots
         assert [[F(x, row[c]) for x in row] for row, c in
                 zip(reduced, pivots)] == red[:len(pivots)]
-        kernel = linalg.kernel(ints, cols)
-        assert kernel == linalg.to_block(hodge_oracle.kernel_basis(a))
+        kernel, free = linalg.kernel(ints, cols)
+        assert kernel == to_block(hodge_oracle.kernel_basis(a))
+        assert free == [c for c in range(cols) if c not in pivots]
         assert hodge_oracle.to_matrix(kernel) == hodge_oracle.kernel_basis(a)
-        product = linalg.mul(linalg.to_block(a), linalg.to_block(b))
+        product = linalg.mul(to_block(a), to_block(b))
         assert hodge_oracle.to_matrix(product) == hodge_oracle.mat_mul(a, b)
         seen["deficient"] += len(pivots) < min(rows, cols)
         seen["zero row"] += any(not any(row) for row in a)
@@ -70,10 +76,10 @@ def test_kernels_match_fraction_reference():
         except ValueError:
             seen["singular"] += 1
             with pytest.raises(ValueError):
-                linalg.solve(linalg.to_block(square), linalg.scalar(rows, 1))
+                linalg.solve(to_block(square), linalg.scalar(rows, 1))
         else:
             seen["inverse"] += 1
-            solved = linalg.solve(linalg.to_block(square), linalg.to_block(rhs))
+            solved = linalg.solve(to_block(square), to_block(rhs))
             assert hodge_oracle.to_matrix(solved) == \
                 hodge_oracle.mat_mul(expected, rhs)
     assert all(count >= 20 for count in seen.values()), seen
@@ -93,8 +99,8 @@ def test_compose_matches_fraction_reference():
                 for src in names:
                     for tgt in by_deg.get(deg + Bidegree(0, 1), []):
                         m.set_entry(src, tgt, F(rng.choice(POOL)))
-        fb, gb = f.to_blocks(), g.to_blocks()
-        comp = GradedMap.from_blocks(*compose(fb, gb))
+        fb, gb = hodge_oracle.to_blocks(f), hodge_oracle.to_blocks(g)
+        comp = from_blocks(compose(fb, gb))
         assert comp.entries == hodge_oracle.compose(f, g).entries
         nonzero += bool(nonzero_entries(comp))
         # a block of g that lands where f has none: the product is zero
@@ -112,7 +118,7 @@ def _green_kinds(td, space):
     invert: kernel empty (L invertible, P = 0), full (L = 0), or proper
     with a non-integer or an integer Green block."""
     kinds = Counter()
-    blocks = td.green.to_blocks().blocks
+    blocks = hodge_oracle.to_blocks(td.green).blocks
     for deg in space.occupied_bidegrees():
         n, k = len(space.names_at(deg)), len(td.cohomology.names_at(deg))
         rows, den = blocks.get(deg, ([], 1))
@@ -137,6 +143,11 @@ def test_transfer_data_matches_reference_on_builtin_models(models):
     # every kind of Green block the elimination can meet was compared
     for kind in ("empty kernel", "full kernel", "proper kernel, non-integer G"):
         assert kinds[kind] >= 1, kinds
+
+
+def _gram(space, entries):
+    """The Gram form with the ``(x, y, Fraction)`` entries."""
+    return gram_from_entries([[x, y, str(v)] for x, y, v in entries], space)
 
 
 def _two_term_complex(rng, n):
@@ -166,7 +177,7 @@ def _two_term_complex(rng, n):
             entries.append((x, x, F(rng.randint(2, 4))))
             if i + 1 < n:
                 entries.append((x, names[i + 1], off))
-    return algebra, InnerProduct.from_entries(space, entries)
+    return algebra, _gram(space, entries)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -225,7 +236,7 @@ def _complex(rng, sizes, ranks):
             if j + 1 < len(term):
                 entries.append((x, term[j + 1], F(rng.choice((1, -1)),
                                                    rng.choice((1, 2)))))
-    return algebra, InnerProduct.from_entries(space, entries)
+    return algebra, _gram(space, entries)
 
 
 @pytest.mark.parametrize("sizes,ranks", [
@@ -264,6 +275,49 @@ def test_transfer_data_matches_reference_on_bracket_models(name):
         hodge_oracle.build_transfer_data(algebra))
 
 
+def _generator():
+    """The benchmark's document generator, ``perfbench/gen.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = sys.modules["perfbench_gen"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["complex19x1", "complex19x2",
+                                  "complex20x3"])
+def test_transfer_data_matches_reference_on_the_validate_hodge_family(name):
+    # pi is read off id - d h - h d; the reference solves (K S K^T) pi = K S
+    # in Fractions (the built-in and bracket models are compared above).
+    # One document of each block count, about a second each.
+    doc = next(d for d in _generator().generate("validate-hodge", 0)
+               if d.name == name)
+    algebra, ip = algebra_from_json(doc.algebra)
+    td = build_transfer_data(algebra, ip)
+    assert _td_values(td) == _td_values(
+        hodge_oracle.build_transfer_data(algebra, ip))
+    assert any(v.denominator > 1 for _s, _t, v in nonzero_entries(td.pi))
+
+
+def test_every_entry_of_h_perturbed_after_the_build_fails_a_side_condition():
+    # the check composes d h + h d from td.blocks when it runs, so a change
+    # to h after the build cannot hide behind anything the build kept
+    algebra, ip = _two_term_complex(random.Random(4), 6)
+    td = build_transfer_data(algebra, ip)
+    assert check_side_conditions(td, algebra).passed
+    caught = Counter()
+    for rows, _den in td.blocks[2].blocks.values():
+        for row in rows:
+            for j in range(len(row)):
+                row[j] += 1
+                report = check_side_conditions(td, algebra)
+                row[j] -= 1
+                assert not report.passed
+                caught.update(item.name for item in report.failures())
+    assert caught["d h + h d = id - iota pi"] == 36, caught
+    assert check_side_conditions(td, algebra).passed
+
+
 def _nudged(m, src, tgt, by):
     """``m`` with its ``(src, tgt)`` entry moved by ``by``."""
     out = GradedMap(m.source, m.target, m.shift,
@@ -275,7 +329,7 @@ def _nudged(m, src, tgt, by):
 def _with_maps(td, **maps):
     """``td`` with the maps named in ``maps`` (iota, pi or h) replaced."""
     return TransferData(td.cohomology, *(
-        maps[k].to_blocks() if k in maps else blocks
+        hodge_oracle.to_blocks(maps[k]) if k in maps else blocks
         for k, blocks in zip(("iota", "pi", "h"), td.blocks)), td.ip)
 
 
@@ -358,6 +412,6 @@ def test_bv_and_trivialization_items_match_reference(models, item, model,
             passed, witness = got[item]
             if not passed:
                 # the residual is not an integer map
-                assert any(v.denominator > 1 for _s, _t, v in witness)
+                assert any("/" in v for _s, _t, v in witness)
                 return
     pytest.fail(f"no nudge of {which} breaks {item}")

@@ -131,7 +131,10 @@ def test_validate_and_transfer_load_only_what_they_run(tmp_path):
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]
     algebra = tmp_path / "algebra.json"
     algebra.write_text(example)
-    argvs = [["validate", str(algebra)],
+    with_gram = tmp_path / "gram.json"
+    with_gram.write_text(json.dumps(dict(json.loads(example), gram=[
+        ["x", "x", "2"], ["e", "x", "1/2"]])))
+    argvs = [["validate", str(algebra)], ["validate", str(with_gram)],
              ["transfer", str(algebra), "--max-arity", "3",
               "--out", str(tmp_path / "table.json")]]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -139,12 +142,15 @@ def test_validate_and_transfer_load_only_what_they_run(tmp_path):
                            json.dumps(argvs)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    after_validate, after_transfer = map(set, json.loads(
+    _, after_validate, after_transfer = map(set, json.loads(
         proc.stdout.splitlines()[-1]))
     assert {"bvhy.serialize", "bvhy.hodge"} <= after_validate
+    # validate runs on integers: no Fraction view, and no fractions module
+    # with the decimal and numbers modules it imports
     assert after_validate & {"bvhy.engine", "bvhy.trees", "bvhy.certify",
-                             "bvhy.models", "bvhy.elements",
-                             "dataclasses"} == set()
+                             "bvhy.models", "bvhy.elements", "bvhy.rational",
+                             "dataclasses", "fractions", "decimal",
+                             "numbers"} == set()
     assert "bvhy.engine" in after_transfer
     # transfer needs only engine.splits of the tree code; argparse, and
     # hashlib with OpenSSL behind it, are start-up the commands can skip;
