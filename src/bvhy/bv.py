@@ -4,12 +4,16 @@ A ``BVAlgebra`` bundles a bigraded space, a differential of shift (0,1),
 an odd operator ``delta`` of shift (-1,0), a graded-commutative product
 given by structure constants, and a unit at bidegree (0,0).
 
-The bracket is not an input: it is derived from ``delta`` and the product as
+The bracket is not an input.  For a map ``A`` of parity ``p``, the
+derivation defect on basis elements is
 
-    [x, y] = delta(x y) - delta(x) y - (-1)^|x| x delta(y)
+    D_A(y, z) = A(y z) - A(y) z - (-1)^(p|y|) y A(z),
 
-so that the order-2 compatibility checked in ``check_bv_axioms`` is
-automatically the right one.
+and the bracket is that of ``delta``: ``[y, z] = D_delta(y, z)``.  So the
+derivation rule for ``d`` says ``D_d = 0``, and ``delta`` has order <= 2
+when every ``ad_x = [x, -]`` is a derivation of parity ``|x| + 1``,
+``D_ad_x = 0``, which is bracket Leibniz (Getzler, CMP 1994).  One scan,
+``_defects``, computes all three.
 
 The algebra holds ``d``, ``delta``, the product and the bracket (its
 nonzero values on basis pairs) as ``Table``s: structure constants keyed by
@@ -32,8 +36,9 @@ are the ints 1 and -1.
 The trilinear checks visit only the tuples reached by one support index,
 built with the algebra: ``partners[u]``, the ``v`` with ``(u, v)`` a
 product key, in key order (keys are closed under swapping, so it is the
-left index too), the ``d`` and ``delta`` columns, and the bracket table.
-Any other tuple satisfies the identity under test as 0 = 0.
+left index too), the ``d`` and ``delta`` columns, and the bracket table;
+and, made on first use, the product keys by target.  Any other tuple
+satisfies the identity under test as 0 = 0.
 
 Every witness is named in basis-index order, so it is a property of the
 algebra, not of a document's row order or name spelling.  Each trilinear
@@ -74,7 +79,7 @@ class Table(NamedTuple):
 
 class Tables(NamedTuple):
     """The algebra's tables; the bracket table holds the nonzero brackets
-    of basis pairs."""
+    of basis pairs, in basis-index order."""
     d: Table
     delta: Table
     product: Table
@@ -119,8 +124,12 @@ class BVAlgebra:
         self.partners: Dict[int, List[int]] = {}
         for (u, v) in cols:
             self.partners.setdefault(u, []).append(v)
-        self.tables = Tables(d, delta, product,
-                             _bracket_table(self, product, delta))
+        # the bracket is how far delta is from a derivation, filled in
+        # basis-index order
+        self.tables = Tables(d, delta, product, Table(
+            {}, product.den * delta.den, delta.shift))
+        self.tables.brackets.cols.update(
+            ((y, z), D) for y, z, D in _defects(self, delta.cols, 1))
         # d and delta as the checks compose them, made once per algebra
         self.blocks: Tuple[BlockMap, BlockMap] = (_blocks(space, d),
                                                   _blocks(space, delta))
@@ -128,6 +137,16 @@ class BVAlgebra:
     # the Fraction views of the tables, keyed by names, made when first read
     d, delta, product, brackets = (cached_property(
         lambda a, k=k: rational().algebra_view(a, k)) for k in Tables._fields)
+
+    @cached_property
+    def _keys_by_target(self) -> Dict[int, List[Tuple[int, int]]]:
+        """The product keys by each target of their columns, made when
+        ``_defects`` first scans a map with a column."""
+        out: Dict[int, List[Tuple[int, int]]] = {}
+        for key, col in self.tables.product.cols.items():
+            for t in col:
+                out.setdefault(t, []).append(key)
+        return out
 
 
 def _blocks(space: BigradedSpace, t: Table) -> BlockMap:
@@ -187,45 +206,40 @@ def _nonzero(vec: Dict) -> Dict:
     return {n: v for n, v in vec.items() if v != 0}
 
 
-def _reached(a: BVAlgebra, cols: Dict) -> List[Tuple[int, int]]:
-    """``(x, v)`` for ``x`` a column of ``cols``, ``s`` in its support and
-    ``v`` in ``partners[s]``."""
-    return [(x, v) for x, col in cols.items() for s in col
-            for v in a.partners.get(s, ())]
+def _defects(a: BVAlgebra, cols: Dict, p: int, commutative: bool = False):
+    """``(y, z, D)`` in basis-index order for each pair of basis elements
+    with ``D = A(yz) - A(y) z - (-1)^(p|y|) y A(z)`` nonzero, where ``A`` is
+    the map of parity ``p`` with columns ``cols``: the bracket ``[y, z]``
+    for ``delta``, the failure of the derivation rule for ``d`` or for
+    ``ad_x = [x, -]``.
 
-
-def _defect(a: BVAlgebra, product: Dict, cols: Dict, x: int, y: int) -> Dict:
-    """``A(xy) - A(x) y - (-1)^|x| x A(y)`` on basis elements, for the map
-    ``A`` with columns ``cols`` and the product columns ``product``: the
-    bracket ``[x, y]`` when ``A`` is ``delta``, and the failure of the
-    derivation rule when ``A`` is ``d``."""
-    acc = _apply(cols, product.get((x, y), {}))
-    _add_into(acc, _right(product, cols.get(x, {}), y), -1)
-    _add_into(acc, _left(product, x, cols.get(y, {})),
-              1 if a.parity[x] else -1)
-    return acc
-
-
-def _bracket_table(a: BVAlgebra, product: Table, delta: Table) -> Table:
-    """Nonzero brackets of basis pairs.
-
-    Only pairs where a term of the three-term formula can be nonzero are
-    computed: product keys whose column ``delta`` hits, and both orders
-    of the pairs ``_reached`` from ``delta``.  With ``delta = 0`` there
-    are none, and no product key is read.
+    Only pairs where a term can be nonzero are visited: the product keys
+    whose column ``A`` hits, and both orders of ``(w, v)`` for ``w`` a
+    column of ``A``, ``s`` in ``A(w)`` and ``v`` in ``partners[s]``.  With
+    ``commutative``, only those with ``y <= z``.
     """
-    prod, cols = product.cols, delta.cols
-    out: Dict = {}
-    if cols:
-        pairs = dict.fromkeys(key for key, col in prod.items()
-                              if any(cols.get(t) for t in col))
-        for (x, w) in _reached(a, cols):
-            pairs[(x, w)] = pairs[(w, x)] = None
-        for (x, w) in pairs:
-            acc = _nonzero(_defect(a, prod, cols, x, w))
-            if acc:
-                out[(x, w)] = acc
-    return Table(out, product.den * delta.den, delta.shift)
+    if not cols:
+        return
+    product, partners, par = a.tables.product.cols, a.partners, a.parity
+    by_target = a._keys_by_target
+    pairs = {key for t in cols for key in by_target.get(t, ())}
+    for w, col in cols.items():
+        for s in col:
+            for v in partners.get(s, ()):
+                pairs.add((w, v))
+                pairs.add((v, w))
+    if commutative:
+        pairs = [(y, z) for y, z in pairs if y <= z]
+    for y, z in sorted(pairs):
+        acc = _apply(cols, product.get((y, z), {}))
+        if y in cols:
+            _add_into(acc, _right(product, cols[y], z), -1)
+        if z in cols:
+            _add_into(acc, _left(product, y, cols[z]),
+                      1 if p * par[y] % 2 else -1)
+        acc = _nonzero(acc)
+        if acc:
+            yield y, z, acc
 
 
 def check_bv_axioms(a: BVAlgebra) -> CheckReport:
@@ -245,10 +259,12 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     - associativity: ``(x, y, z)`` by the indices of ``(y, x, z)``; that
       is, the middle element ``y`` in basis order, and for each the
       failing ``(x, z)`` with the least indices;
-    - derivation: the product keys and both orders of each pair
-      ``_reached`` from ``d``, by the indices of ``(x, y)``;
-    - order two: the triples where ``[x, yz]``, ``[x, y] z`` or ``y [x,
-      z]`` can be nonzero, by the indices of ``(x, y, z)``.
+    - derivation: the first pair ``(x, y)`` by index with ``D_d(x, y)
+      != 0``;
+    - order two: ``[x, yz] = [x, y] z + (-1)^((|x|+1)|y|) y [x, z]``, the
+      derivation rule for ``ad_x``: for ``x`` in index order, the first
+      pair ``(y, z)`` with ``D_ad_x(y, z) != 0``, so by the indices of
+      ``(x, y, z)``.  With no nonzero bracket there is no ``ad_x`` to scan.
 
     Once graded commutativity has passed, each scan keeps one tuple per
     symmetry orbit: associativity only ``z >= max(x, y)`` by index, and,
@@ -293,10 +309,19 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
 
     report.add("associativity", *_check_associativity(
         a, keys, unit_law, commutative))
-    report.add("d is a derivation of the product", *_check_derivation(
-        a, tables.d.cols, commutative))
-    report.add("delta has order <= 2 (bracket Leibniz)", *_check_order_two(
-        a, commutative))
+    bad = next(_defects(a, tables.d.cols, 1, commutative), None)
+    report.add("d is a derivation of the product", bad is None,
+               bad and (names[bad[0]], names[bad[1]]))
+
+    # order two: each ad_x = [x, -] is a derivation of parity |x| + 1
+    ad: Dict[int, Dict] = {}
+    for (x, w), col in tables.brackets.cols.items():
+        ad.setdefault(x, {})[w] = col
+    witness = next(((names[x], names[y], names[z]) for x in sorted(ad)
+                    for y, z, _D in _defects(a, ad[x], par[x] + 1,
+                                             commutative)), None)
+    report.add("delta has order <= 2 (bracket Leibniz)", witness is None,
+               witness)
     return report
 
 
@@ -344,60 +369,5 @@ def _check_associativity(a: BVAlgebra, keys: List, unit_law: bool,
         bad = [(x, z) for (x, z, _t), v in acc.items() if v]
         if bad:
             x, z = min(bad)
-            return False, (names[x], names[y], names[z])
-    return True, None
-
-
-def _check_derivation(a: BVAlgebra, cols: Dict, commutative: bool):
-    """``(passed, witness)`` of the derivation rule for ``d``, whose
-    columns are ``cols``."""
-    product = a.tables.product.cols
-    pairs = set(product)
-    for (x, v) in _reached(a, cols):
-        pairs.update(((x, v), (v, x)))
-    if commutative:
-        pairs = {(x, y) for (x, y) in pairs if x <= y}
-    for (x, y) in sorted(pairs):
-        if any(_defect(a, product, cols, x, y).values()):
-            return False, (a.space.names[x], a.space.names[y])
-    return True, None
-
-
-def _check_order_two(a: BVAlgebra, commutative: bool):
-    """Leibniz rule for the derived bracket:
-
-        [x, yz] = [x,y] z + (-1)^((|x|+1)|y|) y [x,z]
-
-    equivalent to the seven-term order-2 identity given commutativity.
-    The live triples come from joining the bracket table with the
-    product, so with no nonzero bracket there are none.
-    """
-    product, brackets = a.tables.product.cols, a.tables.brackets.cols
-    if not brackets:
-        return True, None
-    partners = a.partners
-    bracketed: Dict[int, List[int]] = {}
-    for (x, w) in brackets:
-        bracketed.setdefault(w, []).append(x)
-    live = set()
-    for (y, z), col in product.items():
-        for w in col:
-            for x in bracketed.get(w, ()):
-                live.add((x, y, z))
-    for (x, y), col in brackets.items():
-        for u in col:
-            for z in partners.get(u, ()):
-                live.update(((x, y, z), (x, z, y)))
-    if commutative:
-        live = {t for t in live if t[1] <= t[2]}
-
-    par = a.parity
-    for (x, y, z) in sorted(live):
-        acc = _left(brackets, x, product.get((y, z), {}))
-        _add_into(acc, _right(product, brackets.get((x, y), {}), z), -1)
-        _add_into(acc, _left(product, y, brackets.get((x, z), {})),
-                  1 if (par[x] + 1) * par[y] % 2 else -1)
-        if any(acc.values()):
-            names = a.space.names
             return False, (names[x], names[y], names[z])
     return True, None

@@ -135,8 +135,8 @@ def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree,
                  read) -> Table:
     """The map under ``key`` as a ``bv.Table``.  Its nonzero entries are
     kept in row order by source, the source in order of its first nonzero
-    row; the first one off ``shift`` in that order is the error."""
-    index, names, deg = space.index, space.names, space.bidegree
+    row; a nonzero entry off ``shift`` is an error at its row."""
+    index, deg = space.index, space.bidegree
     cols: Dict[int, Dict[int, Tuple[int, int]]] = {}
     seen: set = set()
     for i, row in enumerate(_rows(doc, key)):
@@ -149,12 +149,10 @@ def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree,
         val = read(val, loc)
         _require_new(seen, (src, tgt), loc)
         if val[0]:
+            if deg[tgt] != deg[src] + shift:
+                raise SchemaError(f"entry {src!r} -> {tgt!r} violates the "
+                                  f"shift {tuple(shift)}", loc)
             cols.setdefault(index[src], {})[index[tgt]] = val
-    for s, col in cols.items():
-        for t in col:
-            if deg[names[t]] != deg[names[s]] + shift:
-                raise SchemaError(f"entry {names[s]!r} -> {names[t]!r} "
-                                  f"violates the shift {tuple(shift)}", key)
     return to_table(cols, shift)
 
 
@@ -181,6 +179,8 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
     unit = doc.get("unit")
     _require(isinstance(unit, str) and unit in space.bidegree,
              f"unit {unit!r} is not a basis element", "unit")
+    _require(space.bidegree[unit] == Bidegree(0, 0),
+             "unit must sit at bidegree (0,0)", "unit")
 
     read = _scalar_reader()
     d = _map_entries(doc, "d", space, Bidegree(0, 1), read)
@@ -214,11 +214,7 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
                               f"earlier row", loc)
         col[t] = val
 
-    try:
-        algebra = BVAlgebra(space, d, delta, to_table(product), unit)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "algebra") from None
-
+    algebra = BVAlgebra(space, d, delta, to_table(product), unit)
     gram = None
     if "gram" in doc:
         gram = gram_from_entries(doc["gram"], space)
@@ -232,7 +228,6 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
     read, deg = _scalar_reader(), space.bidegree
     cells: Dict[Bidegree, list] = {}
     seen: set = set()
-    crossing = None
     for i, row in enumerate(raw):
         loc = f"gram[{i}]"
         _require(isinstance(row, list) and len(row) == 3,
@@ -244,9 +239,8 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
         # the form is symmetric, so [x, y] and [y, x] set the same entry
         _require_new(seen, (x, y) if x <= y else (y, x), loc)
         if deg[x] != deg[y]:
-            crossing = crossing or f"gram entry ({x},{y}) crosses bidegrees"
+            raise SchemaError(f"gram entry ({x},{y}) crosses bidegrees", loc)
         cells.setdefault(deg[x], []).append((x, y, val))
-    _require(not crossing, crossing, "gram")
     blocks = {}
     for at, rows in cells.items():
         names = space.names_at(at)

@@ -405,6 +405,12 @@ def _zero_product_reaches_a_failure(a):
                for x, y, z in itertools.product(e, repeat=3))
 
 
+def _zero_product_at(a, witness):
+    """Whether the basis elements of ``witness`` multiply to 0."""
+    x, y = (a.space.basis_element(n) for n in witness)
+    return not multiply(a, x, y).coeffs
+
+
 def test_reduced_scans_keep_the_reference_verdicts_and_witnesses():
     failed = {check: [] for check in _CHECKS}
     for label, a in _SWEEP:
@@ -414,11 +420,30 @@ def test_reduced_scans_keep_the_reference_verdicts_and_witnesses():
             item = _item(report, name)
             assert (item.passed, item.witness) == reference(a), (label, check)
             if not item.passed:
-                failed[check].append(a)
+                failed[check].append((a, item.witness))
     assert all(len(fails) >= 10 for fails in failed.values()), \
         {check: len(fails) for check, fails in failed.items()}
     assert any(_zero_product_reaches_a_failure(a)
-               for a in failed["associativity"])
+               for a, _witness in failed["associativity"])
+    # the derivation scan reaches pairs that are not product keys
+    assert any(_zero_product_at(a, witness)
+               for a, witness in failed["derivation"])
+
+
+def test_bracket_table_matches_the_three_term_formula():
+    # every basis pair, on the sweep models with a nonzero bracket and on
+    # cy3_model(): the table holds exactly the nonzero brackets
+    models = [(label, a) for label, a in _SWEEP if a.brackets]
+    models.append(("cy3", bv_oracle.cy3_model()))
+    assert len(models) >= 40
+    nonzero = 0
+    for label, a in models:
+        e = {n: a.space.basis_element(n) for n in a.space.names}
+        for x, y in itertools.product(e, repeat=2):
+            want = bv_oracle._bracket(a, e[x], e[y]).coeffs
+            assert a.brackets.get((x, y), {}) == want, (label, x, y)
+            nonzero += bool(want)
+    assert nonzero >= 1000
 
 
 # the tuples each scan keeps once graded commutativity has passed, by index

@@ -319,3 +319,48 @@ def _relabel(t, f):
         return leaf(f(t.label))
     return DecoratedTree(t.kind, children=tuple(_relabel(c, f)
                                                 for c in t.children))
+
+
+def _strict_asymmetries(table):
+    """``(key, i)`` for each key of a strict ``(k, k-2)`` table whose value
+    with arguments ``i`` and ``i + 1`` swapped is not ``(-1)^(|a_i||a_i+1|)``
+    times its own, total degrees counted on cohomology.  Hypercommutative
+    operations are graded-symmetric (Getzler, 1995), and adjacent
+    transpositions generate the symmetric group."""
+    H = table.td.cohomology
+    odd = {n: sum(H.bidegree[n]) % 2 for n in H.names}
+    bad = []
+    for (k, l), constants in table.ops.items():
+        if l != k - 2:
+            continue
+        for key, col in constants.items():
+            for i in range(k - 1):
+                swapped = key[:i] + (key[i + 1], key[i]) + key[i + 2:]
+                sign = -1 if odd[key[i]] and odd[key[i + 1]] else 1
+                if constants.get(swapped, {}) != {t: sign * v
+                                                  for t, v in col.items()}:
+                    bad.append((key, i))
+    return bad
+
+
+def test_builtin_strict_tables_are_graded_symmetric(tables):
+    for name, table in tables.items():
+        assert (2, 0) in table.ops
+        assert not _strict_asymmetries(table), name
+
+
+_ODD_Z = pytest.mark.xfail(strict=True, reason=(
+    "with z odd the strict (3,1) table misses (z,x,y) and (z,y,x): the "
+    "right-vertex sign rule, ROADMAP.md open item 1"))
+
+
+@pytest.mark.parametrize("z", [(1, 1), (2, 0), (0, 2),
+                               pytest.param((0, 1), marks=_ODD_Z),
+                               pytest.param((1, 0), marks=_ODD_Z), "cy3"])
+def test_bracket_model_strict_tables_are_graded_symmetric(z):
+    a = cy3_model() if z == "cy3" else bracket_model(z)
+    td, reports = check_transfer_input(a)
+    assert all(r.passed for r in reports)
+    table = build_operation_table(a, td, 5)
+    assert table.ops[(3, 1)]
+    assert not _strict_asymmetries(table)

@@ -106,6 +106,34 @@ def test_schema_errors_carry_locations(mutate, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("mutate,location", [
+    # x -> y keeps d's shift; e -> x does not
+    (lambda d: d["d"].extend([["e", "x", "1"], ["x", "nope", "1"]]), "d[1]"),
+    (lambda d: d["delta"].extend([["e", "e", "0"], ["x", "y", "2"]]),
+     "delta[1]"),
+    (lambda d: d.update(gram=[["x", "x", "2"], ["x", "y", "1"], ["e"]]),
+     "gram[1]"),
+    (lambda d: d.update(unit="y"), "unit"),
+], ids=["d", "delta", "gram", "unit"])
+def test_schema_errors_name_their_row(mutate, location):
+    # each error is raised at the row that makes it, before any later row
+    # is read, even a malformed one
+    doc = _minimal_doc()
+    mutate(doc)
+    with pytest.raises(SchemaError) as err:
+        serialize.algebra_from_json(doc)
+    assert err.value.location == location
+
+
+def test_zero_entries_off_the_shift_are_accepted():
+    doc = _minimal_doc()
+    doc["d"].append(["e", "x", "0"])
+    doc["delta"].append(["x", "y", "0/5"])
+    algebra, _ = serialize.algebra_from_json(doc)
+    assert algebra.d.entries == {"x": {"y": F(1)}}
+    assert not algebra.delta.entries
+
+
 def test_repeated_scalar_texts_keep_values_and_error_locations():
     doc = _minimal_doc()
     doc["product"][1][3] = 1          # a JSON number with the text "1"
