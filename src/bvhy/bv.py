@@ -23,7 +23,9 @@ missing mirror entries filled in by graded commutativity.
 them; ``BVAlgebra(space, d, delta, product, unit)`` with ``GradedMap``s
 and a ``{(x, y): {t: Fraction}}`` product converts them.  The
 ``Fraction`` views ``d``, ``delta``, ``product`` and ``brackets``, keyed by
-names, are made on first read (``graded.rational``); the checks read none.
+names, are made on first read (``graded.rational``); neither the checks
+nor the engine read any.  ``columns`` reads a ``BlockMap`` into a ``Table``,
+as the engine reads the transfer data.
 
 Each identity the checks compare is homogeneous in the tables
 (commutativity of degree 1 in the product, associativity of degree 2 on
@@ -163,6 +165,22 @@ def _blocks(space: BigradedSpace, t: Table) -> BlockMap:
     return BlockMap(space, space, t.shift, blocks)
 
 
+def columns(m: BlockMap) -> Table:
+    """The map ``m`` as a ``Table`` over the lcm of its blocks'
+    denominators: its nonzero columns by source index, block by block, the
+    targets of each in index order."""
+    den = lcm(*(q for _rows, q in m.blocks.values()))
+    source, target, cols = m.source, m.target, {}
+    for deg, (rows, q) in m.blocks.items():
+        scale = den // q
+        targets = [target.index[n] for n in target.names_at(deg + m.shift)]
+        for s, col in zip(source.names_at(deg), zip(*rows)):
+            if any(col):
+                cols[source.index[s]] = {t: x * scale
+                                         for t, x in zip(targets, col) if x}
+    return Table(cols, den, m.shift)
+
+
 def _add_into(acc: Dict, vec: Dict, c=1) -> None:
     if c != 1:
         vec = {n: c * v for n, v in vec.items()}
@@ -173,8 +191,7 @@ def _add_into(acc: Dict, vec: Dict, c=1) -> None:
 def _left(table: Dict, x, vec: Dict) -> Dict:
     """``table`` on the basis element ``x`` and a vector; ``_right`` on a
     vector and the basis element ``z``.  Keys and values are those of
-    ``table``: indices and ints here, names and ``Fraction``s in the
-    engine."""
+    ``table``: indices and ints, here and in the engine."""
     acc: Dict = {}
     for w, c in vec.items():
         col = table.get((x, w))

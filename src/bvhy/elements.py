@@ -2,8 +2,7 @@
 ``Fraction`` inputs of an algebra.
 
 ``validate`` and ``transfer`` never load this module: they work on integer
-tables and blocks, and ``transfer`` on the ``Fraction`` views of
-``bvhy.rational`` too.  ``Element`` arithmetic serves
+tables and blocks only.  ``Element`` arithmetic serves
 ``engine.naive_evaluate_tree``, with which ``search`` re-checks its
 witness, and the tests' oracles.  ``fraction_tables`` converts the
 ``GradedMap``s and product table that ``BVAlgebra`` is given by the model

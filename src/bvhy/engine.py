@@ -5,11 +5,19 @@ internal edges with ``h``, vertices with the algebra's product, bracket or
 delta, and the root with ``pi``.  Koszul signs arise when the odd operator
 ``h`` passes over the already-assembled value of a left sibling.
 
-Values are plain ``{name: Fraction}`` dicts combined with the helpers of
-``bv``, in tables keyed by tuples of harmonic basis names in increasing
-leaf-label order.  Applying a map drops zero values, so on strongly
-trivialized models the tables collapse early; ``h`` is applied once per
-table.
+The engine runs on integers.  It reads the algebra's product and bracket
+(``a.tables``) and ``iota``, ``pi`` and ``h`` (``td.tables``) as
+``bv.Table``s: columns keyed by basis index, integers over one
+denominator per map.  Values are ``{index: int}`` dicts combined with the
+helpers of ``bv``, in tables keyed by tuples of harmonic basis indices in
+increasing leaf-label order.  Every tree with m leaves and l brackets has
+the same numbers of each kind of vertex and edge, so all the values of
+one tree sum share one denominator, known in advance: numerators are
+multiplied as plain ints, with no gcd per operation, and reduced only
+when written (``serialize.table_to_json``) or viewed as ``Fraction``s
+(``OperationTable.ops``), so ``transfer`` loads no ``fractions``.
+Applying a map drops zero values, so on strongly trivialized models the
+tables collapse early; ``h`` is applied once per table.
 ``splits`` is the one split rule: the root of a tree on a sorted label
 set splits it into a left part holding the smallest label and a nonempty
 right part.  It lives here, where it runs in production, so ``transfer``
@@ -28,15 +36,14 @@ the oracle for the tables.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, \
     Tuple
 
 from .bv import BVAlgebra, _add_into, _apply, _left, _nonzero
-from .graded import Bidegree
+from .graded import Bidegree, rational
 from .hodge import TransferData
-from .rational import Vector
 from .reporting import CheckReport
 
 if TYPE_CHECKING:
@@ -44,8 +51,8 @@ if TYPE_CHECKING:
     from .trees import DecoratedTree
 
 Labels = Tuple[int, ...]
-Constants = Dict[Tuple[str, ...], Vector]
-Items = List[Tuple[Tuple[str, ...], Vector]]
+Constants = Dict[Tuple[int, ...], Dict[int, int]]
+Items = List[Tuple[Tuple[int, ...], Dict[int, int]]]
 
 
 def splits(labels: Labels) -> Iterator[Tuple[Labels, Labels]]:
@@ -58,30 +65,26 @@ def splits(labels: Labels) -> Iterator[Tuple[Labels, Labels]]:
             yield (first, *others), tuple(x for x in rest if x not in others)
 
 
-def _leaves(td: TransferData) -> Constants:
-    return {(n,): c for n in td.cohomology.names if (c := td.iota.entries.get(n))}
-
-
-def _through(cols: Dict[str, Vector], items) -> Items:
+def _through(cols: Dict, items) -> Items:
     """Nonzero images of ``(key, value)`` items under the map ``cols``."""
     return [(k, w) for k, v in items if (w := _nonzero(_apply(cols, v)))]
 
 
-def _products(a: BVAlgebra, kind: str, left: Items, right: Items,
+def _products(a: BVAlgebra, table: Dict, left: Items, right: Items,
               right_vertex: bool) -> Items:
-    """The vertex ``kind`` on every pair of child values (each after ``h``
-    if the child is a vertex), as nonzero ``(left key + right key, value)``
-    pairs, left-major.  A right vertex child's ``h`` is odd, so it picks
-    up a Koszul sign passing over the left value."""
-    table = a.product if kind == "mul" else a.brackets
+    """The vertex with columns ``table`` (the product's or the bracket's)
+    on every pair of child values (each after ``h`` if the child is a
+    vertex), as nonzero ``(left key + right key, value)`` pairs,
+    left-major.  A right vertex child's ``h`` is odd, so it picks up a
+    Koszul sign passing over the left value."""
     if not table:
         return []
     out: Items = []
     for kl, vl in left:
-        if right_vertex and a.space.bidegree[next(iter(vl))].total % 2:
+        if right_vertex and a.parity[next(iter(vl))]:
             vl = {n: -c for n, c in vl.items()}
         for kr, vr in right:
-            acc: Vector = {}
+            acc: Dict[int, int] = {}
             for n, c in vl.items():
                 _add_into(acc, _left(table, n, vr), c)
             if w := _nonzero(acc):
@@ -127,21 +130,26 @@ def naive_evaluate_tree(t: DecoratedTree, a: BVAlgebra, td: TransferData,
 
 
 class OperationTable:
-    """Transferred operations on cohomology, indexed by (arity, brackets)."""
+    """Transferred operations on cohomology, indexed by (arity, brackets):
+    ``tables[(k, l)]`` is ``(constants, den)``, with ``constants[key][t] /
+    den`` the coefficient of harmonic class ``t`` in the operation on the
+    classes ``key``, all indices; only nonzero constants are kept.  ``ops``
+    is the same keyed by names, with ``Fraction`` values, made when first
+    read."""
 
-    def __init__(self, algebra: BVAlgebra, td: TransferData):
-        self.algebra = algebra
-        self.td = td
-        self.ops: Dict[Tuple[int, int], Constants] = {}
+    def __init__(self, algebra: BVAlgebra, td: TransferData,
+                 tables: Dict[Tuple[int, int], Tuple[Constants, int]]):
+        self.algebra, self.td, self.tables = algebra, td, tables
+
+    ops = cached_property(lambda table: rational().operations_view(table))
 
     def unit_class(self) -> Optional[str]:
         """Harmonic basis name whose inclusion is the algebra unit, or None
         if the unit is not harmonic (for instance, exact)."""
-        target = {self.algebra.unit: Fraction(1)}
-        for n in self.td.cohomology.names:
-            if self.td.iota.entries.get(n, {}) == target:
-                return n
-        return None
+        iota = self.td.tables[0]
+        target = {self.algebra.space.index[self.algebra.unit]: iota.den}
+        return next((n for j, n in enumerate(self.td.cohomology.names)
+                     if iota.cols.get(j) == target), None)
 
 
 def build_operation_table(a: BVAlgebra, td: TransferData,
@@ -156,29 +164,42 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
     sums on A and B are ``edges[(|A|, la)]`` and ``edges[(|B|, lb)]`` up to
     an order-preserving relabelling, so their products are computed once
     per size class ``(|A|, la, |B|, lb, kind)`` and level.
+
+    Every such tree has m ``iota`` leaves, m - 1 - l products, l brackets
+    and m - 1 ``h`` edges, so ``edges[(m, l)]`` is over ``I^m P^(m-1-l) B^l
+    H^(m-1)`` for the denominators I, P, B, H of ``iota``, the product, the
+    bracket and ``h``, and the table ``(k, l)`` over ``I^k P^(k-1-l) B^l
+    H^(k-2)`` times the denominator of ``pi``.
     """
-    edges: Dict[Tuple[int, int], Items] = {(1, 0): list(_leaves(td).items())}
-    table = OperationTable(a, td)
+    iota, pi, h = td.tables
+    kinds = (a.tables.product, a.tables.brackets)
+    edges: Dict[Tuple[int, int], Items] = {
+        (1, 0): [((j,), col) for j, col in sorted(iota.cols.items())]}
+    tables = {}
     for m in range(2, max_arity + 1):
         level: Dict[int, Constants] = {l: {} for l in range(m)}
-        products: Dict[Tuple[int, int, int, int, str], Items] = {}
+        products: Dict[Tuple[int, int, int, int, int], Items] = {}
         for A, B in splits(tuple(range(1, m + 1))):
-            for la, lb, kind in itertools.product(
-                    range(len(A)), range(len(B)), ("mul", "br")):
-                size_class = (len(A), la, len(B), lb, kind)
+            for la, lb, br in itertools.product(
+                    range(len(A)), range(len(B)), (0, 1)):
+                size_class = (len(A), la, len(B), lb, br)
                 if size_class not in products:
                     products[size_class] = _products(
-                        a, kind, edges[(len(A), la)], edges[(len(B), lb)],
-                        len(B) > 1)
-                _scatter(products[size_class], A + B,
-                         level[la + lb + (kind == "br")])
+                        a, kinds[br].cols, edges[(len(A), la)],
+                        edges[(len(B), lb)], len(B) > 1)
+                _scatter(products[size_class], A + B, level[la + lb + br])
         for l, values in level.items():
             if m < max_arity:
-                edges[(m, l)] = _through(td.h.entries, values.items())
+                edges[(m, l)] = _through(h.cols, values.items())
             if l <= m - 2:
-                table.ops[(m, l)] = dict(_through(td.pi.entries,
-                                                  values.items()))
-    return table
+                tables[(m, l)] = dict(_through(pi.cols, values.items())), \
+                    iota.den ** m * kinds[0].den ** (m - 1 - l) * \
+                    kinds[1].den ** l * h.den ** (m - 2) * pi.den
+    return OperationTable(a, td, tables)
+
+
+def _names(H, key) -> Tuple[str, ...]:
+    return tuple(H.names[i] for i in key)
 
 
 def check_formal_unit(table: OperationTable) -> CheckReport:
@@ -192,28 +213,18 @@ def check_formal_unit(table: OperationTable) -> CheckReport:
                    table.algebra.unit)
         return report
     H = table.td.cohomology
+    j = H.index[u]
 
-    witness = None
-    product = table.ops.get((2, 0), {})
-    for x in H.names:
-        for key in ((u, x), (x, u)):
-            if product.get(key, {}) != {x: Fraction(1)}:
-                witness = key
-                break
-        if witness:
-            break
+    product, den = table.tables.get((2, 0), ({}, 1))
+    witness = next((_names(H, key) for x in range(len(H.names))
+                    for key in ((j, x), (x, j))
+                    if product.get(key, {}) != {x: den}), None)
     report.add("product with unit class is the identity", witness is None, witness)
 
-    witness = None
-    for (k, l), constants in sorted(table.ops.items()):
-        if (k, l) == (2, 0):
-            continue
-        for key, col in constants.items():
-            if u in key and col:
-                witness = (k, l, key)
-                break
-        if witness:
-            break
+    witness = next(((k, l, _names(H, key)) for k, l in sorted(table.tables)
+                    if (k, l) != (2, 0)
+                    for key, col in table.tables[k, l][0].items()
+                    if j in key and col), None)
     report.add("non-product operations vanish on the unit class",
                witness is None, witness)
     return report
@@ -223,13 +234,11 @@ def top_degree_report(table: OperationTable, n: int) -> CheckReport:
     """Nonzero outputs in bidegree (n,n) may come only from the product."""
     report = CheckReport("top-degree")
     H = table.td.cohomology
-    top = Bidegree(n, n)
-    offenders = []
-    for (k, l), constants in sorted(table.ops.items()):
-        for key, col in constants.items():
-            if any(H.bidegree[name] == top and v != 0 for name, v in col.items()):
-                if (k, l) != (2, 0):
-                    offenders.append((k, l, key))
+    top = {H.index[name] for name in H.names_at(Bidegree(n, n))}
+    offenders = [(k, l, _names(H, key)) for k, l in sorted(table.tables)
+                 if (k, l) != (2, 0)
+                 for key, col in table.tables[k, l][0].items()
+                 if any(t in top and v for t, v in col.items())]
     report.add("only the product outputs in the top bidegree",
                not offenders, offenders[:5] or None)
     return report

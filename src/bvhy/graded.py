@@ -6,8 +6,8 @@ shift and every nonzero entry must connect basis elements whose bidegrees
 differ by exactly that shift.  Maps are composed and summed one way: as
 ``BlockMap``s, integer blocks per bidegree (``compose``, ``add``,
 ``scalar``).  A map with ``Fraction`` entries, the form in which the model
-builders and the tests state one and the engine reads one, is a
-``rational.GradedMap``; ``bvhy.rational`` is loaded on first use
+builders and the tests state one, is a ``rational.GradedMap``;
+``bvhy.rational`` is loaded on first use
 (``rational``), so no code here imports ``fractions``.
 """
 

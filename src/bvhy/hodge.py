@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from . import linalg
-from .bv import BVAlgebra, check_bv_axioms
+from .bv import BVAlgebra, check_bv_axioms, columns
 from .graded import (Bidegree, BigradedSpace, BlockMap, add, compose,
                      rational, scalar)
 from .reporting import CheckReport
@@ -54,15 +54,19 @@ class InnerProduct:
 
 class TransferData:
     """Harmonic cohomology H with ``blocks``, the ``BlockMap``s (iota, pi, h)
-    that the checks compose; the ``GradedMap`` views ``iota`` (H -> B), ``pi``
-    (B -> H), ``h`` (shift (0,-1)) and ``green`` are made when first read."""
+    that the checks compose.  Made when first read: ``tables``, the same
+    maps as ``bv.Table``s, which the engine reads, and the ``GradedMap``
+    views of those, ``iota`` (H -> B), ``pi`` (B -> H) and ``h`` (shift
+    (0,-1)), and ``green``."""
 
     def __init__(self, cohomology: BigradedSpace, iota: BlockMap,
                  pi: BlockMap, h: BlockMap, ip: InnerProduct):
         self.cohomology, self.blocks, self.ip = cohomology, (iota, pi, h), ip
 
-    iota, pi, h = (cached_property(
-        lambda td, i=i: rational().from_blocks(td.blocks[i])) for i in range(3))
+    tables = cached_property(lambda td: tuple(map(columns, td.blocks)))
+    iota, pi, h = (cached_property(lambda td, i=i: rational().map_view(
+        td.tables[i], td.blocks[i].source, td.blocks[i].target))
+        for i in range(3))
     green = cached_property(lambda td: rational().green(td))
 
 

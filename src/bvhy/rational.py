@@ -1,16 +1,20 @@
 """``Fraction`` views: maps and tables keyed by basis names, with exact
 ``Fraction`` values.
 
-The algebra (``bv.Table``) and the transfer data (``graded.BlockMap``)
-are held as integers over common denominators, and ``validate`` reads
-nothing else.  The engine, ``elements`` and the tests read the views
-that ``algebra_view`` and ``from_blocks`` make, as ``GradedMap``s and
-``{(x, y): {t: Fraction}}`` tables, and perfbench the Green operator
-(``green``).  ``BVAlgebra`` and ``TransferData`` make their views here,
-through ``graded.rational``, the first time one is read, so that
-``validate`` never loads this module or ``fractions``.  The conversions
-the other way, of the ``Fraction`` inputs the model builders and the
-tests state, are in ``elements``, which ``transfer`` does not load.
+The algebra (``bv.Table``), the transfer data (``graded.BlockMap``, and
+``bv.Table``s read off its blocks by ``bv.columns``) and the transferred
+operations (``engine.OperationTable``) are held as integers over common
+denominators, and neither ``validate`` nor ``transfer`` reads anything
+else.  ``elements``, ``search`` and the tests read the views made here,
+every one from index-keyed integer columns by one conversion (``_view``):
+``GradedMap``s (``map_view``, ``from_blocks``), ``{(x, y): {t:
+Fraction}}`` tables (``algebra_view``) and the operations
+(``operations_view``); perfbench reads the Green operator (``green``) too.
+``BVAlgebra``, ``TransferData`` and ``OperationTable`` make their views
+here, through ``graded.rational``, the first time one is read, so that
+neither command loads this module or ``fractions``.  The conversions the
+other way, of the ``Fraction`` inputs the model builders and the tests
+state, are in ``elements``, which neither command loads.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import linalg
+from .bv import columns
 from .graded import Bidegree, BigradedSpace, BlockMap, add, compose
 
 Vector = Dict[str, Fraction]
@@ -55,34 +60,48 @@ class GradedMap:
             self.entries.setdefault(src, {})[tgt] = c
 
 
+def _view(cols: Dict, den: int, key, names) -> Dict:
+    """The columns ``cols``, integers over ``den``, keyed ``key(k)`` for
+    each key ``k``, targets by ``names``, values as ``Fraction``s: one per
+    distinct constant, shared like a document's scalars."""
+    value = {v: Fraction(v, den) for col in cols.values() for v in col.values()}
+    return {key(k): {names[i]: value[v] for i, v in col.items()}
+            for k, col in cols.items()}
+
+
+def map_view(t, source: BigradedSpace, target: BigradedSpace) -> GradedMap:
+    """The ``GradedMap`` from ``source`` to ``target`` of the ``bv.Table``
+    ``t``, columns in ``t``'s order."""
+    out = GradedMap(source, target, t.shift)
+    out.entries = _view(t.cols, t.den, source.names.__getitem__, target.names)
+    return out
+
+
 def algebra_view(a, name: str):
     """The table ``name`` of the ``BVAlgebra`` ``a`` keyed by basis names,
     with ``Fraction`` values: a ``GradedMap`` for ``d`` and ``delta``, a
     ``ProductTable`` for ``product`` and ``brackets``."""
     names, table = a.space.names, getattr(a.tables, name)
-    # one Fraction per distinct constant, shared like a document's scalars
-    value = {v: Fraction(v, table.den)
-             for col in table.cols.values() for v in col.values()}
-    cols = {key: {names[t]: value[v] for t, v in col.items()}
-            for key, col in table.cols.items()}
     if name in ("d", "delta"):
-        out = GradedMap(a.space, a.space, table.shift)
-        out.entries = {names[s]: col for s, col in cols.items()}
-        return out
-    return {(names[x], names[y]): col for (x, y), col in cols.items()}
+        return map_view(table, a.space, a.space)
+    return _view(table.cols, table.den,
+                 lambda key: (names[key[0]], names[key[1]]), names)
 
 
 def from_blocks(m: BlockMap) -> GradedMap:
     """The ``GradedMap`` whose block at each source bidegree ``deg`` of
-    ``m.blocks`` is ``m.blocks[deg]``; every other block is zero."""
-    out = GradedMap(m.source, m.target, m.shift)
-    for deg, (rows, den) in m.blocks.items():
-        tgt_names = m.target.names_at(deg + out.shift)
-        for src, col in zip(m.source.names_at(deg), zip(*rows)):
-            if any(col):
-                out.entries[src] = {t: Fraction(x, den)
-                                    for t, x in zip(tgt_names, col) if x}
-    return out
+    ``m.blocks`` is ``m.blocks[deg]``: the view of ``bv.columns(m)``."""
+    return map_view(columns(m), m.source, m.target)
+
+
+def operations_view(table) -> Dict:
+    """The operations of the ``engine.OperationTable`` ``table`` keyed by
+    harmonic basis names, ``{(k, l): {(x1, ..., xk): {t: Fraction}}}``, in
+    the order of ``table.tables``."""
+    names = table.td.cohomology.names
+    return {kl: _view(constants, den,
+                      lambda key: tuple(map(names.__getitem__, key)), names)
+            for kl, (constants, den) in table.tables.items()}
 
 
 def green(td) -> GradedMap:

@@ -290,11 +290,13 @@ def algebra_to_json(a: BVAlgebra, ip: Optional[InnerProduct] = None) -> dict:
 
 def table_to_json(table: OperationTable) -> dict:
     H = table.td.cohomology
+    names = H.names
     ops = []
-    for (k, l), constants in sorted(table.ops.items()):
+    for k, l in sorted(table.tables):
+        constants, den = table.tables[k, l]
         entries = sorted(
-            list(key) + [name, str(v)]
-            for key, col in constants.items() for name, v in col.items())
+            [*map(names.__getitem__, key), names[t], ratio_text(v, den)]
+            for key, col in constants.items() for t, v in col.items())
         ops.append({"arity": k, "brackets": l,
                     "kind": "strict" if l == k - 2 else "higher",
                     "entries": entries})

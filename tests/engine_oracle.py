@@ -2,14 +2,21 @@
 
 These are the ``Element``-based ``build_operation_table``, ``_graft``,
 ``_project`` and ``TreeEvaluator`` that ``bvhy.engine`` used before it
-carried values as plain ``{name: Fraction}`` dicts, computed one product
-list per size class and keyed single trees by their rank shape.  Here
-every split recomputes its products and re-applies ``h`` to its children,
-and ``TreeEvaluator`` keys its memo by the printed leaf-relabelled tree.
-The library must return the same tables, with the same key order.
+carried values as plain dicts, computed one product list per size class
+and keyed single trees by their rank shape.  Here every split recomputes
+its products and re-applies ``h`` to its children, and ``TreeEvaluator``
+keys its memo by the printed leaf-relabelled tree.
+``build_operation_table`` returns the operations as ``{(k, l): {key:
+{name: Fraction}}}``, and ``table_json`` writes them as
+``serialize.table_to_json`` writes an ``engine.OperationTable``, with
+``str(Fraction)``.  The library must return the same tables, with the
+same key order, and the same export.
 
-``SubtreeEvaluator`` evaluates single trees with the library's own
-grafting helpers (``engine._products`` / ``_scatter``), memoizing each
+``SubtreeEvaluator`` evaluates single trees with ``{name: Fraction}``
+copies of the grafting helpers the engine had before it ran on integers
+(``_leaves``, ``_through``, ``_products``, ``_scatter``), which read the
+``Fraction`` views ``a.product``, ``a.brackets``, ``td.iota``, ``td.pi``
+and ``td.h``; it shares no arithmetic with the engine.  It memoizes each
 subtree's sorted leaf labels and values under its hash-consed shape: an
 int per tree structure, found by object identity for a tree object it has
 seen, so a memo hit neither walks nor compares the subtree.  The
@@ -23,17 +30,19 @@ helpers that only tests use.
 import itertools
 from fractions import Fraction
 from math import prod
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from tree_oracle import bidegree_shift
 from bvhy.bv import BVAlgebra
-from bvhy.engine import (Constants, Items, OperationTable, _leaves,
-                         _products, _scatter, _through)
+from bvhy.engine import OperationTable
 from bvhy.elements import Element, apply, bracket, koszul_sign, multiply
 from bvhy.graded import Bidegree
 from bvhy.hodge import TransferData
 from bvhy.trees import BR, DEL, MUL, DecoratedTree, leaf, unparse_tree
 
+Vector = Dict[str, Fraction]
+Constants = Dict[Tuple[str, ...], Vector]
+Items = List[Tuple[Tuple[str, ...], Vector]]
 ValueTable = Dict[Tuple[str, ...], Element]
 
 
@@ -149,6 +158,55 @@ def _shape(t: DecoratedTree) -> int:
     return seen[1]
 
 
+def _leaves(td: TransferData) -> Constants:
+    return {(n,): c for n in td.cohomology.names if (c := td.iota.entries.get(n))}
+
+
+def _apply(cols: Dict[str, Vector], vec: Vector) -> Vector:
+    """The map with columns ``cols[src][tgt]`` on ``vec``, zeros dropped."""
+    acc: Vector = {}
+    for n, c in vec.items():
+        for t, v in cols.get(n, {}).items():
+            acc[t] = acc.get(t, 0) + c * v
+    return {t: v for t, v in acc.items() if v}
+
+
+def _through(cols: Dict[str, Vector], items) -> Items:
+    """Nonzero images of ``(key, value)`` items under the map ``cols``."""
+    return [(k, w) for k, v in items if (w := _apply(cols, v))]
+
+
+def _products(a: BVAlgebra, kind: str, left: Items, right: Items,
+              right_vertex: bool) -> Items:
+    """The vertex ``kind`` on every pair of child values, as nonzero ``(left
+    key + right key, value)`` pairs, left-major; a right vertex child's
+    ``h`` picks up a Koszul sign passing over the left value."""
+    table = a.product if kind == MUL else a.brackets
+    out: Items = []
+    for kl, vl in left:
+        if right_vertex and a.space.bidegree[next(iter(vl))].total % 2:
+            vl = {n: -c for n, c in vl.items()}
+        for kr, vr in right:
+            acc: Vector = {}
+            for n, c in vl.items():
+                for w, cw in vr.items():
+                    for t, v in table.get((n, w), {}).items():
+                        acc[t] = acc.get(t, 0) + c * cw * v
+            if acc := {t: v for t, v in acc.items() if v}:
+                out.append((kl + kr, acc))
+    return out
+
+
+def _scatter(products: Items, labels: Sequence[int], out: Constants) -> None:
+    """Add ``products`` to ``out``, their merged keys reordered from the
+    children's leaf ``labels`` into increasing label order."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    for merged, w in products:
+        dst = out.setdefault(tuple(merged[i] for i in order), {})
+        for t, v in w.items():
+            dst[t] = dst.get(t, 0) + v
+
+
 class SubtreeEvaluator:
     """Memoized evaluation of decorated trees over the harmonic basis."""
 
@@ -212,12 +270,12 @@ class SubtreeEvaluator:
 
 
 def build_operation_table(a: BVAlgebra, td: TransferData,
-                          max_arity: int) -> OperationTable:
+                          max_arity: int) -> Dict[Tuple[int, int], Constants]:
     """Operations (k, l) for 2 <= k <= max_arity and 0 <= l <= k - 2."""
     H = td.cohomology
     sums: Dict[Tuple[int, int], ValueTable] = {
         (1, 0): {(n,): apply(td.iota, H.basis_element(n)) for n in H.names}}
-    table = OperationTable(a, td)
+    ops = {}
     for m in range(2, max_arity + 1):
         level: Dict[int, ValueTable] = {l: {} for l in range(m)}
         rest = range(2, m + 1)
@@ -233,17 +291,29 @@ def build_operation_table(a: BVAlgebra, td: TransferData,
         for l, values in level.items():
             sums[(m, l)] = {k: v for k, v in values.items() if not v.is_zero}
             if l <= m - 2:
-                table.ops[(m, l)] = _project(td, sums[(m, l)])
-    return table
+                ops[(m, l)] = _project(td, sums[(m, l)])
+    return ops
+
+
+def table_json(td: TransferData, ops: Dict[Tuple[int, int], Constants]) -> dict:
+    """``ops`` in the document ``serialize.table_to_json`` writes."""
+    H = td.cohomology
+    return {"schema": 1,
+            "cohomology": [{"name": n, "p": H.bidegree[n].p,
+                            "q": H.bidegree[n].q} for n in H.names],
+            "operations": [
+                {"arity": k, "brackets": l,
+                 "kind": "strict" if l == k - 2 else "higher",
+                 "entries": sorted([*key, name, str(v)]
+                                   for key, col in ops[k, l].items()
+                                   for name, v in col.items())}
+                for k, l in sorted(ops)]}
 
 
 def truncate_to_strict(table: OperationTable) -> OperationTable:
     """Keep only the strict entries (l = k - 2); higher ones are dropped."""
-    out = OperationTable(table.algebra, table.td)
-    for (k, l), constants in table.ops.items():
-        if l == k - 2:
-            out.ops[(k, l)] = {key: dict(col) for key, col in constants.items()}
-    return out
+    return OperationTable(table.algebra, table.td, {
+        (k, l): entry for (k, l), entry in table.tables.items() if l == k - 2})
 
 
 def nonzero_keys(table: OperationTable) -> List[Tuple[int, int]]:

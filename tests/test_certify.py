@@ -148,7 +148,9 @@ def test_cross_check_flags_planted_discrepancy(models, inputs, output):
 def test_top_degree_report_flags_planted_output(models):
     _m, table, a, b, p = _torus10_table(models)
     assert top_degree_report(table, 1).passed
-    table.ops[(3, 0)] = {(a, b, p): {p: Fraction(1)}}
+    # the check reads the integer tables: plant there, keyed by index
+    index = table.td.cohomology.index
+    table.tables[(3, 0)] = {(index[a], index[b], index[p]): {index[p]: 1}}, 1
     report = top_degree_report(table, 1)
     assert not report.passed
     assert report.items[0].witness == [(3, 0, (a, b, p))]

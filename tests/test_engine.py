@@ -15,8 +15,9 @@ from bvhy.bv import BVAlgebra, check_bv_axioms
 from bvhy.certify import Footprint, certify_formality
 from bvhy.engine import (build_operation_table, check_formal_unit,
                          naive_evaluate_tree, top_degree_report)
+from bvhy.elements import to_block
 from bvhy.graded import Bidegree, BigradedSpace
-from bvhy.hodge import build_transfer_data, check_transfer_input
+from bvhy.hodge import InnerProduct, build_transfer_data, check_transfer_input
 from bvhy.models import (build_torus_model, build_trivial_model,
                          builtin_models, search_nonformal)
 from bvhy.rational import GradedMap
@@ -124,13 +125,17 @@ def test_formal_unit_and_top_degree_on_zero_differential_model(trivial):
 def test_formal_unit_detects_violation(trivial):
     a, td = trivial.algebra, trivial.transfer_data()
     table = build_operation_table(a, td, 3)
-    u = table.unit_class()
-    table.ops[(3, 0)] = {(u, u, u): {u: F(1)}}
+    assert check_formal_unit(table).passed
+    # the checks read the integer tables: plant there, keyed by index
+    u = td.cohomology.index[table.unit_class()]
+    table.tables[(3, 0)] = {(u, u, u): {u: 1}}, 1
     report = check_formal_unit(table)
     assert not report.passed
-    table.ops[(3, 0)] = {}
-    other = [n for n in td.cohomology.names if n != u][0]
-    table.ops[(2, 0)][(u, other)] = {other: F(2)}
+    table.tables[(3, 0)] = {}, 1
+    assert check_formal_unit(table).passed
+    other = next(j for j in range(len(td.cohomology.names)) if j != u)
+    constants, den = table.tables[(2, 0)]
+    constants[(u, other)] = {other: 2 * den}
     assert not check_formal_unit(table).passed
 
 
@@ -224,6 +229,26 @@ def _nilpotent_ce(n, scale):
                      product, "g")
 
 
+def _fractional_model():
+    """``bracket_model()`` with ``w`` rescaled by 3/2, so ``s z = 2/3 w``,
+    and two isolated harmonic classes with unit rows, ``t`` beside ``r`` at
+    (2,1) and ``u`` beside ``q`` at (1,2), each coupled to its neighbour by
+    1/2 in the Gram form: ``[u]`` is ``u - q/2``, ``pi(r) = [t]/2`` and
+    ``h(p) = r - t/2``.  Returns the algebra and its Gram form."""
+    b = bracket_model()
+    space = BigradedSpace([(n, b.space.bidegree[n]) for n in b.space.names]
+                          + [("t", Bidegree(2, 1)), ("u", Bidegree(1, 2))])
+    d, delta = (GradedMap(space, space, m.shift, m.entries)
+                for m in (b.d, b.delta))
+    product = dict(b.product)
+    product[("s", "z")] = product[("z", "s")] = {"w": F(2, 3)}
+    product[("e", "t")] = {"t": F(1)}
+    product[("e", "u")] = {"u": F(1)}
+    half = to_block([[F(1), F(1, 2)], [F(1, 2), F(1)]])
+    return BVAlgebra(space, d, delta, product, "e"), InnerProduct(
+        space, {Bidegree(2, 1): half, Bidegree(1, 2): half})
+
+
 def _oracle_cases(models):
     for m in list(models) + [search_nonformal(seed=s) for s in (0, 1)]:
         yield m.name, m.algebra, m.transfer_data()
@@ -235,6 +260,17 @@ def _oracle_cases(models):
     td, reports = check_transfer_input(a)
     assert all(r.passed for r in reports)
     yield "bracket", a, td
+    # no built-in export has a non-integer entry: here every table the
+    # engine reads has a denominator above 1, and so has the output
+    a, ip = _fractional_model()
+    td, reports = check_transfer_input(a, ip)
+    assert all(r.passed for r in reports)
+    assert [t.den for t in td.tables] == [2, 2, 2]
+    assert (a.tables.product.den, a.tables.brackets.den) == (3, 3)
+    strict = build_operation_table(a, td, 3).ops[(3, 1)]
+    assert len(strict) == 6
+    assert all(col == {"[w]": F(-4, 3)} for col in strict.values())
+    yield "fractional", a, td
 
 
 def test_bracket_model_has_a_nonzero_strict_bracket_entry():
@@ -289,9 +325,11 @@ def test_tables_match_the_reference_engine(oracle_cases):
     for name, a, td in oracle_cases:
         got = build_operation_table(a, td, 6)
         want = engine_oracle.build_operation_table(a, td, 6)
-        assert dump(table_to_json(got)) == dump(table_to_json(want)), name
+        assert dump(table_to_json(got)) == \
+            dump(engine_oracle.table_json(td, want)), name
+        assert got.ops == want, name
         assert [(kl, list(c)) for kl, c in got.ops.items()] == \
-            [(kl, list(c)) for kl, c in want.ops.items()], name
+            [(kl, list(c)) for kl, c in want.items()], name
         higher += sum(len(got.ops[(k, 0)]) for k in range(4, 7))
         brackets += sum(len(c) for (_k, l), c in got.ops.items() if l)
     assert higher > 0 and brackets > 0

@@ -158,6 +158,9 @@ def test_validate_and_transfer_load_only_what_they_run(tmp_path):
     assert after_transfer & {"bvhy.trees", "bvhy.certify", "bvhy.models",
                              "bvhy.elements", "dataclasses", "argparse",
                              "hashlib", "_hashlib"} == set()
+    # the engine runs on the integer tables too: no Fraction view
+    assert after_transfer & {"bvhy.rational", "fractions", "decimal",
+                             "numbers"} == set()
     # the footprint reader is certify's alone, so neither command loads it
     readers = {p.stem for p in (ROOT / "src" / "bvhy").glob("*.py")
                if "def footprint_from_json(" in p.read_text(encoding="utf-8")}
