@@ -15,11 +15,13 @@ strict operations have l = k-2.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .graded import Bidegree
-from .serialize import _check_schema, _is_int, _require
+from .reporting import command_report
+from .serialize import _check_schema, _is_int, _require, emit, load
 
 
 @dataclass
@@ -192,3 +194,15 @@ def certify_formality(fp: Footprint, assume_top_bottom: bool = True) -> Formalit
         names = "; ".join(c.case for c in blocking)
         cert.verdict = f"not certified: {names}"
     return cert
+
+
+def cmd_certify(footprint: str, assume_top_bottom: bool) -> int:
+    """``bvhy certify``: exit 0 if the footprint is certified formal, 3 if
+    not."""
+    started = time.monotonic()
+    doc, digest = load(footprint)
+    fp = footprint_from_json(doc)
+    cert = certify_formality(fp, assume_top_bottom=assume_top_bottom)
+    emit(command_report("certify", {footprint: digest}, started,
+                        certificate=cert.to_dict(), verdict=cert.verdict))
+    return 0 if cert.formal else 3

@@ -9,17 +9,18 @@ stderr and exit 2, with stdout pointed at the null device so that the
 flush at exit does not fail again.
 
 Each subcommand imports the modules only it runs: ``validate`` loads no
-engine, certificate or model code.  Most of a ``validate`` or
-``transfer`` process is start-up, so the command line is read from one
-table, ``COMMANDS``, rather than by ``argparse``; a usage error is a
-``SchemaError`` like any other, one ``error:`` line and exit 2.
+engine, certificate or model code, and neither it nor ``transfer`` loads
+``json`` (``serialize`` reads and writes JSON).  ``certify`` and
+``search`` are ``certify.cmd_certify`` and ``models.cmd_search``, beside
+the code they run.  Most of a ``validate`` or ``transfer`` process is
+start-up, so the command line is read from one table, ``COMMANDS``,
+rather than by ``argparse``; a usage error is a ``SchemaError`` like any
+other, one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
 
 import gc
-import json
-import os
 import sys
 import time
 from typing import Optional
@@ -28,68 +29,12 @@ if __name__ == "__main__":
     # a command is one short process: no cyclic collection, imports included
     gc.disable()
 
-try:
-    # the built-in module: hashlib would load OpenSSL too, several ms of
-    # every process's start-up.  CPython 3.12 renamed it _sha2.
-    from _sha256 import sha256
-except ImportError:
-    from hashlib import sha256
-
 from . import serialize
 from .hodge import check_transfer_input
-from .serialize import SchemaError
+from .reporting import command_report
+from .serialize import SchemaError, emit
 
 MAX_ARITY_GUARD = 9
-
-
-def _load_json(path: str):
-    """The document at ``path`` and the sha256 of the bytes it was parsed
-    from; the file is read once."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        return json.loads(data.decode("utf-8")), sha256(data).hexdigest()
-    except FileNotFoundError:
-        raise SchemaError(f"no such file: {path}", path) from None
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"not UTF-8 text: {exc}", path) from None
-    except (ValueError, RecursionError) as exc:
-        # JSONDecodeError, an integer past the digit limit, or deep nesting
-        raise SchemaError(f"invalid JSON: {exc}", path) from None
-    except OSError as exc:
-        raise SchemaError(f"cannot read: {exc.strerror}", path) from None
-
-
-def _report(command: str, inputs: dict, started: float, **extra) -> dict:
-    doc = {"command": command, "inputs": inputs,
-           "timing_s": round(time.monotonic() - started, 6)}
-    doc.update(extra)
-    return doc
-
-
-def _emit(doc: dict, out: Optional[str] = None) -> None:
-    _write(serialize.dump(doc), out)
-
-
-def _write(text: str, out: Optional[str] = None) -> None:
-    """Write ``text`` to the file ``out``, or to stdout and flush it, so
-    that a stdout that takes no more (a closed pipe) fails here rather than
-    in the flush at exit; stdout then points at the null device."""
-    try:
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-            sys.stdout.flush()
-    except OSError as exc:
-        if out:
-            raise SchemaError(f"cannot write {out}: {exc.strerror}",
-                              "out") from None
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-        raise SchemaError(f"cannot write: {exc.strerror}", "stdout") from None
 
 
 def _load_and_check(algebra_path: str, gram_path: Optional[str] = None):
@@ -99,11 +44,11 @@ def _load_and_check(algebra_path: str, gram_path: Optional[str] = None):
     Returns ``(algebra, td, inputs, results, passed)``; ``td`` is None if
     the axioms fail, and then no later check runs.
     """
-    doc, digest = _load_json(algebra_path)
+    doc, digest = serialize.load(algebra_path)
     inputs = {algebra_path: digest}
     algebra, gram = serialize.algebra_from_json(doc)
     if gram_path:
-        entries, inputs[gram_path] = _load_json(gram_path)
+        entries, inputs[gram_path] = serialize.load(gram_path)
         if isinstance(entries, dict):
             entries = entries.get("gram", entries)
         gram = serialize.gram_from_entries(entries, algebra.space)
@@ -115,7 +60,8 @@ def _load_and_check(algebra_path: str, gram_path: Optional[str] = None):
 def cmd_validate(algebra: str, gram: Optional[str]) -> int:
     started = time.monotonic()
     _, _, inputs, results, ok = _load_and_check(algebra, gram)
-    _emit(_report("validate", inputs, started, results=results, passed=ok))
+    emit(command_report("validate", inputs, started, results=results,
+                        passed=ok))
     return 0 if ok else 1
 
 
@@ -133,8 +79,8 @@ def cmd_transfer(algebra: str, max_arity: int, out: Optional[str],
             f"({MAX_ARITY_GUARD}); pass --force to override", "max-arity")
     a, td, inputs, results, ok = _load_and_check(algebra)
     if not ok:
-        _emit(_report("transfer", inputs, started, results=results,
-                      passed=False))
+        emit(command_report("transfer", inputs, started, results=results,
+                            passed=False))
         return 1
 
     table = build_operation_table(a, td, max_arity)
@@ -155,38 +101,20 @@ def cmd_transfer(algebra: str, max_arity: int, out: Optional[str],
     # without --out, stdout holds one document: the report, table included
     extra = {} if out else {"table": table_doc}
     if out:
-        _emit(table_doc, out)
-    _emit(_report("transfer", inputs, started, results=results, passed=ok,
-                  out=out, **extra))
+        emit(table_doc, out)
+    emit(command_report("transfer", inputs, started, results=results,
+                        passed=ok, out=out, **extra))
     return 0 if ok else 1
 
 
-def cmd_certify(footprint: str, assume_top_bottom: bool) -> int:
-    from .certify import certify_formality, footprint_from_json
-    started = time.monotonic()
-    doc, digest = _load_json(footprint)
-    fp = footprint_from_json(doc)
-    inputs = {footprint: digest}
-    cert = certify_formality(fp, assume_top_bottom=assume_top_bottom)
-    _emit(_report("certify", inputs, started, certificate=cert.to_dict(),
-                  verdict=cert.verdict))
-    return 0 if cert.formal else 3
+def _certify(**kwargs) -> int:
+    from .certify import cmd_certify
+    return cmd_certify(**kwargs)
 
 
-def cmd_search(seed: int, out: Optional[str]) -> int:
-    from .models import SearchExhausted, search_nonformal
-    started = time.monotonic()
-    try:
-        model = search_nonformal(seed=seed)
-    except SearchExhausted as exc:
-        _emit(_report("search", {}, started, passed=False, error=str(exc)))
-        return 1
-    doc = serialize.algebra_to_json(model.algebra, model.inner_product)
-    if out:
-        _emit(doc, out)
-    _emit(_report("search", {}, started, passed=True, model=model.name,
-                  witness=model.witness, out=out))
-    return 0
+def _search(**kwargs) -> int:
+    from .models import cmd_search
+    return cmd_search(**kwargs)
 
 
 def _bool_flag(value: str) -> bool:
@@ -200,16 +128,18 @@ def _bool_flag(value: str) -> bool:
 # command: (handler, summary, positionals, {option: (converter, default)});
 # an option whose converter is None is a flag, False unless given.  Each
 # positional and option is passed to the handler under its name, dashes
-# turned into underscores.
+# turned into underscores.  certify and search live beside the code they
+# run and are imported when they run, so validate and transfer do not
+# compile them.
 COMMANDS = {
     "validate": (cmd_validate, "check BV axioms and transfer identities",
                  ("algebra",), {"--gram": (str, None)}),
     "transfer": (cmd_transfer, "build the transferred operation table",
                  ("algebra",), {"--max-arity": (int, 4), "--out": (str, None),
                                 "--force": (None, False)}),
-    "certify": (cmd_certify, "run the degree-counting certificate",
+    "certify": (_certify, "run the degree-counting certificate",
                 ("footprint",), {"--assume-top-bottom": (_bool_flag, True)}),
-    "search": (cmd_search, "search for a non-formality witness",
+    "search": (_search, "search for a non-formality witness",
                (), {"--seed": (int, 0), "--out": (str, None)}),
 }
 
@@ -275,7 +205,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if "-h" in argv or "--help" in argv:
-            _write(_usage())
+            serialize.write(_usage())
             return 0
         handler, kwargs = _parse(argv)
         return handler(**kwargs)

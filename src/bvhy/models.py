@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,6 +26,8 @@ from .graded import Bidegree, BigradedSpace
 from .hodge import InnerProduct, TransferData, build_transfer_data, \
     check_transfer_input
 from .rational import GradedMap
+from .reporting import command_report
+from .serialize import algebra_to_json, emit
 from .trees import enumerate_trees
 
 SEARCH_ATTEMPTS = 64
@@ -242,6 +245,23 @@ def search_nonformal(seed: int = 0) -> ModelDescriptor:
                      "attempt": attempt})
     raise SearchExhausted(
         f"no witness found for seed {seed} within {SEARCH_ATTEMPTS} attempts")
+
+
+def cmd_search(seed: int, out: Optional[str]) -> int:
+    """``bvhy search``: exit 0 with the witness model (written to ``out``
+    if given), 1 if the search is exhausted."""
+    started = time.monotonic()
+    try:
+        model = search_nonformal(seed=seed)
+    except SearchExhausted as exc:
+        emit(command_report("search", {}, started, passed=False,
+                            error=str(exc)))
+        return 1
+    if out:
+        emit(algebra_to_json(model.algebra, model.inner_product), out)
+    emit(command_report("search", {}, started, passed=True, model=model.name,
+                        witness=model.witness, out=out))
+    return 0
 
 
 @lru_cache(maxsize=None)

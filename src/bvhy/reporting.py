@@ -1,5 +1,7 @@
-"""Tiny pass/fail report containers shared by the checking routines."""
+"""Tiny pass/fail report containers shared by the checking routines, and
+the report document every command writes."""
 
+import time
 from math import gcd
 from typing import Any, List, Optional
 
@@ -63,3 +65,14 @@ class CheckReport:
             "passed": self.passed,
             "items": [item.to_dict() for item in self.items],
         }
+
+
+def command_report(command: str, inputs: dict, started: float,
+                   **extra) -> dict:
+    """The report of one ``command`` run: the sha256 of each input file,
+    the wall time since ``started`` (a ``time.monotonic`` reading), then
+    ``extra``."""
+    doc = {"command": command, "inputs": inputs,
+           "timing_s": round(time.monotonic() - started, 6)}
+    doc.update(extra)
+    return doc

@@ -1,5 +1,6 @@
 """Versioned JSON formats for algebras and operation tables (footprints:
-``certify.footprint_from_json``).
+``certify.footprint_from_json``), and the JSON text they are read from and
+written as.
 
 Scalars are decimal-rational strings ("3/2", "-1", "5").  All documents
 carry ``"schema": 1``.  Serialization is deterministic (sorted keys,
@@ -12,11 +13,20 @@ forms every document ``bvhy`` writes uses, an integer and a fraction of
 ASCII digits, with ``int``; any other text goes to ``parse_scalar``, so
 the same texts are accepted, with the same values and errors, and only
 those load ``fractions``.
+
+``loads`` and ``dump`` are ``json.loads`` and ``json.dumps(doc, indent=2,
+sort_keys=True) + "\n"`` without the ``json`` package, whose import (six
+regular expressions) is a share of every command process, and whose
+indenting encoder runs in pure Python.  ``loads`` runs the scanner
+``json.loads`` runs; ``dump`` writes with the same text functions in the
+same order of type tests.  Each hands what it cannot take whole to
+``json``, imported only then, so every error is ``json``'s own.
 """
 
 from __future__ import annotations
 
-import json
+import os
+import sys
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -25,6 +35,13 @@ from .bv import BVAlgebra, Table, to_table
 from .graded import Bidegree, BigradedSpace
 from .hodge import InnerProduct
 from .reporting import ratio_text
+
+try:
+    # the built-in module: hashlib would load OpenSSL too, several ms of
+    # every process's start-up.  CPython 3.12 renamed it _sha2.
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -308,5 +325,153 @@ def table_to_json(table: OperationTable) -> dict:
     }
 
 
-def dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+class _Decoding:
+    """The settings ``json.loads`` decodes with, as its scanner reads them."""
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float, parse_int = float, int
+    parse_constant = {"NaN": float("nan"), "Infinity": float("inf"),
+                      "-Infinity": float("-inf")}.__getitem__
+
+
+try:
+    from _json import encode_basestring_ascii as _quote, make_scanner
+    _scan = make_scanner(_Decoding)
+except ImportError:
+    # no C accelerator: json's own pure-Python scanner and quoting
+    from json.decoder import JSONDecoder
+    from json.encoder import encode_basestring_ascii as _quote
+    _scan = JSONDecoder().scan_once
+
+_SPACE = " \t\n\r"
+# float.__repr__ of the values JSON has no number for, as json writes them
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def loads(text: str):
+    """``json.loads(text)``.  A value between JSON whitespace is read by
+    the scanner alone; any other text (empty, a BOM, trailing data, an
+    error) goes to ``json.loads``, which raises its own error."""
+    try:
+        value, end = _scan(text, len(text) - len(text.lstrip(_SPACE)))
+    except (StopIteration, ValueError, RecursionError, SystemError):
+        # nothing at the start, a JSONDecodeError, an integer past the digit
+        # limit, deep nesting; on CPython 3.11 the C scanner's own error is
+        # a SystemError until json.decoder, where it finds
+        # JSONDecodeError, is loaded
+        pass
+    else:
+        if not text[end:].strip(_SPACE):
+            return value
+    import json
+    return json.loads(text)
+
+
+def dump(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte.
+    What ``_encode`` does not take (a key that is not a string, a value of
+    no JSON type, a cycle) goes to ``json.dumps``, which writes it or
+    raises its own error."""
+    parts = []
+    try:
+        _encode(doc, parts, "\n")
+    except (TypeError, RecursionError):
+        import json
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _encode(value, out: list, newline: str) -> None:
+    """Append the text of ``value`` to ``out``, its nested lines starting
+    with ``newline`` and two more spaces: ``json.encoder._make_iterencode``
+    with ``indent=2`` and ``sort_keys=True``, in its order of type tests.
+    A string item, the common leaf, is quoted in the loop."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_NONFINITE.get(text, text))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            if isinstance(item, str):
+                out.append(_quote(item))
+            else:
+                _encode(item, out, inner)
+            out.append(",")
+        out[-1] = newline + "]"
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a string")
+            out.extend((inner, _quote(key), ": "))
+            if isinstance(item, str):
+                out.append(_quote(item))
+            else:
+                _encode(item, out, inner)
+            out.append(",")
+        out[-1] = newline + "}"
+    else:
+        raise TypeError(f"{type(value).__name__} is not a JSON type")
+
+
+def load(path: str):
+    """The document at ``path`` and the sha256 of the bytes it was parsed
+    from; the file is read once."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return loads(data.decode("utf-8")), sha256(data).hexdigest()
+    except FileNotFoundError:
+        raise SchemaError(f"no such file: {path}", path) from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}", path) from None
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past the digit limit, or deep nesting
+        raise SchemaError(f"invalid JSON: {exc}", path) from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read: {exc.strerror}", path) from None
+
+
+def emit(doc: dict, out: Optional[str] = None) -> None:
+    write(dump(doc), out)
+
+
+def write(text: str, out: Optional[str] = None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout and flush it, so
+    that a stdout that takes no more (a closed pipe) fails here rather than
+    in the flush at exit; stdout then points at the null device."""
+    try:
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if out:
+            raise SchemaError(f"cannot write {out}: {exc.strerror}",
+                              "out") from None
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise SchemaError(f"cannot write: {exc.strerror}", "stdout") from None

@@ -544,6 +544,29 @@ def test_module_entry_point_matches_main(tmp_path, capsys, torus_file, case):
         assert out.read_bytes() == table
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1 2", "Extra data: line 1 column 3 (char 2)"),
+    ("\ufeff{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 "
+                 "column 1 (char 0)"),
+    ("[" * 100_000, "maximum recursion depth exceeded while decoding a JSON "
+                    "array from a unicode string"),
+    ("9" * 5000, "Exceeds the limit (4300 digits) for integer string "
+                 "conversion: value has 5000 digits; use "
+                 "sys.set_int_max_str_digits() to increase the limit"),
+], ids=["extra-data", "bom", "deep", "long-integer"])
+def test_json_errors_are_json_s_own(tmp_path, capsys, text, message):
+    # serialize.loads hands these to json.loads, so the error line is
+    # json's, in process and in a fresh child that has not loaded json
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    line = f"error: {path}: invalid JSON: {message}\n"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", line)
+    proc = _module_run(["validate", str(path)])
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == \
+        (2, b"", line)
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered",
                                                       "buffered"])
 @pytest.mark.parametrize("argv", [["validate"], ["--help"]],

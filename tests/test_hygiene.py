@@ -112,17 +112,19 @@ def test_perfbench_uses_only_names_bvhy_defines():
 
 # Runs in a fresh interpreter, since pytest's own has imported everything.
 # Modules already loaded before bvhy (by the interpreter and its site hooks)
-# are left out of the sets it prints.
+# are left out of the sets it prints.  It takes them before it imports
+# anything itself, and carries the argvs in and the sets out as Python
+# literals, so that no module of its own (json, say) hides in them.
 _IMPORT_PROBE = """
-import json, sys
+import sys
 before = set(sys.modules)
 from bvhy import cli
 loaded = []
-for argv in json.loads(sys.argv[1]):
+for argv in ARGVS:
     if cli.main(argv) != 0:
         sys.exit(f"{argv} failed")
     loaded.append(sorted(set(sys.modules) - before))
-print(json.dumps(loaded))
+print(repr(loaded))
 """
 
 
@@ -138,11 +140,11 @@ def test_validate_and_transfer_load_only_what_they_run(tmp_path):
              ["transfer", str(algebra), "--max-arity", "3",
               "--out", str(tmp_path / "table.json")]]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE,
-                           json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c",
+                           _IMPORT_PROBE.replace("ARGVS", repr(argvs))],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    _, after_validate, after_transfer = map(set, json.loads(
+    _, after_validate, after_transfer = map(set, ast.literal_eval(
         proc.stdout.splitlines()[-1]))
     assert {"bvhy.serialize", "bvhy.hodge"} <= after_validate
     # validate runs on integers: no Fraction view, and no fractions module
@@ -161,6 +163,9 @@ def test_validate_and_transfer_load_only_what_they_run(tmp_path):
     # the engine runs on the integer tables too: no Fraction view
     assert after_transfer & {"bvhy.rational", "fractions", "decimal",
                              "numbers"} == set()
+    # serialize reads and writes JSON itself: neither command loads json
+    json_modules = {"json", "json.decoder", "json.encoder", "json.scanner"}
+    assert (after_validate | after_transfer) & json_modules == set()
     # the footprint reader is certify's alone, so neither command loads it
     readers = {p.stem for p in (ROOT / "src" / "bvhy").glob("*.py")
                if "def footprint_from_json(" in p.read_text(encoding="utf-8")}

@@ -1,14 +1,21 @@
-"""JSON schemas: round trips, deterministic output, located error messages."""
+"""JSON schemas: round trips, deterministic output, located error messages;
+the JSON reader and writer against ``json``."""
 
+import ast
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certify_oracle import footprint_to_json
 from bvhy import serialize
 from bvhy.certify import footprint_from_json
 from bvhy.elements import nonzero_entries
+from bvhy.graded import Bidegree
 from bvhy.models import (build_skew_gram_model, build_torus_model,
                          search_nonformal)
 from bvhy.reporting import ratio_text
@@ -182,3 +189,114 @@ def test_table_serialization_marks_kinds():
     assert higher["entries"]            # the witness survives serialization
     for entry in higher["entries"]:
         assert len(entry) == 3 + 2      # k inputs, output, coefficient
+
+
+# JSON leaves, strings with control characters, non-ASCII text and lone
+# surrogates among them, integers past 64 bits and non-finite floats;
+# containers of every kind json writes as an array or an object
+_STRINGS = st.text(st.characters(exclude_categories=()), max_size=6) | \
+    st.sampled_from(["", "\x00\x1f\x7f", "\ud800", "\udfff\ud83d", "é€😀",
+                     "\\\"/\b\f\n\r\t"])
+_LEAVES = _STRINGS | st.integers() | st.integers(-2 ** 200, 2 ** 200) | \
+    st.floats() | st.booleans() | st.none()
+_VALUES = st.recursive(_LEAVES, lambda inner: (
+    st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple) |
+    st.dictionaries(_STRINGS, inner, max_size=4) |
+    st.builds(Bidegree, st.integers(), st.integers())), max_leaves=24)
+_SPACE = st.text(st.sampled_from(" \t\n\r"), max_size=3)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_VALUES)
+def test_dump_is_json_dumps_byte_for_byte(value):
+    assert serialize.dump(value) == \
+        json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_VALUES, st.sampled_from([None, 2]), _SPACE, _SPACE)
+def test_loads_is_json_loads(value, indent, before, after):
+    text = before + json.dumps(value, indent=indent) + after
+    # repr tells 1 from 1.0 and True, and shows NaN, which is no equal of
+    # itself
+    assert repr(serialize.loads(text)) == repr(json.loads(text))
+
+
+def _error(call, *args, **kwargs):
+    try:
+        call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    raise AssertionError(f"{call.__name__} raised nothing")
+
+
+_BAD_TEXTS = {"empty": "", "spaces": "  ", "open": "{", "trailing-comma": "[1,]",
+              "extra-data": "1 2", "bom": "\ufeff{}", "deep": "[" * 100_000,
+              "long-integer": "9" * 5000}
+
+
+@pytest.mark.parametrize("text", _BAD_TEXTS.values(), ids=_BAD_TEXTS)
+def test_loads_raises_what_json_loads_raises(text):
+    assert _error(serialize.loads, text) == _error(json.loads, text)
+
+
+def test_dump_raises_or_writes_what_json_dumps_does():
+    cycle = []
+    cycle.append(cycle)
+    for bad in ({"a": {1, 2}}, [object()], cycle, {"a": 1, 2: "b"}):
+        assert _error(serialize.dump, bad) == \
+            _error(json.dumps, bad, indent=2, sort_keys=True)
+    # keys json turns into text, written by json itself
+    value = {1: [2.5, None], 2: {True: "x"}}
+    assert serialize.dump(value) == \
+        json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# A fresh interpreter, where nothing has loaded json; "plain" runs on the C
+# accelerator, "no-accelerator" blocks it, so that serialize falls back to
+# json's pure-Python scanner and quoting.  The errors of json.loads are
+# taken there too, after serialize's.
+_FRESH_PROBE = """
+import sys
+if sys.argv[1] == "no-accelerator":
+    sys.modules["_json"] = None
+from bvhy import serialize
+
+
+def errors(loads):
+    found = []
+    for text in TEXTS:
+        try:
+            loads(text)
+        except Exception as exc:
+            found.append((type(exc).__name__, str(exc)))
+    return found
+
+
+found = [serialize.dump(DOC), repr(serialize.loads(serialize.dump(DOC))),
+         "json" in sys.modules, errors(serialize.loads)]
+import json
+print(repr(found + [errors(json.loads)]))
+"""
+
+
+@pytest.mark.parametrize("mode", ["plain", "no-accelerator"])
+def test_reader_and_writer_in_a_fresh_interpreter(mode):
+    doc = {"b": [1, -2 ** 70, 0.5, 1e-7], "a": "\u00e9\x01",
+           "c": {"z": None, "y": [True, False, []], "x": {}}}
+    texts = ["{", "[1,]", "1 2", '{"a" 1}', "[" * 100_000]
+    probe = _FRESH_PROBE.replace("DOC", repr(doc)).replace(
+        "TEXTS", repr(texts))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(serialize.__file__)))
+    proc = subprocess.run([sys.executable, "-c", probe, mode],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    dumped, loaded, json_loaded, ours, theirs = \
+        ast.literal_eval(proc.stdout)
+    assert dumped == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert loaded == repr(json.loads(dumped))
+    # only the fallback imports json up front; a C scanner's error is
+    # json's once json.loads has raised it
+    assert json_loaded == (mode == "no-accelerator")
+    assert len(ours) == len(texts) and ours == theirs
