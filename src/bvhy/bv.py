@@ -20,12 +20,11 @@ nonzero values on basis pairs) as ``Table``s: structure constants keyed by
 basis index, integers over one denominator per table, the product's
 missing mirror entries filled in by graded commutativity.
 ``serialize.algebra_from_json`` reads a document's rows straight into
-them; ``BVAlgebra(space, d, delta, product, unit)`` with ``GradedMap``s
-and a ``{(x, y): {t: Fraction}}`` product converts them.  The
-``Fraction`` views ``d``, ``delta``, ``product`` and ``brackets``, keyed by
-names, are made on first read (``graded.rational``); neither the checks
-nor the engine read any.  ``columns`` reads a ``BlockMap`` into a ``Table``,
-as the engine reads the transfer data.
+them, and the model builders write them.  The ``Fraction`` views ``d``,
+``delta``, ``product`` and ``brackets``, keyed by names, are made on first
+read (``graded.rational``); neither the checks nor the engine read any.
+``columns`` reads a ``BlockMap`` into a ``Table``, as the engine reads the
+transfer data.
 
 Each identity the checks compare is homogeneous in the tables
 (commutativity of degree 1 in the product, associativity of degree 2 on
@@ -101,19 +100,34 @@ def to_table(cols: Dict, shift: Bidegree = Bidegree(0, 0)) -> Table:
     return Table(out, den, shift)
 
 
+def check_additivity(space: BigradedSpace, product: Table) -> Table:
+    """``product`` itself, after checking that each constant maps a key
+    ``(x, y)`` to a target at the bidegree of ``x`` plus that of ``y``; the
+    first that does not is a ``ValueError``."""
+    names, deg = space.names, [space.bidegree[n] for n in space.names]
+    for (x, y), col in product.cols.items():
+        total = deg[x] + deg[y]
+        for t in col:
+            if deg[t] != total:
+                raise ValueError(f"product {names[x]!r} {names[y]!r} -> "
+                                 f"{names[t]!r} breaks bidegree additivity")
+    return product
+
+
 class BVAlgebra:
-    def __init__(self, space: BigradedSpace, d, delta, product, unit: str):
-        """``d``, ``delta`` and ``product`` are ``Table``s, or ``GradedMap``s
-        and a ``{(x, y): {t: Fraction}}`` product of basis names, which are
-        converted into ``Table``s.  The product table's missing mirror
-        entries are filled in, in place."""
+    def __init__(self, space: BigradedSpace, d: Table, delta: Table,
+                 product: Table, unit: str):
+        """``d``, ``delta`` and ``product`` are ``Table``s keyed by basis
+        index, as the model builders write them, ``serialize`` reads them
+        and ``elements.fraction_tables`` converts ``Fraction`` inputs.  The
+        product's bidegree additivity is checked before: per row by
+        ``serialize.algebra_from_json``, by ``check_additivity`` otherwise.
+        The product table's missing mirror entries are filled in, in
+        place."""
         if unit not in space.bidegree:
             raise ValueError(f"unit {unit!r} not in basis")
         if space.bidegree[unit] != Bidegree(0, 0):
             raise ValueError("unit must sit at bidegree (0,0)")
-        if not isinstance(product, Table):
-            from .elements import fraction_tables
-            d, delta, product = fraction_tables(space, d, delta, product)
         self.space, self.unit = space, unit
         self.parity = [space.bidegree[n].total % 2 for n in space.names]
         # if both orders are given they are kept; the commutativity item

@@ -1,13 +1,13 @@
 """Homogeneous elements, the maps and operations applied to them, and the
 ``Fraction`` inputs of an algebra.
 
-``validate`` and ``transfer`` never load this module: they work on integer
-tables and blocks only.  ``Element`` arithmetic serves
-``engine.naive_evaluate_tree``, with which ``search`` re-checks its
-witness, and the tests' oracles.  ``fraction_tables`` converts the
-``GradedMap``s and product table that ``BVAlgebra`` is given by the model
-builders and the tests, and ``to_block`` a Gram block given as a matrix
-of ``Fraction``s.
+``validate`` and ``transfer`` never load this module, nor do the model
+builders: they work on integer tables and blocks only.  ``Element``
+arithmetic serves ``engine.naive_evaluate_tree``, with which ``search``
+re-checks its witness, and the tests' oracles.  For the tests, which state
+algebras in ``Fraction``s, ``fraction_tables`` converts ``GradedMap``s and
+a product table into the ``bv.Table``s ``BVAlgebra`` takes, and
+``to_block`` a Gram block given as a matrix of ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -31,22 +31,17 @@ def koszul_sign(deg_passed: int, deg_over: int) -> Fraction:
 def fraction_tables(space: BigradedSpace, d: GradedMap, delta: GradedMap,
                     product: ProductTable) -> Tuple:
     """The maps ``d`` and ``delta`` and the product, keyed by names, as
-    ``bv.Table``s, for ``BVAlgebra``.  A nonzero product constant that
-    breaks bidegree additivity is a ``ValueError``."""
-    index, deg = space.index, space.bidegree
-    for (a, b), col in product.items():
-        (pa, qa), (pb, qb) = deg[a], deg[b]
-        for t, v in col.items():
-            if v and deg[t] != (pa + pb, qa + qb):
-                raise ValueError(f"product {a!r} {b!r} -> {t!r} breaks "
-                                 f"bidegree additivity")
+    ``bv.Table``s, for ``BVAlgebra``: the tests state algebras this way.
+    A nonzero product constant that breaks bidegree additivity is a
+    ``ValueError`` (``bv.check_additivity``)."""
+    index = space.index
 
     def pairs(col):
         return {index[t]: (v.numerator, v.denominator) for t, v in col.items()}
     maps = (bv.to_table({index[s]: pairs(col) for s, col in m.entries.items()},
                         m.shift) for m in (d, delta))
-    return (*maps, bv.to_table({(index[a], index[b]): pairs(col)
-                                for (a, b), col in product.items()}))
+    return (*maps, bv.check_additivity(space, bv.to_table({
+        (index[a], index[b]): pairs(col) for (a, b), col in product.items()})))
 
 
 def to_block(a: List[List[Fraction]]) -> linalg.Block:

@@ -5,10 +5,9 @@ Scalars are exact rationals throughout.  A map carries a fixed bidegree
 shift and every nonzero entry must connect basis elements whose bidegrees
 differ by exactly that shift.  Maps are composed and summed one way: as
 ``BlockMap``s, integer blocks per bidegree (``compose``, ``add``,
-``scalar``).  A map with ``Fraction`` entries, the form in which the model
-builders and the tests state one, is a ``rational.GradedMap``;
-``bvhy.rational`` is loaded on first use
-(``rational``), so no code here imports ``fractions``.
+``scalar``).  A map with ``Fraction`` entries, the form in which the
+tests state one, is a ``rational.GradedMap``; ``bvhy.rational`` is loaded
+on first use (``rational``), so no code here imports ``fractions``.
 """
 
 from __future__ import annotations

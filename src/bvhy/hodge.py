@@ -26,8 +26,8 @@ from .reporting import CheckReport
 class InnerProduct:
     """Block-diagonal symmetric positive-definite Gram form over the
     rationals; one block per occupied bidegree, rows/cols in basis order,
-    kept as an integer ``linalg.Block`` (``elements.to_block`` makes one of
-    a matrix of ``Fraction``s).  A bidegree missing from ``blocks`` gets the
+    kept as an integer ``linalg.Block``, as ``serialize`` reads it and the
+    model builders write it.  A bidegree missing from ``blocks`` gets the
     identity block."""
 
     def __init__(self, space: BigradedSpace,

@@ -7,6 +7,11 @@ setting.  They are not Calabi-Yau varieties; the formality statement is
 exercised through the symbolic certificate on footprints instead (the
 reference footprints are test fixtures), and the torus models exercise
 the transfer machinery and the top/bottom degree mechanisms.
+
+Each builder numbers its basis as it enumerates it and writes ``d``,
+``delta`` and the product as ``bv.Table``s keyed by those indices,
+integers over one denominator, with no ``Fraction`` in between; the
+product passes ``bv.check_additivity`` on its way into ``BVAlgebra``.
 """
 
 from __future__ import annotations
@@ -15,17 +20,14 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .bv import BVAlgebra
-from .elements import to_block
+from .bv import BVAlgebra, Table, check_additivity, to_table
 from .engine import build_operation_table, naive_evaluate_tree
 from .graded import Bidegree, BigradedSpace
 from .hodge import InnerProduct, TransferData, build_transfer_data, \
     check_transfer_input
-from .rational import GradedMap
 from .reporting import command_report
 from .serialize import algebra_to_json, emit
 from .trees import enumerate_trees
@@ -62,28 +64,26 @@ def _subset_name(s: Tuple[int, ...]) -> str:
     return "".join(str(i) for i in s)
 
 
+def _subsets(gens: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """The ascending words in ``gens``, by length, then lexicographically."""
+    return [s for r in range(len(gens) + 1)
+            for s in itertools.combinations(gens, r)]
+
+
 def build_trivial_model(generators: int) -> ModelDescriptor:
     """Exterior algebra on odd generators at (1,0); d = 0, delta = 0."""
     if generators < 1:
         raise ValueError("need at least one generator")
-    gens = tuple(range(1, generators + 1))
-    subsets = []
-    for r in range(generators + 1):
-        subsets.extend(itertools.combinations(gens, r))
-    basis = [(f"x{_subset_name(s)}", Bidegree(len(s), 0)) for s in subsets]
-    space = BigradedSpace(basis)
-    product = {}
-    for s in subsets:
-        for t in subsets:
-            if set(s) & set(t):
-                continue
-            merged = tuple(sorted(s + t))
-            sign = _merge_sign(s, t)
-            product[(f"x{_subset_name(s)}", f"x{_subset_name(t)}")] = \
-                {f"x{_subset_name(merged)}": Fraction(sign)}
-    zero = GradedMap.zero(space, space, Bidegree(0, 1))
-    zero_delta = GradedMap.zero(space, space, Bidegree(-1, 0))
-    algebra = BVAlgebra(space, zero, zero_delta, product, "x")
+    subsets = _subsets(tuple(range(1, generators + 1)))
+    index = {s: i for i, s in enumerate(subsets)}
+    space = BigradedSpace((f"x{_subset_name(s)}", Bidegree(len(s), 0))
+                          for s in subsets)
+    product = {(index[s], index[t]): {index[tuple(sorted(s + t))]:
+                                      _merge_sign(s, t)}
+               for s in subsets for t in subsets if not set(s) & set(t)}
+    algebra = BVAlgebra(space, Table({}, 1, Bidegree(0, 1)),
+                        Table({}, 1, Bidegree(-1, 0)),
+                        check_additivity(space, Table(product, 1)), "x")
     return ModelDescriptor(f"trivial({generators})", algebra)
 
 
@@ -106,60 +106,64 @@ def build_torus_model(n: int, mode_cutoff: int) -> ModelDescriptor:
         raise ValueError("mode_cutoff must be in [0, 1]")
     coords = tuple(range(1, n + 1))
     modes = list(itertools.product(range(-mode_cutoff, mode_cutoff + 1), repeat=n))
-    subsets = []
-    for r in range(n + 1):
-        subsets.extend(itertools.combinations(coords, r))
+    subsets = _subsets(coords)
+    pos, size = {s: i for i, s in enumerate(subsets)}, len(subsets)
+    space = BigradedSpace((_torus_name(m, I, J), Bidegree(len(J), len(I)))
+                          for m in modes for I in subsets for J in subsets)
 
-    basis = []
-    for m in modes:
+    def at(k: int, i: int, j: int) -> int:
+        """The basis index of mode ``modes[k]``, form part ``subsets[i]``
+        and polyvector part ``subsets[j]``."""
+        return (k * size + i) * size + j
+
+    d: Dict[int, Dict[int, int]] = {}
+    delta: Dict[int, Dict[int, int]] = {}
+    for k, m in enumerate(modes):
         for I in subsets:
             for J in subsets:
-                basis.append((_torus_name(m, I, J), Bidegree(len(J), len(I))))
-    space = BigradedSpace(basis)
-    zero_mode = (0,) * n
-
-    d = GradedMap.zero(space, space, Bidegree(0, 1))
-    delta = GradedMap.zero(space, space, Bidegree(-1, 0))
-    for m in modes:
-        for I in subsets:
-            for J in subsets:
-                src = _torus_name(m, I, J)
+                src = at(k, pos[I], pos[J])
                 for j in coords:
-                    if m[j - 1] == 0:
+                    c = m[j - 1]
+                    if c == 0:
                         continue
                     if j not in I:
                         # d inserts dzbar_j at the front of the word
                         before = sum(1 for i in I if i < j)
                         sign = -1 if before % 2 else 1
-                        tgt = _torus_name(m, tuple(sorted(I + (j,))), J)
-                        d.set_entry(src, tgt, Fraction(m[j - 1] * sign))
+                        tgt = at(k, pos[tuple(sorted(I + (j,)))], pos[J])
+                        d.setdefault(src, {})[tgt] = c * sign
                     if j in J:
                         # delta contracts dv_j; the contraction passes the
                         # form letters and the earlier polyvector letters
                         idx = J.index(j)
                         sign = -1 if (len(I) + idx) % 2 else 1
-                        tgt = _torus_name(m, I, tuple(x for x in J if x != j))
-                        delta.set_entry(src, tgt, Fraction(m[j - 1] * sign))
+                        tgt = at(k, pos[I], pos[tuple(x for x in J if x != j)])
+                        delta.setdefault(src, {})[tgt] = c * sign
 
+    # for each word, the words disjoint from it in order, with the position
+    # of their union and the sign of merging the two
+    disjoint = [[(pos[t], pos[tuple(sorted(s + t))], _merge_sign(s, t))
+                 for t in subsets if not set(s) & set(t)] for s in subsets]
+    zero_mode = modes.index((0,) * n)
     product = {}
-    for m1, m2 in itertools.product(modes, repeat=2):
-        if m1 != zero_mode and m2 != zero_mode:
+    for k1, k2 in itertools.product(range(len(modes)), repeat=2):
+        if zero_mode not in (k1, k2):
             continue
-        msum = tuple(x + y for x, y in zip(m1, m2))
-        for I1, J1 in itertools.product(subsets, repeat=2):
-            for I2, J2 in itertools.product(subsets, repeat=2):
-                if set(I1) & set(I2) or set(J1) & set(J2):
-                    continue
+        ksum = k2 if k1 == zero_mode else k1    # the mode of the product
+        for i1, j1 in itertools.product(range(size), repeat=2):
+            x = at(k1, i1, j1)
+            for i2, it, sign_i in disjoint[i1]:
                 # move the second form block past the first polyvector block
-                sign = -1 if (len(J1) * len(I2)) % 2 else 1
-                sign *= _merge_sign(I1, I2) * _merge_sign(J1, J2)
-                src = (_torus_name(m1, I1, J1), _torus_name(m2, I2, J2))
-                tgt = _torus_name(msum, tuple(sorted(I1 + I2)),
-                                  tuple(sorted(J1 + J2)))
-                product[src] = {tgt: Fraction(sign)}
+                if len(subsets[j1]) * len(subsets[i2]) % 2:
+                    sign_i = -sign_i
+                for j2, jt, sign_j in disjoint[j1]:
+                    product[x, at(k2, i2, j2)] = {at(ksum, it, jt):
+                                                  sign_i * sign_j}
 
-    unit = _torus_name(zero_mode, (), ())
-    algebra = BVAlgebra(space, d, delta, product, unit)
+    algebra = BVAlgebra(space, Table(d, 1, Bidegree(0, 1)),
+                        Table(delta, 1, Bidegree(-1, 0)),
+                        check_additivity(space, Table(product, 1)),
+                        _torus_name((0,) * n, (), ()))
     return ModelDescriptor(f"torus({n},{mode_cutoff})", algebra, n=n)
 
 
@@ -173,27 +177,23 @@ def build_skew_gram_model() -> ModelDescriptor:
              ("x1", Bidegree(1, 0)), ("x2", Bidegree(1, 0)),
              ("y1", Bidegree(1, 1)), ("y2", Bidegree(1, 1))]
     space = BigradedSpace(basis)
-    d = GradedMap.zero(space, space, Bidegree(0, 1))
-    d.set_entry("x1", "y1", Fraction(1))
-    d.set_entry("x2", "y1", Fraction(1))
-    d.set_entry("x2", "y2", Fraction(1))
-    delta = GradedMap.zero(space, space, Bidegree(-1, 0))
-    product = {("e", name): {name: Fraction(1)} for name in space.names}
-    algebra = BVAlgebra(space, d, delta, product, "e")
-    gram = InnerProduct(space, {
-        Bidegree(1, 0): to_block([[Fraction(2), Fraction(1)],
-                                  [Fraction(1), Fraction(1)]]),
-        Bidegree(1, 1): to_block([[Fraction(3), Fraction(1)],
-                                  [Fraction(1), Fraction(2)]]),
-    })
+    e, x1, x2, y1, y2 = range(space.dim)
+    d = Table({x1: {y1: 1}, x2: {y1: 1, y2: 1}}, 1, Bidegree(0, 1))
+    product = Table({(e, n): {n: 1} for n in range(space.dim)}, 1)
+    algebra = BVAlgebra(space, d, Table({}, 1, Bidegree(-1, 0)),
+                        check_additivity(space, product), "e")
+    gram = InnerProduct(space, {Bidegree(1, 0): ([[2, 1], [1, 1]], 1),
+                                Bidegree(1, 1): ([[3, 1], [1, 2]], 1)})
     return ModelDescriptor("skew-gram", algebra, inner_product=gram)
 
 
-_COEFF_POOL = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
-               Fraction(-2), Fraction(1, 2), Fraction(3), Fraction(-1, 3)]
+# rationals as (numerator, denominator)
+_COEFF_POOL = [(0, 1), (1, 1), (-1, 1), (2, 1), (-2, 1), (1, 2), (3, 1),
+               (-1, 3)]
 
 
-def _witness_candidate(alpha: Fraction, beta: Fraction, gamma: Fraction) -> BVAlgebra:
+def _witness_candidate(alpha: Tuple[int, int], beta: Tuple[int, int],
+                       gamma: Tuple[int, int]) -> BVAlgebra:
     """Massey-style seven-dimensional candidate: d s = gamma a b, and the
     product s c reaches a harmonic element, so the arity-3 higher
     operation picks up pi((h(ab)) c) != 0 when all coefficients are set."""
@@ -201,16 +201,14 @@ def _witness_candidate(alpha: Fraction, beta: Fraction, gamma: Fraction) -> BVAl
              ("a", Bidegree(1, 0)), ("b", Bidegree(1, 0)), ("c", Bidegree(1, 0)),
              ("p", Bidegree(2, 0)), ("s", Bidegree(2, -1)), ("w", Bidegree(3, -1))]
     space = BigradedSpace(basis)
-    d = GradedMap.zero(space, space, Bidegree(0, 1))
-    if gamma != 0:
-        d.set_entry("s", "p", gamma)
-    delta = GradedMap.zero(space, space, Bidegree(-1, 0))
-    product = {("e", name): {name: Fraction(1)} for name in space.names}
-    if alpha != 0:
-        product[("a", "b")] = {"p": alpha}
-    if beta != 0:
-        product[("s", "c")] = {"w": beta}
-    return BVAlgebra(space, d, delta, product, "e")
+    e, a, b, c, p, s, w = range(space.dim)
+    product = {(e, n): {n: (1, 1)} for n in range(space.dim)}
+    product[a, b] = {p: alpha}
+    product[s, c] = {w: beta}
+    # to_table drops the zero coefficients
+    return BVAlgebra(space, to_table({s: {p: gamma}}, Bidegree(0, 1)),
+                     Table({}, 1, Bidegree(-1, 0)),
+                     check_additivity(space, to_table(product)), "e")
 
 
 def search_nonformal(seed: int = 0) -> ModelDescriptor:

@@ -13,8 +13,8 @@ Fraction}}`` tables (``algebra_view``) and the operations
 ``BVAlgebra``, ``TransferData`` and ``OperationTable`` make their views
 here, through ``graded.rational``, the first time one is read, so that
 neither command loads this module or ``fractions``.  The conversions the
-other way, of the ``Fraction`` inputs the model builders and the tests
-state, are in ``elements``, which neither command loads.
+other way, of the ``Fraction`` inputs the tests state, are in
+``elements``, which neither command nor the model builders load.
 """
 
 from __future__ import annotations

@@ -10,7 +10,8 @@ here, and skip the others, which satisfy it as 0 = 0.  ``unpruned`` checks
 the three identities on every basis tuple and returns the three verdicts.
 ``bracket_model`` is a small algebra whose derived bracket is nonzero on an
 exact product, and ``cy3_model`` extends it to a hypersurface footprint of
-dimension 3.
+dimension 3.  ``ce_model(n)`` is a Chevalley-Eilenberg algebra with nonzero
+higher operations up to arity n.
 """
 
 import itertools
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 
 from bvhy.bv import BVAlgebra
-from bvhy.elements import apply, koszul_sign, multiply
+from bvhy.elements import apply, fraction_tables, koszul_sign, multiply
 from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.rational import GradedMap
 
@@ -139,6 +140,12 @@ def unpruned(a):
     return assoc, deriv, order_two
 
 
+def fraction_algebra(space, d, delta, product, unit):
+    """The ``BVAlgebra`` of the ``GradedMap``s ``d`` and ``delta`` and a
+    ``{(x, y): {t: Fraction}}`` product, keyed by basis names."""
+    return BVAlgebra(space, *fraction_tables(space, d, delta, product), unit)
+
+
 def bracket_model(z=(2, 0)):
     """Nine elements with x y = d r exact, delta r = s and s z = w harmonic,
     w at z + (1, 1): with z at (2, 0), the strict (3,1) operation is -2[w]
@@ -156,7 +163,7 @@ def bracket_model(z=(2, 0)):
     product = {("e", n): {n: F(1)} for n in space.names}
     product[("x", "y")] = {"p": F(1)}
     product[("s", "z")] = {"w": F(1)}
-    return BVAlgebra(space, d, delta, product, "e")
+    return fraction_algebra(space, d, delta, product, "e")
 
 
 def cy3_model():
@@ -171,4 +178,49 @@ def cy3_model():
                 for m in (b.d, b.delta))
     product = dict(b.product)
     product[("e", "t")] = {"t": Fraction(1)}
-    return BVAlgebra(space, d, delta, product, "e")
+    return fraction_algebra(space, d, delta, product, "e")
+
+
+def _sorted_word(word):
+    """Sign and sorted form of a word in odd generators; None on a repeat."""
+    if len(set(word)) < len(word):
+        return None
+    inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
+    return (-1) ** inversions, tuple(sorted(word))
+
+
+def ce_model(n):
+    """Chevalley-Eilenberg algebra with generators g_1..g_n at (0,1) and
+    d g_k = c_k g_1 g_{k-1} for k >= 3, c_k = (2k - 1)/(k - 1) (Heisenberg
+    for n = 3, filiform L_n above); d^2 = 0 for any c_k because
+    g_1 g_1 = 0."""
+    gens = range(1, n + 1)
+    subsets = [s for r in range(n + 1)
+               for s in itertools.combinations(gens, r)]
+
+    def name(s):
+        return "g" + "".join(map(str, s))
+
+    space = BigradedSpace([(name(s), Bidegree(0, len(s))) for s in subsets])
+    product = {}
+    for s in subsets:
+        for t in subsets:
+            merged = _sorted_word(s + t)
+            if merged:
+                product[(name(s), name(t))] = {
+                    name(merged[1]): Fraction(merged[0])}
+    d = {}
+    for s in subsets:
+        col = {}
+        for j, k in enumerate(s):
+            if k < 3:
+                continue
+            merged = _sorted_word(s[:j] + (1, k - 1) + s[j + 1:])
+            if merged:
+                sign, word = merged
+                col[name(word)] = col.get(name(word), 0) + \
+                    (-1) ** j * sign * Fraction(2 * k - 1, k - 1)
+        d[name(s)] = col
+    return fraction_algebra(space, GradedMap(space, space, Bidegree(0, 1), d),
+                            GradedMap.zero(space, space, Bidegree(-1, 0)),
+                            product, "g")

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 import engine_oracle
-from bv_oracle import bracket_model, cy3_model
+from bv_oracle import bracket_model, ce_model, cy3_model, fraction_algebra
 from engine_oracle import (SubtreeEvaluator, bidegree_violations,
                            nonzero_keys, truncate_to_strict)
 from tree_oracle import delta_trees, parse_tree
-from bvhy.bv import BVAlgebra, check_bv_axioms
+from bvhy.bv import check_bv_axioms
 from bvhy.certify import Footprint, certify_formality
 from bvhy.engine import (build_operation_table, check_formal_unit,
                          naive_evaluate_tree, top_degree_report)
@@ -187,48 +187,6 @@ def test_subset_recursion_matches_naive_on_witness():
     assert nonzero > 0
 
 
-def _sorted_word(word):
-    """Sign and sorted form of a word in odd generators; None on a repeat."""
-    if len(set(word)) < len(word):
-        return None
-    inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1:])
-    return (-1) ** inversions, tuple(sorted(word))
-
-
-def _nilpotent_ce(n, scale):
-    """Chevalley-Eilenberg algebra with generators g_1..g_n at (0,1) and
-    d g_k = c_k g_1 g_{k-1} for k >= 3 (Heisenberg for n = 3, filiform L_n
-    above); d^2 = 0 for any c_k because g_1 g_1 = 0."""
-    gens = range(1, n + 1)
-    subsets = [s for r in range(n + 1) for s in itertools.combinations(gens, r)]
-
-    def name(s):
-        return "g" + "".join(map(str, s))
-
-    space = BigradedSpace([(name(s), Bidegree(0, len(s))) for s in subsets])
-    product = {}
-    for s in subsets:
-        for t in subsets:
-            merged = _sorted_word(s + t)
-            if merged:
-                product[(name(s), name(t))] = {name(merged[1]): F(merged[0])}
-    d = {}
-    for s in subsets:
-        col = {}
-        for j, k in enumerate(s):
-            if k < 3:
-                continue
-            merged = _sorted_word(s[:j] + (1, k - 1) + s[j + 1:])
-            if merged:
-                sign, word = merged
-                col[name(word)] = col.get(name(word), 0) + \
-                    (-1) ** j * sign * scale(k)
-        d[name(s)] = col
-    return BVAlgebra(space, GradedMap(space, space, Bidegree(0, 1), d),
-                     GradedMap.zero(space, space, Bidegree(-1, 0)),
-                     product, "g")
-
-
 def _fractional_model():
     """``bracket_model()`` with ``w`` rescaled by 3/2, so ``s z = 2/3 w``,
     and two isolated harmonic classes with unit rows, ``t`` beside ``r`` at
@@ -245,7 +203,7 @@ def _fractional_model():
     product[("e", "t")] = {"t": F(1)}
     product[("e", "u")] = {"u": F(1)}
     half = to_block([[F(1), F(1, 2)], [F(1, 2), F(1)]])
-    return BVAlgebra(space, d, delta, product, "e"), InnerProduct(
+    return fraction_algebra(space, d, delta, product, "e"), InnerProduct(
         space, {Bidegree(2, 1): half, Bidegree(1, 2): half})
 
 
@@ -253,7 +211,7 @@ def _oracle_cases(models):
     for m in list(models) + [search_nonformal(seed=s) for s in (0, 1)]:
         yield m.name, m.algebra, m.transfer_data()
     for n in (3, 4, 5):
-        a = _nilpotent_ce(n, lambda k: F(2 * k - 1, k - 1))
+        a = ce_model(n)
         assert check_bv_axioms(a).passed
         yield f"ce({n})", a, build_transfer_data(a)
     a = bracket_model()

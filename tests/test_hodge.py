@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from bv_oracle import fraction_algebra
 from hodge_oracle import (adjoint_differential, compose, dense_block,
                           identity, mat_mul, rank, to_matrix)
 from bvhy import bv
-from bvhy.bv import BVAlgebra
 from bvhy.elements import apply, nonzero_entries, to_block
 from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.engine import build_operation_table
@@ -162,7 +162,7 @@ def test_d_and_delta_become_blocks_once_per_algebra(monkeypatch):
     monkeypatch.setattr(bv, "_blocks",
                         lambda space, t: converted.append(t) or blocks(space, t))
     a = m.algebra
-    a = BVAlgebra(a.space, a.d, a.delta, a.product, a.unit)
+    a = fraction_algebra(a.space, a.d, a.delta, a.product, a.unit)
     td, reports = check_transfer_input(a, m.inner_product)
     assert all(r.passed for r in reports)
     # the axiom check, the Hodge build and both side checks share them,

@@ -170,3 +170,26 @@ def test_validate_and_transfer_load_only_what_they_run(tmp_path):
     readers = {p.stem for p in (ROOT / "src" / "bvhy").glob("*.py")
                if "def footprint_from_json(" in p.read_text(encoding="utf-8")}
     assert readers == {"certify"}
+
+
+_BUILDER_PROBE = """
+import sys
+before = set(sys.modules)
+from bvhy import models
+models.builtin_models()
+models.build_torus_model(3, 0)
+models.build_trivial_model(4)
+print(repr(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_model_builders_load_no_fraction_layer():
+    # the builders write integer tables, so there is no Fraction input to
+    # convert; search_nonformal's re-verification may load these
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _BUILDER_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert "bvhy.models" in loaded
+    assert loaded & {"bvhy.rational", "bvhy.elements", "fractions"} == set()

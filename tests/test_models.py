@@ -8,15 +8,16 @@ from certify_oracle import builtin_footprints, model_footprint, torus_models
 from engine_oracle import nonzero_keys, truncate_to_strict
 from hodge_oracle import dense_block, rank
 from bvhy import linalg, models, serialize
-from bvhy.bv import check_bv_axioms
+from bvhy.bv import Table, check_additivity, check_bv_axioms
 from bvhy.certify import is_hypersurface_footprint
-from bvhy.elements import nonzero_entries
+from bvhy.elements import fraction_tables, nonzero_entries
 from bvhy.engine import build_operation_table
-from bvhy.graded import Bidegree
+from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.hodge import check_transfer_input
 from bvhy.models import (SearchExhausted, build_skew_gram_model,
                          build_torus_model, build_trivial_model,
                          builtin_models, search_nonformal)
+from bvhy.rational import GradedMap
 
 F = Fraction
 
@@ -133,3 +134,35 @@ def test_search_exhaustion_paths(monkeypatch):
     monkeypatch.setattr(models, "SEARCH_ATTEMPTS", 0)
     with pytest.raises(SearchExhausted, match="within 0 attempts"):
         search_nonformal(seed=0)
+
+
+def test_product_breaking_bidegree_additivity_is_rejected():
+    # x x lands on y at (1,1), where (2,0) is due
+    space = BigradedSpace([("e", Bidegree(0, 0)), ("x", Bidegree(1, 0)),
+                           ("y", Bidegree(1, 1))])
+    message = "product 'x' 'x' -> 'y' breaks bidegree additivity"
+    # an index-keyed table, as the builders write it
+    product = Table({(0, n): {n: 1} for n in range(space.dim)}, 1)
+    assert check_additivity(space, product) is product
+    product.cols[1, 1] = {2: 1}
+    with pytest.raises(ValueError, match=message):
+        check_additivity(space, product)
+    # the same check runs on the Fraction inputs the tests state
+    d, delta = (GradedMap.zero(space, space, shift)
+                for shift in (Bidegree(0, 1), Bidegree(-1, 0)))
+    with pytest.raises(ValueError, match=message):
+        fraction_tables(space, d, delta, {("x", "x"): {"y": F(1)}})
+
+
+def test_every_builder_checks_its_product(monkeypatch):
+    dims = []
+
+    def spy(space, product):
+        dims.append(space.dim)
+        return check_additivity(space, product)
+    monkeypatch.setattr(models, "check_additivity", spy)
+    build_trivial_model(1)
+    build_torus_model(1, 0)
+    build_skew_gram_model()
+    search_nonformal(seed=0)
+    assert dims[:3] == [2, 4, 5] and set(dims[3:]) == {7}
