@@ -1,13 +1,14 @@
 """Homogeneous elements, the maps and operations applied to them, and the
 ``Fraction`` inputs of an algebra.
 
-``validate`` and ``transfer`` never load this module, nor do the model
-builders: they work on integer tables and blocks only.  ``Element``
-arithmetic serves ``engine.naive_evaluate_tree``, with which ``search``
-re-checks its witness, and the tests' oracles.  For the tests, which state
-algebras in ``Fraction``s, ``fraction_tables`` converts ``GradedMap``s and
-a product table into the ``bv.Table``s ``BVAlgebra`` takes, and
-``to_block`` a Gram block given as a matrix of ``Fraction``s.
+``validate``, ``transfer`` and ``search`` never load this module, nor do
+the model builders: they work on integer tables and blocks only.
+``Element`` arithmetic serves ``engine.naive_evaluate_tree``, the oracle
+of the tests and the benchmark, and the tests' other oracles.  For the
+tests, which state algebras in ``Fraction``s, ``fraction_tables``
+converts ``GradedMap``s and a product table into the ``bv.Table``s
+``BVAlgebra`` takes, and ``to_block`` a Gram block given as a matrix of
+``Fraction``s.
 """
 
 from __future__ import annotations

@@ -28,9 +28,9 @@ only on the sizes and bracket counts of its subtrees and the vertex kind;
 leaf labels only permute keys.  So each size class gets one product list
 (``_products``), scattered into every split of that class (``_scatter``).
 ``naive_evaluate_tree`` evaluates one tree on given arguments by direct
-recursion on ``elements.Element``s, with no tables and no caching.  The
-witness search re-verifies each witness with it, and the tests use it as
-the oracle for the tables.
+recursion on ``elements.Element``s, with no tables and no caching.  It is
+the oracle for the tables in the tests and the benchmark; the witness
+search trusts the integer table, and the tests check its witnesses.
 """
 
 from __future__ import annotations

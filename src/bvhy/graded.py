@@ -60,7 +60,7 @@ class BigradedSpace:
         return len(self.names)
 
     def names_at(self, deg: Bidegree) -> List[str]:
-        return self._by_bidegree.get(Bidegree(*deg), [])
+        return self._by_bidegree.get(deg, [])
 
     def occupied_bidegrees(self) -> List[Bidegree]:
         return sorted(self._by_bidegree)

@@ -49,7 +49,7 @@ class InnerProduct:
             self.blocks[deg] = block
 
     def block(self, deg: Bidegree) -> linalg.Block:
-        return self.blocks[Bidegree(*deg)]
+        return self.blocks[deg]
 
 
 class TransferData:

@@ -179,17 +179,20 @@ from bvhy import models
 models.builtin_models()
 models.build_torus_model(3, 0)
 models.build_trivial_model(4)
+models.search_nonformal(0)
+models.search_nonformal(1)
 print(repr(sorted(set(sys.modules) - before)))
 """
 
 
 def test_model_builders_load_no_fraction_layer():
     # the builders write integer tables, so there is no Fraction input to
-    # convert; search_nonformal's re-verification may load these
+    # convert, and the search reads the integer (3,0) table
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _BUILDER_PROBE],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert "bvhy.models" in loaded
-    assert loaded & {"bvhy.rational", "bvhy.elements", "fractions"} == set()
+    assert loaded & {"bvhy.rational", "bvhy.elements", "bvhy.trees",
+                     "fractions"} == set()

@@ -8,16 +8,17 @@ from certify_oracle import builtin_footprints, model_footprint, torus_models
 from engine_oracle import nonzero_keys, truncate_to_strict
 from hodge_oracle import dense_block, rank
 from bvhy import linalg, models, serialize
-from bvhy.bv import Table, check_additivity, check_bv_axioms
+from bvhy.bv import BVAlgebra, Table, check_additivity, check_bv_axioms
 from bvhy.certify import is_hypersurface_footprint
 from bvhy.elements import fraction_tables, nonzero_entries
-from bvhy.engine import build_operation_table
+from bvhy.engine import build_operation_table, naive_evaluate_tree
 from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.hodge import check_transfer_input
 from bvhy.models import (SearchExhausted, build_skew_gram_model,
                          build_torus_model, build_trivial_model,
                          builtin_models, search_nonformal)
 from bvhy.rational import GradedMap
+from bvhy.trees import enumerate_trees
 
 F = Fraction
 
@@ -109,6 +110,43 @@ def test_search_nonformal_finds_confirmed_witness():
     from bvhy.certify import Footprint
     ok, _ = is_hypersurface_footprint(Footprint(3, occupied))
     assert not ok
+
+
+def _naive_witness_output(m):
+    """The witness's arity-3 operation summed tree by tree with the naive
+    recursion on Elements, which shares no code with the integer table."""
+    td = m.transfer_data()
+    H = td.cohomology
+    args = [H.basis_element(n) for n in m.witness["inputs"]]
+    total = H.zero()
+    for t in enumerate_trees(3, constraints={"bracket_count": 0}):
+        total = total + naive_evaluate_tree(t, m.algebra, td, args)
+    assert not total.is_zero
+    return {n: str(v) for n, v in sorted(total.coeffs.items())}
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_search_witness_matches_naive_evaluator(seed):
+    m = search_nonformal(seed=seed)
+    assert _naive_witness_output(m) == m.witness["output"]
+
+
+def test_search_takes_least_witness_by_names(monkeypatch):
+    # swapping the names a and c makes harmonic index order differ from
+    # name order: index order would pick ([c], [b], [a])
+    build = models._witness_candidate
+
+    def renamed(*coeffs):
+        a = build(*coeffs)
+        swap = {"a": "c", "c": "a"}
+        space = BigradedSpace((swap.get(n, n), a.space.bidegree[n])
+                              for n in a.space.names)
+        return BVAlgebra(space, *a.tables[:3], a.unit)
+    monkeypatch.setattr(models, "_witness_candidate", renamed)
+    m = search_nonformal(seed=0)
+    assert m.transfer_data().cohomology.names[1:4] == ["[c]", "[b]", "[a]"]
+    assert m.witness["inputs"] == ["[a]", "[b]", "[c]"]
+    assert _naive_witness_output(m) == m.witness["output"]
 
 
 def test_search_witness_lost_by_strict_truncation():

@@ -1,8 +1,9 @@
 """Pinned outputs, by sha256 of their ``serialize.dump`` text: the
 ``check_transfer_input`` reports and the arity-5 ``table_to_json`` exports of
 the built-in models, ``bracket_model(z)``, ``cy3_model()`` and
-``ce_model(n)``, and the ``algebra_to_json`` exports of the model builders
-and of ``search_nonformal``.
+``ce_model(n)``, the ``algebra_to_json`` exports of the model builders and
+of ``search_nonformal``, and the witnesses of ``search_nonformal`` on seeds
+0-63 with their exports.
 
 A refactor keeps these bytes.  A change that moves one on purpose names the
 model and the moved entries in CHANGES.md and records the new digest here.
@@ -77,6 +78,10 @@ EXPORTS = {
     (models.search_nonformal, 1):
         "cf07585e4a37a4874c43891c4271192427b74a49b8444c46da03b7709642be37",
 }
+# [seed, witness, export] for each search seed 0-63, or [seed, message]
+# where the search is exhausted
+SEARCH_SEEDS = \
+    "2cb089fcc9aa2acadf4e3f140d1f92c05f2c4e8085865973a6f37c56f7517dc8"
 # the product keys of torus(2,1) in table order, from which the algebra's
 # partners and the checks' scan order are built
 TORUS_21_KEYS = \
@@ -125,6 +130,18 @@ def test_model_exports_are_pinned(call):
     m = build(*args)
     assert _sha256(algebra_to_json(m.algebra, m.inner_product)) == \
         EXPORTS[call]
+
+
+def test_search_witnesses_are_pinned():
+    docs = []
+    for seed in range(64):
+        try:
+            m = models.search_nonformal(seed)
+        except models.SearchExhausted as exc:
+            docs.append([seed, str(exc)])
+        else:
+            docs.append([seed, m.witness, dump(algebra_to_json(m.algebra))])
+    assert _sha256(docs) == SEARCH_SEEDS
 
 
 def test_torus_product_keys_keep_their_order():
