@@ -36,10 +36,10 @@ are the ints 1 and -1.
 
 The trilinear checks visit only the tuples reached by one support index,
 built with the algebra: ``partners[u]``, the ``v`` with ``(u, v)`` a
-product key, in key order (keys are closed under swapping, so it is the
-left index too), the ``d`` and ``delta`` columns, and the bracket table;
-and, made on first use, the product keys by target.  Any other tuple
-satisfies the identity under test as 0 = 0.
+product key, in index order (keys are closed under swapping, so it is the
+left index too), the product columns, the ``d`` and ``delta`` columns,
+and the bracket table; and, made on first use, the product keys by
+target.  Any other tuple satisfies the identity under test as 0 = 0.
 
 Every witness is named in basis-index order, so it is a property of the
 algebra, not of a document's row order or name spelling.  Each trilinear
@@ -118,8 +118,8 @@ class BVAlgebra:
     def __init__(self, space: BigradedSpace, d: Table, delta: Table,
                  product: Table, unit: str):
         """``d``, ``delta`` and ``product`` are ``Table``s keyed by basis
-        index, as the model builders write them, ``serialize`` reads them
-        and ``elements.fraction_tables`` converts ``Fraction`` inputs.  The
+        index, as the model builders write them and ``serialize`` reads
+        them; the tests convert their ``Fraction`` inputs to them.  The
         product's bidegree additivity is checked before: per row by
         ``serialize.algebra_from_json``, by ``check_additivity`` otherwise.
         The product table's missing mirror entries are filled in, in
@@ -140,6 +140,8 @@ class BVAlgebra:
         self.partners: Dict[int, List[int]] = {}
         for (u, v) in cols:
             self.partners.setdefault(u, []).append(v)
+        for row in self.partners.values():
+            row.sort()
         # the bracket is how far delta is from a derivation, filled in
         # basis-index order
         self.tables = Tables(d, delta, product, Table(
@@ -329,17 +331,17 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
 
     report.add("delta(unit) = 0", not tables.delta.cols.get(unit), a.unit)
 
-    par = a.parity
-    keys = sorted(product)
+    par, partners = a.parity, a.partners
     # keys are closed under swapping (see BVAlgebra.__init__)
-    witness = next(((names[x], names[y]) for x, y in keys if product[x, y] != (
-        {t: -v for t, v in product[y, x].items()}
-        if par[x] and par[y] else product[y, x])), None)
+    witness = next(((names[x], names[y]) for x in sorted(partners)
+                    for y in partners[x] if product[x, y] != (
+                        {t: -v for t, v in product[y, x].items()}
+                        if par[x] and par[y] else product[y, x])), None)
     commutative = witness is None
     report.add("graded commutativity", commutative, witness)
 
     report.add("associativity", *_check_associativity(
-        a, keys, unit_law, commutative))
+        a, unit_law, commutative))
     bad = next(_defects(a, tables.d.cols, 1, commutative), None)
     report.add("d is a derivation of the product", bad is None,
                bad and (names[bad[0]], names[bad[1]]))
@@ -356,47 +358,44 @@ def check_bv_axioms(a: BVAlgebra) -> CheckReport:
     return report
 
 
-def _check_associativity(a: BVAlgebra, keys: List, unit_law: bool,
-                         commutative: bool):
-    """``(passed, witness)`` of associativity, ``keys`` being the product
-    keys in index order.
+def _check_associativity(a: BVAlgebra, unit_law: bool, commutative: bool):
+    """``(passed, witness)`` of associativity.
 
     The associators ``A(x, y, z) = (xy)z - x(yz)`` of one middle element
     ``y`` at a time are summed into one accumulator keyed ``(x, z,
     target)``: ``(xy)z`` from the keys ``(x, y)``, ``x(yz)`` from the keys
-    ``(y, z)``.  ``right[u]`` and ``left[v]`` are filled from the keys in
-    index order, so they are sorted and each cut is a bisect; they exist
-    for the unit too, which may be a factor ``w`` of ``xy`` or ``yz``."""
-    names, product = a.space.names, a.tables.product.cols
+    ``(y, z)``.  Keys being symmetric, ``partners[u]`` lists both the left
+    and the right factors of ``u``, sorted, so each cut is a bisect.  The
+    unit, once cut, is skipped as a factor ``x``, ``y`` or ``z``; it may
+    still be a factor ``w`` of ``xy`` or ``yz``."""
+    names, product, partners = a.space.names, a.tables.product.cols, a.partners
     unit = a.space.index[a.unit] if unit_law and commutative else None
-    right: Dict[int, List] = {}
-    left: Dict[int, List] = {}
-    for u, v in keys:
-        if v != unit:
-            right.setdefault(u, []).append((v, product[u, v]))
-        if u != unit:
-            left.setdefault(v, []).append((u, product[u, v]))
     for y in range(len(names)):
-        # left[y] holds the same elements as right[y], keys being symmetric
-        yrow = right.get(y) if y != unit else None
+        yrow = partners.get(y) if y != unit else None
         if not yrow:
             continue
         acc: Dict[Tuple[int, int, int], int] = {}
         get = acc.get
-        for x, xy in left[y]:
+        for x in yrow:
+            if x == unit:
+                continue
             lo = max(x, y) if commutative else 0
-            for w, c in xy.items():
-                wrow = right.get(w, ())
-                for z, wz in wrow[bisect_left(wrow, (lo,)):]:
-                    for t, v in wz.items():
-                        acc[x, z, t] = get((x, z, t), 0) + c * v
-        for z, yz in yrow[bisect_left(yrow, (y if commutative else 0,)):]:
-            hi = z if commutative else len(names)
-            for w, c in yz.items():
-                wrow = left.get(w, ())
-                for x, xw in wrow[:bisect_left(wrow, (hi + 1,))]:
-                    for t, v in xw.items():
-                        acc[x, z, t] = get((x, z, t), 0) - c * v
+            for w, c in product[x, y].items():
+                wrow = partners.get(w, ())
+                for z in wrow[bisect_left(wrow, lo):]:
+                    if z != unit:
+                        for t, v in product[w, z].items():
+                            acc[x, z, t] = get((x, z, t), 0) + c * v
+        for z in yrow[bisect_left(yrow, y) if commutative else 0:]:
+            if z == unit:
+                continue
+            hi = z + 1 if commutative else len(names)
+            for w, c in product[y, z].items():
+                wrow = partners.get(w, ())
+                for x in wrow[:bisect_left(wrow, hi)]:
+                    if x != unit:
+                        for t, v in product[x, w].items():
+                            acc[x, z, t] = get((x, z, t), 0) - c * v
         bad = [(x, z) for (x, z, _t), v in acc.items() if v]
         if bad:
             x, z = min(bad)

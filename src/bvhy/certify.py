@@ -16,7 +16,7 @@ strict operations have l = k-2.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Tuple
 
 from .graded import Bidegree
@@ -83,14 +83,11 @@ class CaseVerdict:
     verdict: str          # "excluded" | "product-only" | "not-excluded"
     reason: str
 
-    def to_dict(self):
-        return {"case": self.case, "verdict": self.verdict, "reason": self.reason}
-
 
 @dataclass
 class FormalityCertificate:
     n: int
-    footprint_ok: bool
+    footprint_hypothesis: bool
     footprint_reason: str
     assume_top_bottom: bool
     cases: List[CaseVerdict] = field(default_factory=list)
@@ -105,16 +102,6 @@ class FormalityCertificate:
             if c.case == name:
                 return c
         raise KeyError(name)
-
-    def to_dict(self):
-        return {
-            "n": self.n,
-            "footprint_hypothesis": self.footprint_ok,
-            "footprint_reason": self.footprint_reason,
-            "assume_top_bottom": self.assume_top_bottom,
-            "cases": [c.to_dict() for c in self.cases],
-            "verdict": self.verdict,
-        }
 
 
 def certify_formality(fp: Footprint, assume_top_bottom: bool = True) -> FormalityCertificate:
@@ -204,5 +191,5 @@ def cmd_certify(footprint: str, assume_top_bottom: bool) -> int:
     fp = footprint_from_json(doc)
     cert = certify_formality(fp, assume_top_bottom=assume_top_bottom)
     emit(command_report("certify", {footprint: digest}, started,
-                        certificate=cert.to_dict(), verdict=cert.verdict))
+                        certificate=asdict(cert), verdict=cert.verdict))
     return 0 if cert.formal else 3

@@ -28,7 +28,7 @@ only on the sizes and bracket counts of its subtrees and the vertex kind;
 leaf labels only permute keys.  So each size class gets one product list
 (``_products``), scattered into every split of that class (``_scatter``).
 ``naive_evaluate_tree`` evaluates one tree on given arguments by direct
-recursion on ``elements.Element``s, with no tables and no caching.  It is
+recursion on ``rational.Element``s, with no tables and no caching.  It is
 the oracle for the tables in the tests and the benchmark; the witness
 search trusts the integer table, and the tests check its witnesses.
 """
@@ -47,7 +47,7 @@ from .hodge import TransferData
 from .reporting import CheckReport
 
 if TYPE_CHECKING:
-    from .elements import Element
+    from .rational import Element
     from .trees import DecoratedTree
 
 Labels = Tuple[int, ...]
@@ -107,7 +107,7 @@ def _scatter(products: Items, labels: Sequence[int], out: Constants) -> None:
 def naive_evaluate_tree(t: DecoratedTree, a: BVAlgebra, td: TransferData,
                         args: List[Element]) -> Element:
     """Reference evaluator: plain recursion, no tables, no normal forms."""
-    from .elements import apply, bracket, koszul_sign, multiply
+    from .rational import apply, bracket, koszul_sign, multiply
     if len(args) != t.arity:
         raise ValueError(f"tree has arity {t.arity}, got {len(args)} arguments")
 

@@ -1,20 +1,20 @@
-"""``Fraction`` views: maps and tables keyed by basis names, with exact
-``Fraction`` values.
+"""Every ``Fraction`` value of the package: views of the integer tables
+keyed by basis names, and homogeneous ``Element``s with the maps and
+operations applied to them.
 
-The algebra (``bv.Table``), the transfer data (``graded.BlockMap``, and
-``bv.Table``s read off its blocks by ``bv.columns``) and the transferred
-operations (``engine.OperationTable``) are held as integers over common
-denominators, and neither ``validate`` nor ``transfer`` reads anything
-else.  ``elements``, ``search`` and the tests read the views made here,
-every one from index-keyed integer columns by one conversion (``_view``):
-``GradedMap``s (``map_view``, ``from_blocks``), ``{(x, y): {t:
-Fraction}}`` tables (``algebra_view``) and the operations
-(``operations_view``); perfbench reads the Green operator (``green``) too.
-``BVAlgebra``, ``TransferData`` and ``OperationTable`` make their views
-here, through ``graded.rational``, the first time one is read, so that
-neither command loads this module or ``fractions``.  The conversions the
-other way, of the ``Fraction`` inputs the tests state, are in
-``elements``, which neither command nor the model builders load.
+The algebra (``bv.Table``), the transfer data (``graded.BlockMap``, read
+into ``bv.Table``s by ``bv.columns``) and the transferred operations
+(``engine.OperationTable``) are integers over common denominators, and no
+command reads anything else or loads this module.  The tests and
+perfbench's output checks read the views, each made from index-keyed
+integer columns by one conversion (``_view``): ``GradedMap``s
+(``map_view``, ``from_blocks``, ``green``), name-keyed tables
+(``algebra_view``) and the operations (``operations_view``).
+``BVAlgebra``, ``TransferData`` and ``OperationTable`` make theirs here,
+through ``graded.rational``, when first read.  ``Element`` arithmetic
+(``apply``, ``multiply``, ``bracket``, ``koszul_sign``) serves
+``engine.naive_evaluate_tree``, the oracle of the tests and the
+benchmark, and the tests' other oracles.
 """
 
 from __future__ import annotations
@@ -23,11 +23,17 @@ from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 from . import linalg
-from .bv import columns
+from .bv import BVAlgebra, _add_into, _left, columns
 from .graded import Bidegree, BigradedSpace, BlockMap, add, compose
 
 Vector = Dict[str, Fraction]
 ProductTable = Dict[Tuple[str, str], Vector]
+
+
+def koszul_sign(deg_passed: int, deg_over: int) -> Fraction:
+    """Sign picked up when something of degree ``deg_passed`` moves past
+    something of degree ``deg_over``: (-1)^(deg_passed * deg_over)."""
+    return Fraction(-1) if (deg_passed * deg_over) % 2 else Fraction(1)
 
 
 class GradedMap:
@@ -47,17 +53,6 @@ class GradedMap:
                 for tgt, c in col.items():
                     if c != 0:
                         self.entries.setdefault(src, {})[tgt] = c
-
-    @classmethod
-    def zero(cls, source: BigradedSpace, target: BigradedSpace,
-             shift: Bidegree) -> "GradedMap":
-        return cls(source, target, shift, {})
-
-    def set_entry(self, src: str, tgt: str, c: Fraction) -> None:
-        if c == 0:
-            self.entries.get(src, {}).pop(tgt, None)
-        else:
-            self.entries.setdefault(src, {})[tgt] = c
 
 
 def _view(cols: Dict, den: int, key, names) -> Dict:
@@ -113,3 +108,91 @@ def green(td) -> GradedMap:
             (linalg.transpose(rows), den), gram(deg + h.shift)))
         for deg, (rows, den) in h.blocks.items()})
     return from_blocks(add(compose(h, hstar), compose(hstar, h)))
+
+
+class Element:
+    """Homogeneous element: a linear combination of basis elements sharing
+    one bidegree.  The zero element may carry a bidegree or ``None``."""
+
+    def __init__(self, space: BigradedSpace, bidegree: Optional[Bidegree],
+                 coeffs: Optional[Dict[str, Fraction]] = None):
+        self.space, self.bidegree = space, bidegree
+        self.coeffs = {n: c for n, c in (coeffs or {}).items() if c != 0}
+        for n in self.coeffs:
+            if n not in space.bidegree:
+                raise ValueError(f"{n!r} not in space")
+            if bidegree is not None and space.bidegree[n] != bidegree:
+                raise ValueError(f"{n!r} is not homogeneous of bidegree {bidegree}")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def total_degree(self) -> int:
+        if self.bidegree is None:
+            return 0
+        return self.bidegree.total
+
+    def scale(self, c: Fraction) -> "Element":
+        return Element(self.space, self.bidegree, {n: c * v for n, v in self.coeffs.items()})
+
+    def __add__(self, other: "Element") -> "Element":
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        if self.bidegree != other.bidegree:
+            raise ValueError("sum of elements of different bidegrees is not homogeneous")
+        out = dict(self.coeffs)
+        for n, v in other.coeffs.items():
+            out[n] = out.get(n, Fraction(0)) + v
+        return Element(self.space, self.bidegree, out)
+
+    def __sub__(self, other: "Element") -> "Element":
+        return self + other.scale(Fraction(-1))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.coeffs == other.coeffs and (
+            self.is_zero or self.bidegree == other.bidegree
+        )
+
+    def __repr__(self):
+        if self.is_zero:
+            return "0"
+        return " + ".join(f"{c}*{n}" for n, c in sorted(self.coeffs.items()))
+
+
+def apply(m: GradedMap, x: Element) -> Element:
+    """The map ``m`` on the element ``x`` of its source."""
+    if x.space is not m.source and x.space.names != m.source.names:
+        raise ValueError("element not in the source space")
+    out: Dict[str, Fraction] = {}
+    for n, c in x.coeffs.items():
+        for tgt, v in m.entries.get(n, {}).items():
+            out[tgt] = out.get(tgt, Fraction(0)) + c * v
+    deg = None if x.bidegree is None else x.bidegree + m.shift
+    return Element(m.target, deg, out)
+
+
+def multiply(a: BVAlgebra, x: Element, y: Element) -> Element:
+    """Bilinear product via the structure constants."""
+    return _expand(a, a.product, x, y, Bidegree(0, 0))
+
+
+def bracket(a: BVAlgebra, x: Element, y: Element) -> Element:
+    """Derived bracket, expanded bilinearly over ``a.brackets``."""
+    return _expand(a, a.brackets, x, y, a.delta.shift)
+
+
+def _expand(a: BVAlgebra, table: ProductTable, x: Element, y: Element,
+            shift: Bidegree) -> Element:
+    acc: Vector = {}
+    for n, c in x.coeffs.items():
+        _add_into(acc, _left(table, n, y.coeffs), c)
+    deg = None
+    if x.bidegree is not None and y.bidegree is not None:
+        deg = x.bidegree + y.bidegree + shift
+    return Element(a.space, deg, acc)

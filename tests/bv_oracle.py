@@ -18,10 +18,11 @@ import itertools
 from fractions import Fraction
 from functools import partial
 
+from views import fraction_tables
+
 from bvhy.bv import BVAlgebra
-from bvhy.elements import apply, fraction_tables, koszul_sign, multiply
 from bvhy.graded import Bidegree, BigradedSpace
-from bvhy.rational import GradedMap
+from bvhy.rational import GradedMap, apply, koszul_sign, multiply
 
 
 def _bracket(a, x, y):
@@ -222,5 +223,5 @@ def ce_model(n):
                     (-1) ** j * sign * Fraction(2 * k - 1, k - 1)
         d[name(s)] = col
     return fraction_algebra(space, GradedMap(space, space, Bidegree(0, 1), d),
-                            GradedMap.zero(space, space, Bidegree(-1, 0)),
+                            GradedMap(space, space, Bidegree(-1, 0)),
                             product, "g")

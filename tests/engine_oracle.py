@@ -35,9 +35,9 @@ from typing import Dict, List, Sequence, Tuple
 from tree_oracle import bidegree_shift
 from bvhy.bv import BVAlgebra
 from bvhy.engine import OperationTable
-from bvhy.elements import Element, apply, bracket, koszul_sign, multiply
 from bvhy.graded import Bidegree
 from bvhy.hodge import TransferData
+from bvhy.rational import Element, apply, bracket, koszul_sign, multiply
 from bvhy.trees import BR, DEL, MUL, DecoratedTree, leaf, unparse_tree
 
 Vector = Dict[str, Fraction]

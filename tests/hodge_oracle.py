@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, NamedTuple, Tuple
 
+from views import set_entry
+
 from bvhy.graded import Bidegree, BigradedSpace, BlockMap
 from bvhy.hodge import InnerProduct
 from bvhy.rational import GradedMap
@@ -226,7 +228,7 @@ class TransferData(NamedTuple):
 
 def adjoint_differential(a, ip):
     space = a.space
-    dstar = GradedMap.zero(space, space, Bidegree(0, -1))
+    dstar = GradedMap(space, space, Bidegree(0, -1))
     for deg in space.occupied_bidegrees():
         block, src_names, tgt_names = dense_block(a.d, deg)
         if not src_names or not tgt_names:
@@ -236,7 +238,7 @@ def adjoint_differential(a, ip):
         m = mat_mul(inverse(g_low), mat_mul(transpose(block), g_high))
         for j, src in enumerate(tgt_names):
             for i, tgt in enumerate(src_names):
-                dstar.set_entry(src, tgt, m[i][j])
+                set_entry(dstar, src, tgt, m[i][j])
     return dstar
 
 
@@ -251,7 +253,7 @@ def _harmonic_decomposition(a, ip):
     space = a.space
     dstar = adjoint_differential(a, ip)
     lap = add(compose(a.d, dstar), compose(dstar, a.d))
-    green = GradedMap.zero(space, space, Bidegree(0, 0))
+    green = GradedMap(space, space, Bidegree(0, 0))
     harmonic: Dict[Bidegree, List[Tuple[str, List[Fraction]]]] = {}
     for deg in space.occupied_bidegrees():
         names = space.names_at(deg)
@@ -273,7 +275,7 @@ def _harmonic_decomposition(a, ip):
                   for ra, rb in zip(inverse(lp), proj)]
         for j, src in enumerate(names):
             for i, tgt in enumerate(names):
-                green.set_entry(src, tgt, gblock[i][j])
+                set_entry(green, src, tgt, gblock[i][j])
     return harmonic, green
 
 
@@ -286,8 +288,8 @@ def build_transfer_data(a, ip=None) -> TransferData:
     cohomology = BigradedSpace([(label, deg)
                                 for deg in space.occupied_bidegrees()
                                 for label, _vec in harmonic[deg]])
-    iota = GradedMap.zero(cohomology, space, Bidegree(0, 0))
-    pi = GradedMap.zero(space, cohomology, Bidegree(0, 0))
+    iota = GradedMap(cohomology, space, Bidegree(0, 0))
+    pi = GradedMap(space, cohomology, Bidegree(0, 0))
     for deg in space.occupied_bidegrees():
         names = space.names_at(deg)
         cols = harmonic[deg]
@@ -296,14 +298,14 @@ def build_transfer_data(a, ip=None) -> TransferData:
         for label, vec in cols:
             for i, c in enumerate(vec):
                 if c != 0:
-                    iota.set_entry(label, names[i], c)
+                    set_entry(iota, label, names[i], c)
         k = transpose([vec for _l, vec in cols])
         ktg = mat_mul(transpose(k), to_matrix(ip.block(deg)))
         gram = mat_mul(ktg, k)
         pmat = mat_mul(inverse(gram), ktg)
         for j, src in enumerate(names):
             for i, (label, _v) in enumerate(cols):
-                pi.set_entry(src, label, pmat[i][j])
+                set_entry(pi, src, label, pmat[i][j])
     return TransferData(cohomology, iota, pi, compose(dstar, green), green)
 
 

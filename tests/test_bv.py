@@ -8,12 +8,12 @@ import pytest
 
 import bv_oracle
 from bv_oracle import fraction_algebra
+from views import nonzero_entries, set_entry
 from bvhy.bv import check_bv_axioms
-from bvhy.elements import (apply, bracket, koszul_sign, multiply,
-                           nonzero_entries)
 from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.models import build_torus_model, build_trivial_model, builtin_models
-from bvhy.rational import GradedMap
+from bvhy.rational import (GradedMap, apply, bracket, koszul_sign,
+                           multiply)
 from bvhy.serialize import algebra_from_json, algebra_to_json
 
 F = Fraction
@@ -79,8 +79,8 @@ def test_order_three_operator_fails_the_leibniz_check():
     # the top trivector: a third-order operator, so the order-2 item fails
     m = build_trivial_model(3)
     a = m.algebra
-    bad_delta = GradedMap.zero(a.space, a.space, Bidegree(-1, 0))
-    bad_delta.set_entry("x123", "x", F(1))
+    bad_delta = GradedMap(a.space, a.space, Bidegree(-1, 0))
+    set_entry(bad_delta, "x123", "x", F(1))
     broken = fraction_algebra(a.space, a.d, bad_delta, a.product, "x")
     report = check_bv_axioms(broken)
     assert not report.passed
@@ -108,7 +108,7 @@ def test_broken_derivation_detected():
     src = "m1|f|v"          # mode 1, no form letters, no polyvector letters
     tgt = "m1|f1|v"
     assert d.entries[src][tgt] == F(1)
-    d.set_entry(src, tgt, F(5))
+    set_entry(d, src, tgt, F(5))
     broken = fraction_algebra(a.space, d, a.delta, a.product, a.unit)
     report = check_bv_axioms(broken)
     assert not _item(report, "d is a derivation of the product").passed
@@ -148,14 +148,14 @@ def _mutated(a, field):
                   {s: dict(c) for s, c in old.entries.items()})
     if m.entries:
         src, tgt, v = nonzero_entries(m)[0]
-        m.set_entry(src, tgt, 2 * v)
+        set_entry(m, src, tgt, 2 * v)
     else:
         deg = a.space.bidegree
         pair = next(((s, t) for s in a.space.names for t in a.space.names
                      if deg[t] == deg[s] + old.shift), None)
         if pair is None:
             return None
-        m.set_entry(*pair, F(1))
+        set_entry(m, *pair, F(1))
     return fraction_algebra(a.space, m if field == "d" else a.d,
                             m if field == "delta" else a.delta, a.product,
                             a.unit)
@@ -178,7 +178,7 @@ def _rescaled_heisenberg():
     d = GradedMap(space, space, Bidegree(0, 1),
                   {"x3": {"x12": mu["x3"] / mu["x12"]}})
     return fraction_algebra(space, d,
-                            GradedMap.zero(space, space, Bidegree(-1, 0)),
+                            GradedMap(space, space, Bidegree(-1, 0)),
                             product, "x")
 
 
@@ -389,7 +389,7 @@ def _sweep_mutants(a, rng, per_kind=12):
         for src, tgt, v in rng.sample(entries, min(per_kind, len(entries))):
             m = GradedMap(a.space, a.space, old.shift,
                           {s: dict(c) for s, c in old.entries.items()})
-            m.set_entry(src, tgt, 2 * v)
+            set_entry(m, src, tgt, 2 * v)
             yield f"double {field} {src}->{tgt}", fraction_algebra(
                 a.space, m if field == "d" else a.d,
                 m if field == "delta" else a.delta, a.product, a.unit)

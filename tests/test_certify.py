@@ -1,5 +1,6 @@
 """Degree-counting formality certificates and the structural cross-check."""
 
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,7 @@ def test_top_bottom_assumption_only_touches_last_case():
 
 def test_certificate_serialization_fields():
     cert = certify_formality(_named("k3").footprint)
-    doc = cert.to_dict()
+    doc = asdict(cert)
     assert doc["verdict"] == "formal"
     assert doc["n"] == 2 and doc["footprint_hypothesis"] is True
     assert len(doc["cases"]) == 4

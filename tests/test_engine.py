@@ -11,11 +11,11 @@ from bv_oracle import bracket_model, ce_model, cy3_model, fraction_algebra
 from engine_oracle import (SubtreeEvaluator, bidegree_violations,
                            nonzero_keys, truncate_to_strict)
 from tree_oracle import delta_trees, parse_tree
+from views import to_block
 from bvhy.bv import check_bv_axioms
 from bvhy.certify import Footprint, certify_formality
 from bvhy.engine import (build_operation_table, check_formal_unit,
                          naive_evaluate_tree, top_degree_report)
-from bvhy.elements import to_block
 from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.hodge import InnerProduct, build_transfer_data, check_transfer_input
 from bvhy.models import (build_torus_model, build_trivial_model,

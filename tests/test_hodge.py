@@ -8,8 +8,8 @@ import pytest
 from bv_oracle import fraction_algebra
 from hodge_oracle import (adjoint_differential, compose, dense_block,
                           identity, mat_mul, rank, to_matrix)
+from views import nonzero_entries, to_block
 from bvhy import bv
-from bvhy.elements import apply, nonzero_entries, to_block
 from bvhy.graded import Bidegree, BigradedSpace
 from bvhy.engine import build_operation_table
 from bvhy.hodge import (InnerProduct, build_transfer_data,
@@ -18,6 +18,7 @@ from bvhy.hodge import (InnerProduct, build_transfer_data,
                         check_transfer_input)
 from bvhy.models import (build_skew_gram_model, build_torus_model,
                          build_trivial_model)
+from bvhy.rational import apply
 from bvhy.serialize import gram_from_entries
 
 F = Fraction

@@ -16,9 +16,9 @@ import pytest
 import bv_oracle
 from bv_oracle import fraction_algebra
 import hodge_oracle
+from views import nonzero_entries, set_entry, to_block
 from bvhy import linalg
 from bvhy.bv import check_bv_axioms
-from bvhy.elements import nonzero_entries, to_block
 from bvhy.graded import Bidegree, BigradedSpace, compose
 from bvhy.hodge import (TransferData, build_transfer_data,
                         check_side_conditions,
@@ -92,14 +92,14 @@ def test_compose_matches_fraction_reference():
     by_deg = {deg: space.names_at(deg) for deg in space.occupied_bidegrees()}
     nonzero = unmatched = 0
     for _ in range(50):
-        f, g = (GradedMap.zero(space, space, Bidegree(0, 1)) for _ in range(2))
+        f, g = (GradedMap(space, space, Bidegree(0, 1)) for _ in range(2))
         for m in (f, g):
             for deg, names in by_deg.items():
                 if rng.random() < 0.2:
                     continue    # no block at deg
                 for src in names:
                     for tgt in by_deg.get(deg + Bidegree(0, 1), []):
-                        m.set_entry(src, tgt, F(rng.choice(POOL)))
+                        set_entry(m, src, tgt, F(rng.choice(POOL)))
         fb, gb = hodge_oracle.to_blocks(f), hodge_oracle.to_blocks(g)
         comp = from_blocks(compose(fb, gb))
         assert comp.entries == hodge_oracle.compose(f, g).entries
@@ -160,18 +160,18 @@ def _two_term_complex(rng, n):
     space = BigradedSpace([("e", Bidegree(0, 0))]
                           + [(x, Bidegree(1, 0)) for x in names_a]
                           + [(x, Bidegree(1, 1)) for x in names_b])
-    d = GradedMap.zero(space, space, Bidegree(0, 1))
+    d = GradedMap(space, space, Bidegree(0, 1))
     rank = n // 2
     u = [[F(rng.choice(POOL)) for _ in range(rank)] for _ in range(n)]
     v = [[F(rng.choice(POOL)) for _ in range(n)] for _ in range(rank)]
     for i, src in enumerate(names_a):
         for j, tgt in enumerate(names_b):
-            d.set_entry(src, tgt, sum((u[j][t] * v[t][i] for t in range(rank)),
-                                      F(0)))
+            set_entry(d, src, tgt,
+                      sum((u[j][t] * v[t][i] for t in range(rank)), F(0)))
     product = {("e", x): {x: F(1)} for x in space.names}
     product.update({(x, "e"): {x: F(1)} for x in space.names[1:]})
     algebra = fraction_algebra(space, d,
-                               GradedMap.zero(space, space, Bidegree(-1, 0)),
+                               GradedMap(space, space, Bidegree(-1, 0)),
                                product, "e")
     entries = []
     for names, off in ((names_a, F(1)), (names_b, F(1, 2))):
@@ -216,7 +216,7 @@ def _complex(rng, sizes, ranks):
     space = BigradedSpace([("e", Bidegree(0, 0))] + [
         (x, Bidegree(1, i)) for i, term in enumerate(names) for x in term])
     bases = [_random_invertible(rng, n) for n in sizes]
-    d = GradedMap.zero(space, space, Bidegree(0, 1))
+    d = GradedMap(space, space, Bidegree(0, 1))
     for i, rank in enumerate(ranks):
         lo = ranks[i - 1] if i else 0
         std = hodge_oracle.zeros(sizes[i + 1], sizes[i])
@@ -226,11 +226,11 @@ def _complex(rng, sizes, ranks):
             std, bases[i][1]))
         for c, src in enumerate(names[i]):
             for r, tgt in enumerate(names[i + 1]):
-                d.set_entry(src, tgt, block[r][c])
+                set_entry(d, src, tgt, block[r][c])
     product = {("e", x): {x: F(1)} for x in space.names}
     product.update({(x, "e"): {x: F(1)} for x in space.names[1:]})
     algebra = fraction_algebra(space, d,
-                               GradedMap.zero(space, space, Bidegree(-1, 0)),
+                               GradedMap(space, space, Bidegree(-1, 0)),
                                product, "e")
     entries = []
     for term in names:
@@ -325,7 +325,7 @@ def _nudged(m, src, tgt, by):
     """``m`` with its ``(src, tgt)`` entry moved by ``by``."""
     out = GradedMap(m.source, m.target, m.shift,
                     {s: dict(col) for s, col in m.entries.items()})
-    out.set_entry(src, tgt, out.entries.get(src, {}).get(tgt, 0) + by)
+    set_entry(out, src, tgt, out.entries.get(src, {}).get(tgt, 0) + by)
     return out
 
 

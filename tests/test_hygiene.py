@@ -64,6 +64,44 @@ def test_every_definition_has_a_caller():
     assert not orphans, orphans
 
 
+def _fractions_imports(tree):
+    """The scope of each import of ``fractions`` in ``tree``: the name of
+    the function around it, ``TYPE_CHECKING`` for that block, or ``None``
+    at module level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.If) and \
+                    isinstance(child.test, ast.Name) and \
+                    child.test.id == "TYPE_CHECKING":
+                visit(child, "TYPE_CHECKING")
+                continue
+            if isinstance(child, ast.Import) and \
+                    any(a.name == "fractions" for a in child.names) or \
+                    isinstance(child, ast.ImportFrom) and \
+                    child.module == "fractions":
+                found.append(scope)
+            visit(child, scope)
+    visit(tree, None)
+    return found
+
+
+def test_only_the_fraction_module_imports_fractions():
+    # every Fraction value of the package lives in bvhy.rational; the one
+    # other import is serialize's reader of scalar texts that int cannot
+    # take, plus a name for type annotations
+    found = {(p.stem, scope)
+             for p in sorted((ROOT / "src" / "bvhy").glob("*.py"))
+             for scope in _fractions_imports(
+                 ast.parse(p.read_text(encoding="utf-8")))}
+    assert found == {("rational", None), ("serialize", "parse_scalar"),
+                     ("serialize", "TYPE_CHECKING")}, found
+
+
 def _asserts(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     return [node.lineno for node in ast.walk(tree)
@@ -150,17 +188,16 @@ def test_validate_and_transfer_load_only_what_they_run(tmp_path):
     # validate runs on integers: no Fraction view, and no fractions module
     # with the decimal and numbers modules it imports
     assert after_validate & {"bvhy.engine", "bvhy.trees", "bvhy.certify",
-                             "bvhy.models", "bvhy.elements", "bvhy.rational",
-                             "dataclasses", "fractions", "decimal",
-                             "numbers"} == set()
+                             "bvhy.models", "bvhy.rational", "dataclasses",
+                             "fractions", "decimal", "numbers"} == set()
     assert "bvhy.engine" in after_transfer
     # transfer needs only engine.splits of the tree code; argparse, and
-    # hashlib with OpenSSL behind it, are start-up the commands can skip;
-    # Element arithmetic serves only the reference evaluator and the tests
+    # hashlib with OpenSSL behind it, are start-up the commands can skip
     assert after_transfer & {"bvhy.trees", "bvhy.certify", "bvhy.models",
-                             "bvhy.elements", "dataclasses", "argparse",
-                             "hashlib", "_hashlib"} == set()
-    # the engine runs on the integer tables too: no Fraction view
+                             "dataclasses", "argparse", "hashlib",
+                             "_hashlib"} == set()
+    # the engine runs on the integer tables too: no Fraction view, and no
+    # Element, which serves only the reference evaluator and the tests
     assert after_transfer & {"bvhy.rational", "fractions", "decimal",
                              "numbers"} == set()
     # serialize reads and writes JSON itself: neither command loads json
@@ -194,5 +231,4 @@ def test_model_builders_load_no_fraction_layer():
     assert proc.returncode == 0, proc.stderr
     loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
     assert "bvhy.models" in loaded
-    assert loaded & {"bvhy.rational", "bvhy.elements", "bvhy.trees",
-                     "fractions"} == set()
+    assert loaded & {"bvhy.rational", "bvhy.trees", "fractions"} == set()

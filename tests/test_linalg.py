@@ -7,8 +7,8 @@ import pytest
 
 import hodge_oracle
 from hodge_oracle import rank, to_matrix
+from views import to_block
 from bvhy import linalg
-from bvhy.elements import to_block
 
 F = Fraction
 

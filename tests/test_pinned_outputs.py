@@ -2,19 +2,22 @@
 ``check_transfer_input`` reports and the arity-5 ``table_to_json`` exports of
 the built-in models, ``bracket_model(z)``, ``cy3_model()`` and
 ``ce_model(n)``, the ``algebra_to_json`` exports of the model builders and
-of ``search_nonformal``, and the witnesses of ``search_nonformal`` on seeds
-0-63 with their exports.
+of ``search_nonformal``, the witnesses of ``search_nonformal`` on seeds
+0-63 with their exports, and the certificates of the reference footprints.
 
 A refactor keeps these bytes.  A change that moves one on purpose names the
 model and the moved entries in CHANGES.md and records the new digest here.
 """
 
 import hashlib
+from dataclasses import asdict
 
 import pytest
 
 from bv_oracle import bracket_model, ce_model, cy3_model
+from certify_oracle import builtin_footprints
 from bvhy import models
+from bvhy.certify import certify_formality
 from bvhy.engine import build_operation_table
 from bvhy.hodge import check_transfer_input
 from bvhy.serialize import algebra_to_json, dump, table_to_json
@@ -82,10 +85,13 @@ EXPORTS = {
 # where the search is exhausted
 SEARCH_SEEDS = \
     "2cb089fcc9aa2acadf4e3f140d1f92c05f2c4e8085865973a6f37c56f7517dc8"
-# the product keys of torus(2,1) in table order, from which the algebra's
-# partners and the checks' scan order are built
+# the product keys of torus(2,1) in table order, as the builder writes them
 TORUS_21_KEYS = \
     "22ed28166a97da498b95a2163a166d4d17324a2eed14555f25f1ae8de86243bc"
+# the certificate document ``bvhy certify`` writes, for each reference
+# footprint with the top-degree assumption granted and then withheld
+CERTIFICATES = \
+    "ca541e65ddf1585e3a7e76961ad4507ffc7e0011612e7964913493519cd5461c"
 
 
 def _model(name):
@@ -148,3 +154,10 @@ def test_torus_product_keys_keep_their_order():
     keys = list(models.build_torus_model(2, 1).algebra.tables.product.cols)
     assert len(keys) == 1377
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == TORUS_21_KEYS
+
+
+def test_certificates_are_pinned():
+    docs = [asdict(certify_formality(nf.footprint, assume_top_bottom=flag))
+            for nf in builtin_footprints() for flag in (True, False)]
+    assert len(docs) == 10
+    assert _sha256(docs) == CERTIFICATES

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from certify_oracle import footprint_to_json
+from views import nonzero_entries
 from bvhy import serialize
 from bvhy.certify import footprint_from_json
-from bvhy.elements import nonzero_entries
 from bvhy.graded import Bidegree
 from bvhy.models import (build_skew_gram_model, build_torus_model,
                          search_nonformal)
