@@ -58,6 +58,9 @@ def footprint_from_json(doc: dict) -> Footprint:
                  f"malformed bidegree p={p!r} q={q!r}", loc)
         _require(_is_int(dim) and dim >= 0,
                  f"invalid dimension {dim!r}", loc)
+        _require(0 <= p <= n and 0 <= q <= n,
+                 f"bidegree ({p},{q}) lies outside the Hodge diamond "
+                 f"0 <= p, q <= {n}", loc)
         if convention == "forms":
             # contraction with the volume form reverses the first index
             p = n - p

@@ -18,9 +18,11 @@ those load ``fractions``.
 sort_keys=True) + "\n"`` without the ``json`` package, whose import (six
 regular expressions) is a share of every command process, and whose
 indenting encoder runs in pure Python.  ``loads`` runs the scanner
-``json.loads`` runs; ``dump`` writes with the same text functions in the
-same order of type tests.  Each hands what it cannot take whole to
-``json``, imported only then, so every error is ``json``'s own.
+``json.loads`` runs, and hands what it cannot take whole to ``json``,
+imported only then, so every error in bad input is ``json``'s own.
+``dump`` writes with the same text functions in the same order of type
+tests; it takes the string-keyed JSON values every ``bvhy`` document is
+made of, and anything else is its own ``TypeError``.
 """
 
 from __future__ import annotations
@@ -128,17 +130,17 @@ def _require_name(space: BigradedSpace, name, location: str) -> None:
              f"unknown basis element {name!r}", location)
 
 
-def _require_new(seen: set, key: tuple, location: str) -> None:
-    if key in seen:
-        raise SchemaError(f"repeats the entry {list(key)} of an earlier row",
+def _require_new(filled: dict, key, names: list, location: str) -> None:
+    if key in filled:
+        raise SchemaError(f"repeats the entry {names} of an earlier row",
                           location)
-    seen.add(key)
 
 
 def _check_schema(doc: dict, location: str) -> None:
     _require(isinstance(doc, dict), "document must be a JSON object", location)
-    _require(doc.get("schema") == SCHEMA_VERSION,
-             f"unsupported schema {doc.get('schema')!r}", location)
+    schema = doc.get("schema")
+    _require(_is_int(schema) and schema == SCHEMA_VERSION,
+             f"unsupported schema {schema!r}", location)
 
 
 def _rows(doc: dict, key: str) -> list:
@@ -150,12 +152,12 @@ def _rows(doc: dict, key: str) -> list:
 
 def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree,
                  read) -> Table:
-    """The map under ``key`` as a ``bv.Table``.  Its nonzero entries are
-    kept in row order by source, the source in order of its first nonzero
-    row; a nonzero entry off ``shift`` is an error at its row."""
+    """The map under ``key`` as a ``bv.Table``, its columns in order of
+    their first row; a zero entry stays in its column, so that a repeated
+    row is found, until ``to_table`` drops it.  A nonzero entry off
+    ``shift`` is an error at its row."""
     index, deg = space.index, space.bidegree
     cols: Dict[int, Dict[int, Tuple[int, int]]] = {}
-    seen: set = set()
     for i, row in enumerate(_rows(doc, key)):
         loc = f"{key}[{i}]"
         _require(isinstance(row, list) and len(row) == 3,
@@ -164,18 +166,18 @@ def _map_entries(doc, key: str, space: BigradedSpace, shift: Bidegree,
         _require_name(space, src, loc)
         _require_name(space, tgt, loc)
         val = read(val, loc)
-        _require_new(seen, (src, tgt), loc)
-        if val[0]:
-            if deg[tgt] != deg[src] + shift:
-                raise SchemaError(f"entry {src!r} -> {tgt!r} violates the "
-                                  f"shift {tuple(shift)}", loc)
-            cols.setdefault(index[src], {})[index[tgt]] = val
+        col, t = cols.setdefault(index[src], {}), index[tgt]
+        _require_new(col, t, [src, tgt], loc)
+        if val[0] and deg[tgt] != deg[src] + shift:
+            raise SchemaError(f"entry {src!r} -> {tgt!r} violates the "
+                              f"shift {tuple(shift)}", loc)
+        col[t] = val
     return to_table(cols, shift)
 
 
 def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
     _check_schema(doc, "algebra")
-    basis = []
+    basis: Dict[str, Bidegree] = {}
     raw = doc.get("basis")
     _require(isinstance(raw, list) and raw, "missing or empty basis", "basis")
     for i, entry in enumerate(raw):
@@ -187,11 +189,9 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
         p, q = entry.get("p"), entry.get("q")
         _require(_is_int(p) and _is_int(q),
                  f"malformed bidegree p={p!r} q={q!r}", loc)
-        basis.append((name, Bidegree(p, q)))
-    try:
-        space = BigradedSpace(basis)
-    except ValueError as exc:
-        raise SchemaError(str(exc), "basis") from None
+        _require(name not in basis, f"duplicate basis name {name!r}", loc)
+        basis[name] = Bidegree(p, q)
+    space = BigradedSpace(basis.items())
 
     unit = doc.get("unit")
     _require(isinstance(unit, str) and unit in space.bidegree,
@@ -224,9 +224,8 @@ def algebra_from_json(doc: dict) -> Tuple[BVAlgebra, Optional[InnerProduct]]:
             raise SchemaError(f"target {tgt!r} at {dt} breaks bidegree "
                               f"additivity: {deg[x]} + {deg[y]}", loc)
         val = read(val, loc)
-        col = product.setdefault((index[x], index[y]), {})
-        t = index[tgt]
-        if t in col:
+        col, t = product.setdefault((index[x], index[y]), {}), index[tgt]
+        if t in col:  # _require_new, inline: a call per row costs 3%
             raise SchemaError(f"repeats the entry {[x, y, tgt]} of an "
                               f"earlier row", loc)
         col[t] = val
@@ -243,8 +242,7 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
     the diagonal where no row sets it."""
     _require(isinstance(raw, list), "gram must be a list of entries", "gram")
     read, deg = _scalar_reader(), space.bidegree
-    cells: Dict[Bidegree, list] = {}
-    seen: set = set()
+    cells: Dict[Bidegree, Dict[Tuple[str, str], Tuple[int, int]]] = {}
     for i, row in enumerate(raw):
         loc = f"gram[{i}]"
         _require(isinstance(row, list) and len(row) == 3,
@@ -253,18 +251,19 @@ def gram_from_entries(raw, space: BigradedSpace) -> InnerProduct:
         for nm in (x, y):
             _require_name(space, nm, loc)
         val = read(val, loc)
-        # the form is symmetric, so [x, y] and [y, x] set the same entry
-        _require_new(seen, (x, y) if x <= y else (y, x), loc)
+        # the form is symmetric, so [x, y] and [y, x] set the entry (min, max)
+        cell, pair = cells.setdefault(deg[x], {}), (min(x, y), max(x, y))
+        _require_new(cell, pair, list(pair), loc)
         if deg[x] != deg[y]:
             raise SchemaError(f"gram entry ({x},{y}) crosses bidegrees", loc)
-        cells.setdefault(deg[x], []).append((x, y, val))
+        cell[pair] = val
     blocks = {}
-    for at, rows in cells.items():
+    for at, cell in cells.items():
         names = space.names_at(at)
         pos = dict(zip(names, range(len(names))))
-        den = lcm(*[q for _x, _y, (_p, q) in rows])
+        den = lcm(*[q for _p, q in cell.values()])
         m = linalg.scalar(len(names), den)[0]
-        for x, y, (p, q) in rows:
+        for (x, y), (p, q) in cell.items():
             m[pos[x]][pos[y]] = m[pos[y]][pos[x]] = p * (den // q)
         blocks[at] = m, den
     try:
@@ -368,16 +367,12 @@ def loads(text: str):
 
 
 def dump(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte.
-    What ``_encode`` does not take (a key that is not a string, a value of
-    no JSON type, a cycle) goes to ``json.dumps``, which writes it or
-    raises its own error."""
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte,
+    for a document of JSON values under string keys, as every document
+    ``bvhy`` writes is.  Another key or value is a ``TypeError``, and a
+    cycle a ``RecursionError``."""
     parts = []
-    try:
-        _encode(doc, parts, "\n")
-    except (TypeError, RecursionError):
-        import json
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _encode(doc, parts, "\n")
     parts.append("\n")
     return "".join(parts)
 
@@ -421,8 +416,6 @@ def _encode(value, out: list, newline: str) -> None:
         inner = newline + "  "
         out.append("{")
         for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"key {key!r} is not a string")
             out.extend((inner, _quote(key), ": "))
             if isinstance(item, str):
                 out.append(_quote(item))

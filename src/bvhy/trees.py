@@ -14,6 +14,11 @@ enumeration and the bidegree a tree's operation shifts by
 (``(-l, -k+2)`` for a trivalent tree with k leaves and l brackets) are
 test oracles and live with the tests.
 
+A ``DecoratedTree`` is the tuple ``(kind, label, children)``, whose
+equality and hash are the tuple's own, and it checks no shape: the trees
+``enumerate_trees`` builds are trivalent by construction, and the test
+reader ``parse_tree`` rejects a vertex with the wrong number of children.
+
 ``unparse_tree`` prints a tree in the textual syntax below; the reader
 ``parse_tree``, like the ``mul``, ``br`` and ``delta`` builders, serves
 only the tests and lives with them:
@@ -23,7 +28,7 @@ only the tests and lives with them:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .engine import Labels, splits
 
@@ -35,36 +40,13 @@ DEL = "del"
 _BINARY = (MUL, BR)
 
 
-class DecoratedTree:
-    """Never changed once built.  Equality is structural; the hash is taken
-    once, from the children's cached hashes, so hashing never walks it."""
+class DecoratedTree(NamedTuple):
+    """A vertex and its subtrees.  A tuple, so never changed once built,
+    and equal and hashed by structure."""
 
-    __slots__ = ("kind", "label", "children", "_hash")
-
-    def __init__(self, kind: str, label: int = 0,
-                 children: Tuple["DecoratedTree", ...] = ()):
-        if kind == LEAF:
-            if children:
-                raise ValueError("leaf cannot have children")
-        elif kind in _BINARY:
-            if len(children) != 2:
-                raise ValueError(f"{kind} vertex needs exactly 2 children")
-        elif kind == DEL:
-            if len(children) != 1:
-                raise ValueError("del vertex needs exactly 1 child")
-        else:
-            raise ValueError(f"unknown decoration {kind!r}")
-        self.kind, self.label, self.children = kind, label, children
-        self._hash = hash((kind, label, children))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, DecoratedTree) and self._hash == other._hash
-            and (self.kind, self.label, self.children)
-            == (other.kind, other.label, other.children))
+    kind: str
+    label: int = 0
+    children: Tuple["DecoratedTree", ...] = ()
 
     def __repr__(self) -> str:
         return f"DecoratedTree({unparse_tree(self)!r})"

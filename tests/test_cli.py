@@ -98,6 +98,47 @@ def test_bool_footprint_dimension_exits_2(tmp_path, capsys):
     assert "occupied[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("convention,p,q", [
+    ("polyvector", -1, 4), ("polyvector", 7, -4), ("polyvector", 4, 0),
+    ("polyvector", 0, 4), ("forms", 9, 9), ("forms", -1, 2)])
+def test_footprint_outside_the_hodge_diamond_exits_2(tmp_path, capsys,
+                                                    convention, p, q):
+    # both corners, so the footprint hypothesis would otherwise hold
+    corners = [(0, 0), (3, 3)] if convention == "polyvector" else \
+        [(3, 0), (0, 3)]
+    doc = {"schema": 1, "n": 3, "convention": convention,
+           "occupied": [{"p": a, "q": b, "dim": 1}
+                        for a, b in corners + [(p, q)]]}
+    path = _write(tmp_path / "bad.json", doc)
+    assert main(["certify", path]) == 2
+    err = capsys.readouterr().err
+    assert f"occupied[2]: bidegree ({p},{q}) lies outside" in err
+
+
+@pytest.mark.parametrize("schema", [True, 1.0])
+@pytest.mark.parametrize("command", ["validate", "certify"])
+def test_schema_other_than_the_integer_1_exits_2(tmp_path, capsys, command,
+                                                 schema):
+    doc = footprint_to_json(builtin_footprints()[0].footprint) \
+        if command == "certify" else \
+        serialize.algebra_to_json(build_trivial_model(1).algebra)
+    doc["schema"] = schema
+    path = _write(tmp_path / "bad.json", doc)
+    assert main([command, path]) == 2
+    assert f"unsupported schema {schema!r}" in capsys.readouterr().err
+
+
+def test_repeated_basis_name_names_its_row(tmp_path, capsys):
+    doc = serialize.algebra_to_json(build_trivial_model(3).algebra)
+    first = doc["basis"][1]
+    doc["basis"].append(dict(first))
+    path = _write(tmp_path / "bad.json", doc)
+    assert main(["validate", path]) == 2
+    row = len(doc["basis"]) - 1
+    assert f"basis[{row}] ({first['name']}): duplicate basis name " \
+        f"{first['name']!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field,row", [("product", 0), ("d", 1)])
 def test_unhashable_basis_name_exits_2(tmp_path, capsys, field, row):
     doc = serialize.algebra_to_json(build_torus_model(1, 1).algebra)

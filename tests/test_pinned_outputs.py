@@ -4,13 +4,20 @@ the built-in models, ``bracket_model(z)``, ``cy3_model()`` and
 ``ce_model(n)``, the ``algebra_to_json`` exports of the model builders and
 of ``search_nonformal``, the witnesses of ``search_nonformal`` on seeds
 0-63 with their exports, and the certificates of the reference footprints.
+The ``transfer --out`` files of the benchmark's seed-0 transfer documents
+are compared with the digests the benchmark records for them, in
+``perfbench/digests.json``.
 
 A refactor keeps these bytes.  A change that moves one on purpose names the
 model and the moved entries in CHANGES.md and records the new digest here.
 """
 
 import hashlib
+import importlib.util
+import json
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +25,7 @@ from bv_oracle import bracket_model, ce_model, cy3_model
 from certify_oracle import builtin_footprints
 from bvhy import models
 from bvhy.certify import certify_formality
+from bvhy.cli import main
 from bvhy.engine import build_operation_table
 from bvhy.hodge import check_transfer_input
 from bvhy.serialize import algebra_to_json, dump, table_to_json
@@ -161,3 +169,39 @@ def test_certificates_are_pinned():
             for nf in builtin_footprints() for flag in (True, False)]
     assert len(docs) == 10
     assert _sha256(docs) == CERTIFICATES
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def benchmark_gen():
+    """``perfbench/gen.py``, the benchmark's document generator."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen",
+                                                  PERFBENCH / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class is made
+    sys.modules[spec.name] = gen
+    try:
+        spec.loader.exec_module(gen)
+    finally:
+        del sys.modules[spec.name]
+    return gen
+
+
+@pytest.mark.parametrize("workload", ["transfer-collapse", "transfer-massey"])
+def test_benchmark_transfer_exports_match_their_digests(
+        workload, benchmark_gen, tmp_path, capsys):
+    # the digests are recorded for seed 0, the benchmark's default seed
+    digests = json.loads((PERFBENCH / "digests.json").read_text())[workload]
+    docs = benchmark_gen.generate(workload, 0)
+    assert sorted(doc.name for doc in docs) == sorted(digests)
+    path, out = tmp_path / "doc.json", tmp_path / "table.json"
+    got = {}
+    for doc in docs:
+        path.write_text(dump(doc.algebra))
+        assert main(["transfer", str(path), "--max-arity",
+                     str(benchmark_gen.TRANSFER_ARITY), "--out", str(out)]) == 0
+        got[doc.name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert got == digests

@@ -47,14 +47,10 @@ def test_syntax_errors():
 
 
 def test_malformed_trees_rejected():
-    with pytest.raises(ValueError):
-        DecoratedTree("mul", children=(leaf(1),))
-    with pytest.raises(ValueError):
-        DecoratedTree("del", children=(leaf(1), leaf(2)))
-    with pytest.raises(ValueError):
-        DecoratedTree("leaf", label=1, children=(leaf(2),))
-    with pytest.raises(ValueError):
-        DecoratedTree("spam")
+    for bad in ["(mul 1)", "(br 1 2 3)", "(mul)", "(del 1 2)", "(del)",
+                "(mul (del) 2)", "(spam 1 2)", "(leaf 1)", "(1 2)"]:
+        with pytest.raises(ValueError):
+            parse_tree(bad)
 
 
 def test_trees_compare_and_hash_by_structure():

@@ -3,6 +3,11 @@
 prints; canonical forms of arbitrary planar trees, the bidegree a tree's
 operation shifts by, and the enumeration of delta-decorated trees.
 
+``parse_tree`` is the one place a tree is read from text, so it checks the
+shapes ``DecoratedTree`` does not: a decoration it knows, two children
+under ``mul`` and ``br``, one under ``del``.  The builders and the
+rewrites here make only those shapes.
+
 The library enumerates trivalent trees only (``bvhy.trees``); delta trees
 enter the theory through strong trivialization, which the library checks
 with three composites instead of by enumerating trees.
@@ -53,6 +58,9 @@ def _parse_tokens(tokens: List[str]) -> Tuple[DecoratedTree, List[str]]:
         if not rest:
             raise ValueError("missing ')'")
         rest = rest[1:]
+        if len(children) != (1 if op == DEL else 2):
+            raise ValueError(f"{op} vertex cannot have {len(children)} "
+                             f"children")
         return DecoratedTree(op, children=tuple(children)), rest
     try:
         label = int(tok)
